@@ -30,6 +30,7 @@ class AddressCache {
   AddressCache(size_t num_tables, uint32_t num_memory_nodes)
       : base_(num_tables * num_memory_nodes),
         overlay_(num_tables * num_memory_nodes),
+        epochs_(num_memory_nodes),
         num_memory_nodes_(num_memory_nodes) {}
 
   AddressCache(const AddressCache&) = delete;
@@ -40,9 +41,7 @@ class AddressCache {
   /// (LocalAddressCache) tag entries with this epoch, so a rebuild
   /// invalidates every coordinator's private entries without a broadcast.
   uint32_t node_epoch(rdma::NodeId node) const {
-    return node < kMaxEpochNodes
-               ? epochs_[node].load(std::memory_order_acquire)
-               : 0;
+    return epochs_[node].load(std::memory_order_acquire);
   }
 
   /// Loader-only (single-threaded, before transactions start).
@@ -67,9 +66,7 @@ class AddressCache {
     Shard& shard = overlay_[Index(table, node)];
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     shard.map.clear();
-    if (node < kMaxEpochNodes) {
-      epochs_[node].fetch_add(1, std::memory_order_acq_rel);
-    }
+    epochs_[node].fetch_add(1, std::memory_order_acq_rel);
   }
 
   std::optional<uint64_t> Lookup(store::TableId table, rdma::NodeId node,
@@ -94,11 +91,9 @@ class AddressCache {
     return static_cast<size_t>(table) * num_memory_nodes_ + node;
   }
 
-  static constexpr uint32_t kMaxEpochNodes = 64;
-
   std::vector<std::unordered_map<store::Key, uint64_t>> base_;
   mutable std::vector<Shard> overlay_;
-  std::array<std::atomic<uint32_t>, kMaxEpochNodes> epochs_{};
+  std::vector<std::atomic<uint32_t>> epochs_;  // One per memory node.
   uint32_t num_memory_nodes_;
 };
 

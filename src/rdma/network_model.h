@@ -31,11 +31,15 @@ class NetworkModel {
   const NetworkConfig& config() const { return config_; }
   bool latency_enabled() const { return config_.latency_enabled(); }
 
+  /// Round trip of a verb without payload; RttNanos minus this is the
+  /// verb's serialization time.
+  uint64_t BaseRttNanos() const { return 2 * config_.one_way_ns; }
+
   /// Round-trip time for a verb carrying `request_bytes` to the memory
   /// server and `response_bytes` back. CAS/FAA carry 8 bytes each way;
   /// reads carry the payload back; writes carry it out.
   uint64_t RttNanos(size_t request_bytes, size_t response_bytes) const {
-    return 2 * config_.one_way_ns +
+    return BaseRttNanos() +
            static_cast<uint64_t>(
                config_.per_byte_ns *
                static_cast<double>(request_bytes + response_bytes));

@@ -7,11 +7,12 @@ namespace rdma {
 
 size_t OrderedBatch::Record(const Status& status, uint64_t rtt_ns) {
   statuses_.push_back(status);
-  if (!status.ok()) {
+  if (status.ok()) {
+    wait_.Add(rtt_ns, qp_->net());
+  } else {
     errored_ = true;
     if (first_error_.ok()) first_error_ = status;
   }
-  if (rtt_ns > max_rtt_ns_) max_rtt_ns_ = rtt_ns;
   return statuses_.size() - 1;
 }
 
@@ -42,23 +43,17 @@ size_t OrderedBatch::CompareSwap(RKey rkey, uint64_t offset,
 }
 
 Status OrderedBatch::Execute(uint64_t extra_rtt_ns) {
-  const uint64_t wait_ns =
-      max_rtt_ns_ > extra_rtt_ns ? max_rtt_ns_ : extra_rtt_ns;
-  last_wait_ns_ = wait_ns;
-  if (wait_ns > 0) SpinForNanos(wait_ns);
-  Status result = first_error_;
-  first_error_ = Status::OK();
-  statuses_.clear();
-  max_rtt_ns_ = 0;
-  errored_ = false;
-  return result;
+  const uint64_t own_ns = wait_.ns();
+  last_wait_ns_ = own_ns > extra_rtt_ns ? own_ns : extra_rtt_ns;
+  if (last_wait_ns_ > 0) SpinForNanos(last_wait_ns_);
+  return Collect();
 }
 
 Status OrderedBatch::Collect() {
   Status result = first_error_;
   first_error_ = Status::OK();
   statuses_.clear();
-  max_rtt_ns_ = 0;
+  wait_.Reset();
   errored_ = false;
   return result;
 }

@@ -22,10 +22,11 @@ namespace rdma {
 ///
 /// The simulated QueuePair applies each verb synchronously at post time and
 /// in call order, so ordering holds by construction; OrderedBatch's job is
-/// the completion model (one max-RTT wait instead of a sum of per-verb
-/// waits) and the error model (a failed verb moves the QP chain into an
-/// error state and every later verb is flushed without applying, mirroring
-/// IBV_WC_WR_FLUSH_ERR on real hardware).
+/// the completion model (one doorbell wait — the slowest verb's RTT plus
+/// the other verbs' serialization, see DoorbellWait — instead of a sum of
+/// per-verb round trips) and the error model (a failed verb moves the QP
+/// chain into an error state and every later verb is flushed without
+/// applying, mirroring IBV_WC_WR_FLUSH_ERR on real hardware).
 class OrderedBatch {
  public:
   explicit OrderedBatch(QueuePair* qp) : qp_(qp) {}
@@ -41,17 +42,17 @@ class OrderedBatch {
   size_t CompareSwap(RKey rkey, uint64_t offset, uint64_t expected,
                      uint64_t desired, uint64_t* observed);
 
-  /// Waits out one max-RTT for the whole chain (plus `extra_rtt_ns`, for a
-  /// VerbBatch or sibling chains to other servers riding the same doorbell
-  /// group) and returns the first verb error, if any. Resets the chain for
-  /// reuse.
+  /// Waits out one doorbell wait for the whole chain, or `extra_rtt_ns` if
+  /// that is longer — the pending wait of a VerbBatch or of sibling chains
+  /// to other servers riding the same doorbell group — and returns the
+  /// first verb error, if any. Resets the chain for reuse.
   Status Execute(uint64_t extra_rtt_ns = 0);
 
-  /// Max RTT of the verbs posted so far. Lets this chain ride another
-  /// chain's doorbell group: the other chain executes with this value as
-  /// extra_rtt_ns and this one is drained with Collect() — one shared
-  /// max-RTT wait covers both.
-  uint64_t pending_max_rtt_ns() const { return max_rtt_ns_; }
+  /// Doorbell wait of the verbs posted so far (DoorbellWait). Lets this
+  /// chain ride another chain's doorbell group: the other chain executes
+  /// with this value as extra_rtt_ns and this one is drained with
+  /// Collect() — one shared wait covers both.
+  uint64_t pending_max_rtt_ns() const { return wait_.ns(); }
 
   /// Completes the chain WITHOUT waiting (its RTT was paid by another
   /// batch's Execute in the same doorbell group). Returns the first verb
@@ -64,9 +65,10 @@ class OrderedBatch {
 
   size_t size() const { return statuses_.size(); }
 
-  /// Simulated nanoseconds the previous Execute() waited out — one max-RTT
-  /// for the chain (and any rider), never a per-verb sum. Deterministic,
-  /// unlike wall-clock measurements of the spin wait.
+  /// Simulated nanoseconds the previous Execute() waited out — the slowest
+  /// verb's RTT plus the other verbs' serialization (or a longer rider's
+  /// wait), never a sum of per-verb round trips. Deterministic, unlike
+  /// wall-clock measurements of the spin wait.
   uint64_t last_wait_ns() const { return last_wait_ns_; }
 
  private:
@@ -75,7 +77,7 @@ class OrderedBatch {
   QueuePair* qp_;
   std::vector<Status> statuses_;
   Status first_error_;
-  uint64_t max_rtt_ns_ = 0;
+  DoorbellWait wait_;
   uint64_t last_wait_ns_ = 0;
   bool errored_ = false;
 };

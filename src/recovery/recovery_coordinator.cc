@@ -1,8 +1,9 @@
 #include "recovery/recovery_coordinator.h"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
 #include <set>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/coding.h"
@@ -23,6 +24,7 @@ void RecoveryStats::Add(const RecoveryStats& other) {
   locks_released += other.locks_released;
   objects_restored += other.objects_restored;
   slots_scanned += other.slots_scanned;
+  doorbells += other.doorbells;
   log_recovery_ns += other.log_recovery_ns;
   scan_ns += other.scan_ns;
 }
@@ -41,165 +43,260 @@ RecoveryCoordinator::RecoveryCoordinator(cluster::Cluster* cluster)
   }
 }
 
-Status RecoveryCoordinator::CollectRecords(
-    uint16_t coord_id, rdma::NodeId server,
-    std::vector<store::LogRecord>* records, RecoveryStats* stats) {
+uint32_t RecoveryCoordinator::CoordinatorsPerWindow() const {
+  const uint64_t per_coordinator =
+      cluster_->catalog().log_layout().CoordinatorAreaSize() *
+      cluster_->total_memory_nodes();
+  return static_cast<uint32_t>(
+      std::max<uint64_t>(1, kLogReadBufferBytes / per_coordinator));
+}
+
+Status RecoveryCoordinator::RecoverLogs(
+    const std::vector<uint16_t>& coord_ids, RecoveryStats* stats) {
+  const uint64_t start = NowNanos();
+  const size_t per_window = CoordinatorsPerWindow();
+  const std::span<const uint16_t> ids(coord_ids);
+  for (size_t first = 0; first < ids.size(); first += per_window) {
+    PANDORA_RETURN_NOT_OK(RecoverWindow(
+        ids.subspan(first, std::min(per_window, ids.size() - first)),
+        stats));
+  }
+  stats->log_recovery_ns += NowNanos() - start;
+  return Status::OK();
+}
+
+Status RecoveryCoordinator::FinishRound(rdma::VerbBatch* batch,
+                                        RecoveryStats* stats) {
+  if (batch->size() > 0) stats->doorbells++;
+  PANDORA_RETURN_NOT_OK(batch->Execute());
+  return MaybeFault();
+}
+
+void RecoveryCoordinator::ParseCoordinatorLog(const char* areas,
+                                              size_t num_servers,
+                                              CoordinatorLog* log,
+                                              RecoveryStats* stats) {
   const store::LogLayout& layout = cluster_->catalog().log_layout();
-  const uint64_t area = layout.CoordinatorAreaSize();
-  area_buf_.resize(area);
-  // One big one-sided read per log server (§3.2.2 "F+1 Log Reads": each
-  // RDMA read returns the coordinator's whole contiguous log area).
-  PANDORA_RETURN_NOT_OK(qp(server)->Read(
-      cluster_->catalog().log_rkey(server),
-      layout.CoordinatorBase(coord_id), area_buf_.data(), area));
-  stats->log_bytes_read += area;
-
   const uint32_t slot_bytes = layout.config().slot_bytes;
-  for (uint32_t s = 0; s < layout.config().slots_per_coordinator; ++s) {
-    store::LogRecord record;
-    const Status status = store::ParseLogRecord(
-        area_buf_.data() + static_cast<uint64_t>(s) * slot_bytes,
-        slot_bytes, &record);
-    if (status.ok()) {
-      if (record.coord_id == coord_id) records->push_back(std::move(record));
-      continue;
-    }
-    if (status.IsNotFound()) continue;  // Empty or truncated slot.
-    // Torn write: the coordinator died mid-log-write. The transaction
-    // cannot have applied any update (validation completes only after the
-    // log write), so ignoring the record is exactly right — its locks are
-    // stray and will be stolen / scanned.
-    stats->torn_records++;
-  }
-  return Status::OK();
-}
-
-Status RecoveryCoordinator::ResolveSlot(store::TableId table,
-                                        store::Key key, rdma::NodeId node,
-                                        uint64_t* slot, bool* found) {
-  if (const auto cached = cluster_->addresses().Lookup(table, node, key)) {
-    *slot = *cached;
-    *found = true;
-    return Status::OK();
-  }
-  const cluster::TableInfo& info = cluster_->catalog().table(table);
-  store::SlotState state;
-  const Status status = store::FindSlotByProbe(
-      qp(node), info.region_rkeys[node], info.layout, key, &state);
-  if (status.IsNotFound()) {
-    *found = false;
-    return Status::OK();
-  }
-  PANDORA_RETURN_NOT_OK(status);
-  *slot = state.slot;
-  *found = true;
-  cluster_->addresses().InsertOverlay(table, node, key, state.slot);
-  return Status::OK();
-}
-
-Status RecoveryCoordinator::ReleaseObjectLocks(uint16_t coord_id,
-                                               store::TableId table,
-                                               store::Key key,
-                                               RecoveryStats* stats) {
-  const cluster::TableInfo& info = cluster_->catalog().table(table);
-  const store::LockWord theirs = store::MakeLock(coord_id);
-  for (const rdma::NodeId node : cluster_->ReplicaSetFor(table, key)) {
-    if (!cluster_->membership().IsMemoryAlive(node)) continue;
-    uint64_t slot = 0;
-    bool found = false;
-    PANDORA_RETURN_NOT_OK(ResolveSlot(table, key, node, &slot, &found));
-    if (!found) continue;
-    uint64_t observed = 0;
-    PANDORA_RETURN_NOT_OK(
-        qp(node)->CompareSwap(info.region_rkeys[node],
-                              info.layout.LockOffset(slot), theirs,
-                              store::kUnlocked, &observed));
-    if (observed == theirs) stats->locks_released++;
-  }
-  return Status::OK();
-}
-
-Status RecoveryCoordinator::RecoverLoggedTxn(
-    uint16_t coord_id, const MergedTxn& txn,
-    std::set<std::pair<store::TableId, store::Key>>* handled,
-    RecoveryStats* stats) {
-  // Objects re-touched by a later transaction of the same coordinator are
-  // that transaction's responsibility; skip them here.
-  std::vector<store::LogEntry> entries;
-  for (const store::LogEntry& entry : txn.entries) {
-    if (handled->insert({entry.table, entry.key}).second) {
-      entries.push_back(entry);
-    }
-  }
-  if (entries.empty()) return Status::OK();
-
-  // --- Decision (§3.2.2): roll forward iff every replica of every
-  // write-set object carries the post-commit version; otherwise roll back.
-  // Sound because the client commit-ack is sent only after all replicas
-  // are updated (Cor3), and versions only grow.
-  struct ReplicaView {
-    rdma::NodeId node;
-    uint64_t slot;
-    bool updated;
-    uint64_t version;
-  };
-  std::vector<std::vector<ReplicaView>> views(entries.size());
-  bool all_updated = true;
-
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const store::LogEntry& entry = entries[i];
-    const cluster::TableInfo& info = cluster_->catalog().table(entry.table);
-    for (const rdma::NodeId node :
-         cluster_->ReplicaSetFor(entry.table, entry.key)) {
-      if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      uint64_t slot = 0;
-      bool found = false;
-      PANDORA_RETURN_NOT_OK(
-          ResolveSlot(entry.table, entry.key, node, &slot, &found));
-      if (!found) {
-        // Insert whose slot claim never reached this replica.
-        all_updated = false;
+  const char* slot_image = areas;
+  for (size_t s = 0; s < num_servers; ++s) {
+    for (uint32_t slot = 0; slot < layout.config().slots_per_coordinator;
+         ++slot, slot_image += slot_bytes) {
+      store::LogRecord record;
+      const Status status =
+          store::ParseLogRecord(slot_image, slot_bytes, &record);
+      if (status.IsNotFound()) continue;  // Empty or truncated slot.
+      log->used_slots.push_back({s, slot});
+      if (!status.ok()) {
+        // Torn write: the coordinator died mid-log-write. The transaction
+        // cannot have applied any update (validation completes only after
+        // the log write), so ignoring the record is exactly right — its
+        // locks are stray and will be stolen / scanned.
+        stats->torn_records++;
         continue;
       }
-      alignas(8) uint64_t version_word = 0;
-      PANDORA_RETURN_NOT_OK(
-          qp(node)->Read(info.region_rkeys[node],
-                         info.layout.VersionOffset(slot), &version_word,
-                         8));
-      const bool updated = store::VersionOf(version_word) !=
-                           store::VersionOf(entry.old_version);
-      if (!updated) all_updated = false;
-      views[i].push_back({node, slot, updated,
-                          store::VersionOf(version_word)});
+      if (record.coord_id != log->coord_id) continue;
+      // Merge record copies / per-object fragments by transaction id; keep
+      // lock intents separate (they are processed last, Cor4-safe).
+      for (store::LogEntry& entry : record.entries) {
+        if (entry.is_lock_intent) {
+          log->intents.push_back(std::move(entry));
+          continue;
+        }
+        std::vector<store::LogEntry>& entries = log->txns[record.txn_id];
+        const bool duplicate =
+            std::any_of(entries.begin(), entries.end(),
+                        [&](const store::LogEntry& e) {
+                          return e.table == entry.table && e.key == entry.key;
+                        });
+        if (!duplicate) entries.push_back(std::move(entry));
+      }
+    }
+  }
+  stats->logged_txns += log->txns.size();
+  stats->lock_intents += log->intents.size();
+}
+
+void RecoveryCoordinator::AddTarget(uint16_t coord_id,
+                                    const store::LogEntry* entry,
+                                    size_t txn) {
+  Target target;
+  target.coord_id = coord_id;
+  target.entry = entry;
+  target.txn = txn;
+  target.first_replica = replicas_.size();
+  for (const rdma::NodeId node :
+       cluster_->ReplicaSetFor(entry->table, entry->key)) {
+    if (!cluster_->membership().IsMemoryAlive(node)) continue;
+    ReplicaView view;
+    view.node = node;
+    replicas_.push_back(view);
+  }
+  target.num_replicas = replicas_.size() - target.first_replica;
+  targets_.push_back(target);
+}
+
+Status RecoveryCoordinator::ResolveSlots(RecoveryStats* stats) {
+  // Cache misses (replica index, key), grouped by table: a batched probe
+  // walks one table layout.
+  std::map<store::TableId, std::vector<std::pair<size_t, store::Key>>>
+      misses;
+  for (const Target& target : targets_) {
+    const store::LogEntry& entry = *target.entry;
+    for (size_t r = target.first_replica;
+         r < target.first_replica + target.num_replicas; ++r) {
+      ReplicaView& view = replicas_[r];
+      if (const auto cached =
+              cluster_->addresses().Lookup(entry.table, view.node,
+                                           entry.key)) {
+        view.slot = *cached;
+        view.found = true;
+      } else {
+        misses[entry.table].push_back({r, entry.key});
+      }
     }
   }
 
-  if (all_updated) {
-    // Roll forward: all updates are in place; just release the locks
-    // (conditionally, so a transaction that already unlocked is a no-op).
-    stats->rolled_forward++;
-    for (const store::LogEntry& entry : entries) {
-      PANDORA_RETURN_NOT_OK(
-          ReleaseObjectLocks(coord_id, entry.table, entry.key, stats));
+  std::vector<store::ProbeRequest> requests;
+  std::vector<store::ProbeOutcome> outcomes;
+  for (const auto& [table, wanted] : misses) {
+    const cluster::TableInfo& info = cluster_->catalog().table(table);
+    requests.clear();
+    for (const auto& [r, key] : wanted) {
+      const rdma::NodeId node = replicas_[r].node;
+      requests.push_back({qp(node), info.region_rkeys[node], key});
     }
-    return Status::OK();
+    uint64_t rounds = 0;
+    const Status status = store::FindSlotsByBatchedProbe(
+        info.layout, requests, &outcomes, &rounds);
+    stats->doorbells += rounds;
+    PANDORA_RETURN_NOT_OK(status);
+    for (size_t i = 0; i < wanted.size(); ++i) {
+      // NotFound: an insert whose slot claim never reached this replica.
+      if (outcomes[i].status.IsNotFound()) continue;
+      PANDORA_RETURN_NOT_OK(outcomes[i].status);
+      ReplicaView& view = replicas_[wanted[i].first];
+      view.slot = outcomes[i].state.slot;
+      view.found = true;
+      cluster_->addresses().InsertOverlay(table, view.node, wanted[i].second,
+                                          view.slot);
+    }
+  }
+  return Status::OK();
+}
+
+Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
+                                          RecoveryStats* stats) {
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint64_t area = layout.CoordinatorAreaSize();
+  std::vector<rdma::NodeId> servers;
+  for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
+    const rdma::NodeId node = cluster_->memory_node_id(m);
+    if (cluster_->membership().IsMemoryAlive(node)) servers.push_back(node);
+  }
+  rdma::VerbBatch batch;
+
+  // Round 1 — log reads (§3.2.2 "F+1 Log Reads"): one read per server of
+  // each coordinator's whole contiguous log area.
+  const uint64_t per_coordinator = servers.size() * area;
+  log_buf_.resize(coord_ids.size() * per_coordinator);
+  for (size_t c = 0; c < coord_ids.size(); ++c) {
+    for (size_t s = 0; s < servers.size(); ++s) {
+      batch.Read(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
+                 layout.CoordinatorBase(coord_ids[c]),
+                 log_buf_.data() + c * per_coordinator + s * area, area);
+      stats->log_bytes_read += area;
+    }
+  }
+  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+
+  std::vector<CoordinatorLog> logs(coord_ids.size());
+  for (size_t c = 0; c < coord_ids.size(); ++c) {
+    logs[c].coord_id = coord_ids[c];
+    ParseCoordinatorLog(log_buf_.data() + c * per_coordinator,
+                        servers.size(), &logs[c], stats);
   }
 
-  // Roll back: restore the undo image on every updated replica, then
-  // release the locks. Value restores are safe while the primary lock is
-  // still held by the dead (and link-terminated) coordinator, and
-  // idempotent if re-executed.
-  stats->rolled_back++;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const store::LogEntry& entry = entries[i];
+  // The objects to repair. Per coordinator, logged transactions go in
+  // *descending* order with a per-object handled set: a coordinator's
+  // transactions are sequential, so only the latest logged transaction
+  // touching an object can be responsible for its current lock/state —
+  // records of earlier (necessarily completed) transactions must not
+  // re-release a lock the latest transaction still holds. Lock intents
+  // (traditional scheme) skip objects a logged transaction covers; the
+  // conditional CAS makes stale intents no-ops.
+  targets_.clear();
+  replicas_.clear();
+  std::vector<bool> roll_forward;  // Per transaction with targets.
+  for (const CoordinatorLog& log : logs) {
+    std::set<std::pair<store::TableId, store::Key>> handled;
+    for (auto it = log.txns.rbegin(); it != log.txns.rend(); ++it) {
+      const size_t before = targets_.size();
+      for (const store::LogEntry& entry : it->second) {
+        if (handled.insert({entry.table, entry.key}).second) {
+          AddTarget(log.coord_id, &entry, roll_forward.size());
+        }
+      }
+      if (targets_.size() > before) roll_forward.push_back(true);
+    }
+    for (const store::LogEntry& intent : log.intents) {
+      if (handled.count({intent.table, intent.key})) continue;
+      AddTarget(log.coord_id, &intent, Target::kIntent);
+    }
+  }
+  PANDORA_RETURN_NOT_OK(ResolveSlots(stats));
+
+  // Round 2 — decision (§3.2.2): roll forward iff every replica of every
+  // write-set object carries a post-commit version; otherwise roll back.
+  // Sound because the client commit-ack is sent only after all replicas
+  // are updated (Cor3), and versions only grow. One version snapshot
+  // decides the whole window: a restore could flip another transaction's
+  // decision only if both logged the same (object, old version), which
+  // the lock discipline rules out (DESIGN.md).
+  for (const Target& target : targets_) {
+    if (target.txn == Target::kIntent) continue;
+    const cluster::TableInfo& info =
+        cluster_->catalog().table(target.entry->table);
+    for (ReplicaView& view : ReplicasOf(target)) {
+      if (!view.found) continue;
+      batch.Read(qp(view.node), info.region_rkeys[view.node],
+                 info.layout.VersionOffset(view.slot), &view.version_word,
+                 sizeof(view.version_word));
+    }
+  }
+  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+  for (const Target& target : targets_) {
+    if (target.txn == Target::kIntent) continue;
+    const uint64_t old_version = store::VersionOf(target.entry->old_version);
+    for (const ReplicaView& view : ReplicasOf(target)) {
+      // Not found: an insert whose slot claim never reached this replica.
+      if (!view.found || store::VersionOf(view.version_word) == old_version) {
+        roll_forward[target.txn] = false;
+      }
+    }
+  }
+  for (const bool forward : roll_forward) {
+    forward ? stats->rolled_forward++ : stats->rolled_back++;
+  }
+
+  // Round 3 — roll back: restore the undo image on every replica carrying
+  // the failed coordinator's own update (exactly old+1). Under joint
+  // compute+memory failures a promoted backup may already carry a later
+  // committed version; that state must be preserved. Value restores are
+  // safe while the primary lock is still held by the dead (and
+  // link-terminated) coordinator, and idempotent if re-executed.
+  std::vector<std::vector<char>> images;
+  for (const Target& target : targets_) {
+    if (target.txn == Target::kIntent || roll_forward[target.txn]) continue;
+    const store::LogEntry& entry = *target.entry;
     const cluster::TableInfo& info = cluster_->catalog().table(entry.table);
-    for (const ReplicaView& view : views[i]) {
-      if (!view.updated) continue;
-      // Restore only the failed coordinator's own update (exactly old+1).
-      // Under joint compute+memory failures a promoted backup may already
-      // carry a later committed version; that state must be preserved.
-      if (view.version != store::VersionOf(entry.old_version) + 1) continue;
-      std::vector<char> buf(16 + info.layout.padded_value_size(), 0);
+    for (const ReplicaView& view : ReplicasOf(target)) {
+      if (!view.found || store::VersionOf(view.version_word) !=
+                             store::VersionOf(entry.old_version) + 1) {
+        continue;
+      }
+      std::vector<char>& buf =
+          images.emplace_back(16 + info.layout.padded_value_size(), 0);
       EncodeFixed64(buf.data(), entry.old_version);
       EncodeFixed64(buf.data() + 8, entry.key);
       if (!entry.old_value.empty()) {
@@ -209,110 +306,50 @@ Status RecoveryCoordinator::RecoverLoggedTxn(
       }
       // For inserts old_version is 0, which makes the slot invisible
       // again (the key claim itself is left in place; harmless).
-      PANDORA_RETURN_NOT_OK(qp(view.node)->Write(
-          info.region_rkeys[view.node],
-          info.layout.VersionOffset(view.slot), buf.data(), buf.size()));
+      batch.Write(qp(view.node), info.region_rkeys[view.node],
+                  info.layout.VersionOffset(view.slot), buf.data(),
+                  buf.size());
       stats->objects_restored++;
     }
-    PANDORA_RETURN_NOT_OK(
-        ReleaseObjectLocks(coord_id, entry.table, entry.key, stats));
   }
-  return Status::OK();
-}
+  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
 
-Status RecoveryCoordinator::TruncateLogs(
-    uint16_t coord_id, const std::vector<rdma::NodeId>& servers) {
-  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  // Round 4 — release every named lock on every alive replica, with a CAS
+  // conditional on the failed coordinator still owning it (a transaction
+  // that already unlocked makes it a no-op). A separate doorbell from the
+  // restores, so no lock is released before every restore has landed.
+  for (const Target& target : targets_) {
+    const cluster::TableInfo& info =
+        cluster_->catalog().table(target.entry->table);
+    for (ReplicaView& view : ReplicasOf(target)) {
+      if (!view.found) continue;
+      batch.CompareSwap(qp(view.node), info.region_rkeys[view.node],
+                        info.layout.LockOffset(view.slot),
+                        store::MakeLock(target.coord_id), store::kUnlocked,
+                        &view.observed_lock);
+    }
+  }
+  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+  for (const Target& target : targets_) {
+    const store::LockWord theirs = store::MakeLock(target.coord_id);
+    for (const ReplicaView& view : ReplicasOf(target)) {
+      if (view.found && view.observed_lock == theirs) stats->locks_released++;
+    }
+  }
+
+  // Round 5 — idempotent truncation (§3.2.3) before the stray-lock
+  // notification. The invalid marker is the empty slot's magic word, so
+  // only the slots round 1 found non-empty need it: the fenced
+  // coordinators cannot have written since.
   const uint64_t marker = store::InvalidRecordMarker();
-  rdma::VerbBatch batch;
-  for (const rdma::NodeId server : servers) {
-    if (!cluster_->membership().IsMemoryAlive(server)) continue;
-    for (uint32_t s = 0; s < layout.config().slots_per_coordinator; ++s) {
-      batch.Write(qp(server), cluster_->catalog().log_rkey(server),
-                  layout.SlotOffset(coord_id, s), &marker, sizeof(marker));
+  for (const CoordinatorLog& log : logs) {
+    for (const auto& [s, slot] : log.used_slots) {
+      batch.Write(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
+                  layout.SlotOffset(log.coord_id, slot), &marker,
+                  sizeof(marker));
     }
   }
-  return batch.Execute();
-}
-
-Status RecoveryCoordinator::RecoverCoordinatorLogs(uint16_t coord_id,
-                                                   txn::ProtocolMode mode,
-                                                   RecoveryStats* stats) {
-  const uint64_t start = NowNanos();
-
-  // Scan every memory server's log area for this coordinator. Pandora's
-  // legacy path confines records to the f+1 designated log servers, but
-  // the merged commit doorbell places them on the transaction's touched
-  // data servers instead (any union of replica sets is >= f+1), and the
-  // baselines scatter per-object records everywhere — scanning all nodes
-  // covers all three placements with the same one-read-per-server cost
-  // profile, just over more servers.
-  (void)mode;
-  std::vector<rdma::NodeId> servers;
-  for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
-    servers.push_back(cluster_->memory_node_id(m));
-  }
-
-  std::vector<store::LogRecord> records;
-  for (const rdma::NodeId server : servers) {
-    if (!cluster_->membership().IsMemoryAlive(server)) continue;
-    PANDORA_RETURN_NOT_OK(
-        CollectRecords(coord_id, server, &records, stats));
-  }
-
-  // Merge record copies / per-object fragments by transaction id; keep
-  // lock intents separate (they are processed last, Cor4-safe).
-  std::map<uint64_t, MergedTxn> txns;
-  std::vector<store::LogEntry> intents;
-  for (store::LogRecord& record : records) {
-    for (store::LogEntry& entry : record.entries) {
-      if (entry.is_lock_intent) {
-        intents.push_back(std::move(entry));
-        continue;
-      }
-      MergedTxn& txn = txns[record.txn_id];
-      txn.txn_id = record.txn_id;
-      const bool duplicate =
-          std::any_of(txn.entries.begin(), txn.entries.end(),
-                      [&](const store::LogEntry& e) {
-                        return e.table == entry.table && e.key == entry.key;
-                      });
-      if (!duplicate) txn.entries.push_back(std::move(entry));
-    }
-  }
-
-  stats->logged_txns += txns.size();
-  stats->lock_intents += intents.size();
-
-  // Roll each logged transaction forward or back (Cor2). Process in
-  // *descending* transaction order with a per-object handled set: a
-  // coordinator's transactions are sequential, so only the latest logged
-  // transaction touching an object can be responsible for its current
-  // lock/state — records of earlier (necessarily completed) transactions
-  // must not re-release a lock the latest transaction still holds.
-  std::set<std::pair<store::TableId, store::Key>> handled;
-  for (auto it = txns.rbegin(); it != txns.rend(); ++it) {
-    PANDORA_RETURN_NOT_OK(MaybeFault());
-    PANDORA_RETURN_NOT_OK(
-        RecoverLoggedTxn(coord_id, it->second, &handled, stats));
-  }
-
-  // Traditional scheme: release any lock named by an intent. Processed
-  // after full records so a logged transaction's locks were already
-  // handled by its roll decision; the conditional CAS makes stale intents
-  // no-ops.
-  for (const store::LogEntry& intent : intents) {
-    if (handled.count({intent.table, intent.key})) continue;
-    PANDORA_RETURN_NOT_OK(
-        ReleaseObjectLocks(coord_id, intent.table, intent.key, stats));
-  }
-
-  // Idempotent truncation (§3.2.3) before the stray-lock notification.
-  PANDORA_RETURN_NOT_OK(MaybeFault());
-  PANDORA_RETURN_NOT_OK(TruncateLogs(coord_id, servers));
-
-  stats->log_recovery_ns += NowNanos() - start;
-  return Status::OK();
+  return FinishRound(&batch, stats);
 }
 
 Status RecoveryCoordinator::ScanAndReleaseStrayLocks(

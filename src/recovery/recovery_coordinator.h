@@ -2,18 +2,17 @@
 #define PANDORA_RECOVERY_RECOVERY_COORDINATOR_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <utility>
 #include <vector>
-
-#include <functional>
 
 #include "cluster/cluster.h"
 #include "common/status.h"
 #include "rdma/queue_pair.h"
 #include "store/log_layout.h"
-#include "txn/txn_config.h"
 
 namespace pandora {
 namespace recovery {
@@ -29,6 +28,9 @@ struct RecoveryStats {
   uint64_t locks_released = 0;
   uint64_t objects_restored = 0;
   uint64_t slots_scanned = 0;
+  /// Doorbells log recovery rang: the non-empty rounds of every window
+  /// plus one per batched probe step on address-cache misses.
+  uint64_t doorbells = 0;
   uint64_t log_recovery_ns = 0;
   uint64_t scan_ns = 0;
 
@@ -36,10 +38,17 @@ struct RecoveryStats {
 };
 
 /// The Recovery Coordinator (RC) of §3.2.2 step 3: a thread on a compute-
-/// capable node that reads the failed coordinator's logs with f+1 one-sided
+/// capable node that reads the failed coordinators' logs with one-sided
 /// RDMA reads, decides roll-forward vs roll-back per logged transaction by
 /// comparing replica versions against the undo images, repairs memory, and
 /// truncates the logs.
+///
+/// Log recovery works over all of a failed node's coordinator ids at once,
+/// in windows whose log areas fit a fixed read buffer. Each window costs
+/// kRoundsPerWindow doorbells however many coordinators it holds: read the
+/// log areas, read every replica version, restore roll-back images, release
+/// locks, truncate. Address-cache misses add one batched probe doorbell per
+/// probe step.
 ///
 /// Every mutation is a *conditional* CAS against "locked by the failed
 /// coordinator" (or a value write under such a lock), so re-executing any
@@ -47,6 +56,11 @@ struct RecoveryStats {
 /// failures.
 class RecoveryCoordinator {
  public:
+  /// Doorbell rounds per log-recovery window.
+  static constexpr uint32_t kRoundsPerWindow = 5;
+  /// Upper bound on the log-area read buffer of one window.
+  static constexpr uint64_t kLogReadBufferBytes = 4ull << 20;
+
   explicit RecoveryCoordinator(cluster::Cluster* cluster);
 
   RecoveryCoordinator(const RecoveryCoordinator&) = delete;
@@ -61,22 +75,28 @@ class RecoveryCoordinator {
     scan_throttle_ns_per_slot_ = ns;
   }
 
-  /// Fault injection for §3.2.3 idempotence validation: called between
-  /// recovery steps; returning true makes the RC die mid-recovery
-  /// (RecoverCoordinatorLogs returns Unavailable with memory in whatever
-  /// partially-repaired state the steps so far produced). The next RC
+  /// Fault injection for §3.2.3 idempotence validation: called after every
+  /// doorbell round of log recovery; returning true makes the RC die there
+  /// (RecoverLogs returns Unavailable with memory in whatever
+  /// partially-repaired state the rounds so far produced). The next RC
   /// re-executes the whole procedure.
   void set_step_fault_hook(std::function<bool()> hook) {
     step_fault_hook_ = std::move(hook);
   }
 
-  /// Log recovery for one failed coordinator id. For kPandora the RC reads
-  /// the coordinator's f+1 designated log servers; for the baseline modes
-  /// it reads the coordinator's area on every memory server (per-object log
-  /// placement). Safe to call repeatedly (idempotent); must run *before*
-  /// the stray-lock notification (Cor4).
-  Status RecoverCoordinatorLogs(uint16_t coord_id, txn::ProtocolMode mode,
-                                RecoveryStats* stats);
+  /// Coordinators per log-recovery window: as many as fit their log areas,
+  /// on every attached memory server, into kLogReadBufferBytes (at least
+  /// one).
+  uint32_t CoordinatorsPerWindow() const;
+
+  /// Log recovery for a failed node's coordinator ids, in windows of
+  /// CoordinatorsPerWindow() ids. Every memory server's log area is read:
+  /// Pandora's merged commit doorbell places records on the transaction's
+  /// touched data servers and the baselines scatter per-object records, so
+  /// one path covers every protocol mode. Safe to call repeatedly
+  /// (idempotent); must run *before* the stray-lock notification (Cor4).
+  Status RecoverLogs(const std::vector<uint16_t>& coord_ids,
+                     RecoveryStats* stats);
 
   /// The Baseline's stop-the-world stray-lock recovery (§3.1.1): scans
   /// every table region on every alive memory server with one-sided reads
@@ -87,39 +107,62 @@ class RecoveryCoordinator {
                                   RecoveryStats* stats);
 
  private:
-  struct MergedTxn {
-    uint64_t txn_id = 0;
-    std::vector<store::LogEntry> entries;
+  // One coordinator's parsed log: each logged transaction's write set by
+  // transaction id, the traditional scheme's lock intents, and the
+  // non-empty slots as (server index, slot) for truncation.
+  struct CoordinatorLog {
+    uint16_t coord_id = 0;
+    std::map<uint64_t, std::vector<store::LogEntry>> txns;
+    std::vector<store::LogEntry> intents;
+    std::vector<std::pair<size_t, uint32_t>> used_slots;
+  };
+
+  // One alive replica of an object under repair.
+  struct ReplicaView {
+    rdma::NodeId node = 0;
+    bool found = false;  // False: an insert's claim never reached it.
+    uint64_t slot = 0;
+    uint64_t version_word = 0;
+    uint64_t observed_lock = 0;
+  };
+
+  // One object a coordinator's log names: a logged transaction's entry
+  // (`txn` indexes the window's roll decisions) or a lock intent.
+  struct Target {
+    static constexpr size_t kIntent = ~size_t{0};
+    uint16_t coord_id = 0;
+    const store::LogEntry* entry = nullptr;
+    size_t txn = kIntent;
+    size_t first_replica = 0;
+    size_t num_replicas = 0;
   };
 
   rdma::QueuePair* qp(rdma::NodeId node) { return qps_[node].get(); }
 
-  // Reads and parses every record slot in `coord_id`'s area on `server`.
-  Status CollectRecords(uint16_t coord_id, rdma::NodeId server,
-                        std::vector<store::LogRecord>* records,
-                        RecoveryStats* stats);
+  std::span<ReplicaView> ReplicasOf(const Target& target) {
+    return std::span<ReplicaView>(replicas_).subspan(target.first_replica,
+                                                     target.num_replicas);
+  }
 
-  // Resolves the slot of (table, key) on `node` via the shared address
-  // cache, probing remotely on a miss.
-  Status ResolveSlot(store::TableId table, store::Key key,
-                     rdma::NodeId node, uint64_t* slot, bool* found);
+  // Recovers one window of coordinator ids in kRoundsPerWindow doorbells.
+  Status RecoverWindow(std::span<const uint16_t> coord_ids,
+                       RecoveryStats* stats);
 
-  // Applies the §3.2.2 decision rule to one logged transaction. `handled`
-  // is the set of objects already repaired by later transactions of the
-  // same coordinator (processed in descending transaction order).
-  Status RecoverLoggedTxn(
-      uint16_t coord_id, const MergedTxn& txn,
-      std::set<std::pair<store::TableId, store::Key>>* handled,
-      RecoveryStats* stats);
+  // Parses `log->coord_id`'s area images (one per server, already read)
+  // and merges record copies and per-object fragments by transaction id.
+  void ParseCoordinatorLog(const char* areas, size_t num_servers,
+                           CoordinatorLog* log, RecoveryStats* stats);
 
-  // Conditionally releases (CAS locked-by-coord -> unlocked) the lock of
-  // one object on every alive replica.
-  Status ReleaseObjectLocks(uint16_t coord_id, store::TableId table,
-                            store::Key key, RecoveryStats* stats);
+  // Appends `entry`'s alive replicas to replicas_ as a new target.
+  void AddTarget(uint16_t coord_id, const store::LogEntry* entry, size_t txn);
 
-  // Truncates (invalidates) all of `coord_id`'s log slots on `servers`.
-  Status TruncateLogs(uint16_t coord_id,
-                      const std::vector<rdma::NodeId>& servers);
+  // Fills every target replica's slot from the shared address cache,
+  // resolving misses with batched probes (one doorbell per probe step).
+  Status ResolveSlots(RecoveryStats* stats);
+
+  // Rings `batch` (if it holds verbs) and then passes a round boundary,
+  // where the RC may die (step fault hook).
+  Status FinishRound(rdma::VerbBatch* batch, RecoveryStats* stats);
 
   Status MaybeFault() {
     if (step_fault_hook_ && step_fault_hook_()) {
@@ -130,7 +173,10 @@ class RecoveryCoordinator {
 
   cluster::Cluster* cluster_;
   std::vector<std::unique_ptr<rdma::QueuePair>> qps_;
-  std::vector<char> area_buf_;  // Reusable log-area read buffer.
+  // Per-window working state, reused across windows and recoveries.
+  std::vector<char> log_buf_;  // <= kLogReadBufferBytes of log areas.
+  std::vector<Target> targets_;
+  std::vector<ReplicaView> replicas_;
   std::function<bool()> step_fault_hook_;
   uint64_t scan_throttle_ns_per_slot_ = 0;
 };

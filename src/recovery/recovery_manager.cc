@@ -118,10 +118,7 @@ Status RecoveryManager::RecoverComputeFailure(
   // Step 3 — log recovery: roll every logged stray transaction forward or
   // back, then truncate the logs (idempotence, §3.2.3).
   RecoveryStats stats;
-  for (const uint16_t id : coordinator_ids) {
-    PANDORA_RETURN_NOT_OK(
-        rc_->RecoverCoordinatorLogs(id, config_.mode, &stats));
-  }
+  PANDORA_RETURN_NOT_OK(rc_->RecoverLogs(coordinator_ids, &stats));
 
   // Baseline only: stray locks of *not-logged* transactions cannot be
   // found without scanning the whole KVS, and the scan cannot tell live

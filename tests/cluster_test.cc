@@ -388,6 +388,42 @@ TEST(ClusterTest, PlacementEpochAdvancesOnFailoverAndRebuild) {
   EXPECT_GT(e2, e1) << "re-admission must invalidate placement caches";
 }
 
+// A rebuilt memory node gets new slot assignments, so every coordinator's
+// private address entries for it must go stale — whatever its node id, not
+// only on small clusters.
+TEST(ClusterTest, RebuildInvalidatesLocalAddressesOfHighNodeIds) {
+  ClusterConfig config = TestConfig();
+  config.memory_nodes = 66;
+  config.log.max_coordinators = 1;
+  Cluster cluster(config);
+  const store::TableId t = cluster.CreateTable("t", 8, 512);
+  const char v[8] = "x";
+  for (store::Key k = 0; k < 512; ++k) {
+    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
+  }
+  const rdma::NodeId high = cluster.memory_node_id(65);
+  ASSERT_GE(high, 64);
+  store::Key key = 0;
+  while (key < 512 && !cluster.ReplicaSetFor(t, key).Contains(high)) ++key;
+  ASSERT_LT(key, 512u) << "no key replicated on node " << high;
+  rdma::NodeId other = cluster.ReplicaSetFor(t, key).front();
+  if (other == high) other = cluster.ReplicaSetFor(t, key)[1];
+
+  LocalAddressCache local;
+  for (const rdma::NodeId node : {high, other}) {
+    const auto slot = cluster.addresses().Lookup(t, node, key);
+    ASSERT_TRUE(slot.has_value());
+    local.Insert(cluster.addresses(), t, node, key, *slot);
+    ASSERT_TRUE(local.Lookup(cluster.addresses(), t, node, key).has_value());
+  }
+
+  cluster.CrashMemoryNode(high);
+  ASSERT_TRUE(cluster.RebuildMemoryNode(high).ok());
+  EXPECT_FALSE(local.Lookup(cluster.addresses(), t, high, key).has_value())
+      << "stale slot served for rebuilt node " << high;
+  EXPECT_TRUE(local.Lookup(cluster.addresses(), t, other, key).has_value());
+}
+
 // Zero-allocation guard: once the cache is warm, the hot placement path —
 // hash, cache lookup, primary selection, touched-server collection — must
 // not touch the heap. This is the tentpole's core claim; the global
@@ -576,7 +612,8 @@ TEST(PlacementCacheTest, NeverServesPreReconfigurationReplicas) {
 // Same invariant under concurrency: readers that snapshot the epoch, look
 // up, and double-check the epoch must never observe a replica set that
 // disagrees with the ring published for that epoch, even while a join and
-// a drain swap rings underneath them.
+// a drain swap rings underneath them. Each reader owns its cache, as each
+// coordinator does: PlacementCache is single-threaded.
 TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   Cluster cluster(StandbyConfig());
   const store::TableId t = cluster.CreateTable("t", 8, 128);
@@ -584,7 +621,6 @@ TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   for (store::Key k = 0; k < 128; ++k) {
     ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
   }
-  PlacementCache cache;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> mismatches{0};
@@ -592,6 +628,7 @@ TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
+      PlacementCache cache;
       while (!stop.load(std::memory_order_acquire)) {
         for (store::Key k = 0; k < 128; ++k) {
           const uint64_t hash = HashRing::PlacementHash(t, k);

@@ -397,6 +397,54 @@ TEST(OrderedBatchTest, ExecuteCoversRiderBatchRtt) {
   EXPECT_EQ(check[2], 3);
 }
 
+// With a per-byte cost, a doorbell still pays one round trip, but the
+// payloads share the link: the wait is the slowest verb's RTT plus the
+// serialization of every other verb, so batching never saves bandwidth.
+TEST(DoorbellWaitTest, ChargesOtherVerbsSerialization) {
+  NetworkConfig config;
+  config.one_way_ns = 10000;  // 20 us base RTT
+  config.per_byte_ns = 0.5;
+  Fabric fabric(config);
+  ProtectionDomain* pd = fabric.AttachMemoryNode(0);
+  ProtectionDomain* pd2 = fabric.AttachMemoryNode(2);
+  const RKey rkey = pd->RegisterRegion(4096, "r");
+  const RKey rkey2 = pd2->RegisterRegion(4096, "r2");
+  auto qp = fabric.CreateQueuePair(1, 0);
+  auto qp2 = fabric.CreateQueuePair(1, 2);
+
+  alignas(8) char big[1024] = {};
+  alignas(8) char small[64] = {};
+  uint64_t observed = 0;
+
+  // Mixed sizes across two servers: a 1 KiB read (512 ns of payload), a
+  // 64 B write (32 ns) and a CAS (8 B each way, 8 ns).
+  VerbBatch batch;
+  batch.Read(qp.get(), rkey, 0, big, sizeof(big));
+  batch.Write(qp2.get(), rkey2, 0, small, sizeof(small));
+  batch.CompareSwap(qp.get(), rkey, 2048, 0, 1, &observed);
+  EXPECT_EQ(batch.pending_max_rtt_ns(), 20512u + 32 + 8);
+  ASSERT_TRUE(batch.Execute().ok());
+  EXPECT_EQ(batch.last_wait_ns(), 20512u + 32 + 8);
+
+  // The same rule for an ordered chain on one QP: the read is slowest.
+  OrderedBatch chain(qp.get());
+  chain.CompareSwap(rkey, 2048, 1, 2, &observed);
+  chain.Read(rkey, 0, big, 256);
+  chain.Write(rkey, 1024, small, sizeof(small));
+  ASSERT_TRUE(chain.Execute().ok());
+  EXPECT_EQ(chain.last_wait_ns(), 20128u + 8 + 32);
+  EXPECT_EQ(observed, 1u);
+
+  // A rider with the longer wait sets the doorbell group's wait.
+  VerbBatch rider;
+  rider.Read(qp2.get(), rkey2, 0, big, sizeof(big));
+  rider.Read(qp2.get(), rkey2, 1024, big, sizeof(big));
+  chain.CompareSwap(rkey, 2048, 2, 3, &observed);
+  ASSERT_TRUE(chain.Execute(rider.pending_max_rtt_ns()).ok());
+  ASSERT_TRUE(rider.Collect().ok());
+  EXPECT_EQ(chain.last_wait_ns(), 20512u + 512);
+}
+
 // ------------------------------------------------ Verb schedule hooks --
 
 // Records every desc it sees; never holds or drops.

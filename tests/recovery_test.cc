@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "common/coding.h"
+#include "common/random.h"
 #include "recovery/recovery_manager.h"
 #include "store/remote_object.h"
 #include "common/logging.h"
@@ -37,6 +40,7 @@ class RecoveryTest : public ::testing::Test {
   void SetUp() override { Rebuild(txn::ProtocolMode::kPandora); }
 
   void Rebuild(txn::ProtocolMode mode) {
+    staged_coords_.clear();
     manager_.reset();
     cluster_.reset();
 
@@ -49,7 +53,7 @@ class RecoveryTest : public ::testing::Test {
     config.log.max_coordinators = 512;
     cluster_ = std::make_unique<cluster::Cluster>(config);
     table_ = cluster_->CreateTable("t", /*value_size=*/16, 512);
-    for (store::Key k = 0; k < 200; ++k) {
+    for (store::Key k = 0; k < kLoadedKeys; ++k) {
       ASSERT_TRUE(cluster_->LoadRow(table_, k, Padded("init")).ok());
     }
 
@@ -152,12 +156,201 @@ class RecoveryTest : public ::testing::Test {
     }
   }
 
+  // --- Multi-coordinator staging -----------------------------------------
+
+  static constexpr store::Key kLoadedKeys = 200;
+  // Committed by staged coordinator 0 (whose stale record stays in its
+  // log), then held by staged coordinator 1 when it crashes.
+  static constexpr store::Key kSharedKey = kLoadedKeys - 1;
+
+  // One staged coordinator's crashed transaction.
+  struct StagedTxn {
+    uint16_t id = 0;
+    txn::CrashPoint point = txn::CrashPoint::kAfterLockFetch;
+    std::vector<store::Key> keys;
+    std::vector<std::string> pre;  // Per key: the value before the txn.
+    std::string post;              // The value the txn writes.
+    bool acked = false;            // The client saw a commit ack.
+  };
+
+  // Stages `n` coordinators on compute 0, each running one transaction of
+  // 2-3 distinct keys (drawn from `seed`) that crashes at
+  // points[i % points.size()], then halts the node. Coordinator 0 first
+  // commits kSharedKey; coordinator 1's transaction then locks it first.
+  // The caller must have stopped the failure detector, so only explicit
+  // RecoverComputeFailure calls recover.
+  std::vector<StagedTxn> StageCrashes(
+      uint64_t seed, int n, const std::vector<txn::CrashPoint>& points) {
+    Random rng(seed);
+    std::vector<store::Key> pool;
+    for (store::Key k = 0; k < kSharedKey; ++k) pool.push_back(k);
+    for (size_t i = pool.size(); i > 1; --i) {
+      std::swap(pool[i - 1], pool[rng.Uniform(i)]);
+    }
+    const rdma::NodeId node = cluster_->compute_node_id(0);
+    std::vector<StagedTxn> staged;
+    for (int i = 0; i < n; ++i) {
+      staged_coords_.push_back(MakeCoordinator(0));
+      txn::Coordinator* coord = staged_coords_.back().get();
+      StagedTxn t;
+      t.id = coord->coord_id();
+      t.point = points[i % points.size()];
+      t.post = Padded("c" + std::to_string(i));
+      if (i == 0) {
+        EXPECT_TRUE(coord->Begin().ok());
+        EXPECT_TRUE(coord->Write(table_, kSharedKey, Padded("shared")).ok());
+        EXPECT_TRUE(coord->Commit().ok());
+      }
+      if (i == 1) {
+        t.keys.push_back(kSharedKey);
+        t.pre.push_back(Padded("shared"));
+      }
+      for (uint64_t k = 2 + rng.Uniform(2); k > 0; --k) {
+        PANDORA_CHECK(!pool.empty());
+        t.keys.push_back(pool.back());
+        t.pre.push_back(Padded("init"));
+        pool.pop_back();
+      }
+
+      CrashAt hook(t.point);
+      coord->set_crash_hook(&hook);
+      bool acked = false;
+      coord->set_ack_callback(
+          [&acked](uint64_t, bool committed) { acked = acked || committed; });
+      Status status = coord->Begin();
+      for (const store::Key key : t.keys) {
+        if (status.ok()) status = coord->Write(table_, key, t.post);
+      }
+      if (status.ok()) status = coord->Commit();
+      EXPECT_TRUE(status.IsUnavailable())
+          << "coordinator " << i << " did not crash at "
+          << txn::CrashPointName(t.point) << ": " << status.ToString();
+      coord->set_crash_hook(nullptr);
+      coord->set_ack_callback(nullptr);
+      t.acked = acked;
+      staged.push_back(std::move(t));
+      // The next coordinator on the node needs the fabric back.
+      cluster_->fabric().ResumeNode(node);
+    }
+    cluster_->CrashComputeNode(node);
+    return staged;
+  }
+
+  static std::vector<uint16_t> IdsOf(const std::vector<StagedTxn>& staged) {
+    std::vector<uint16_t> ids;
+    for (const StagedTxn& t : staged) ids.push_back(t.id);
+    return ids;
+  }
+
+  Status RecoverIds(const std::vector<uint16_t>& ids) {
+    return manager_->RecoverComputeFailure(cluster_->compute_node_id(0), ids);
+  }
+
+  // Raw {lock, version, key, value} image of every loaded key on every
+  // alive replica, read through compute 1.
+  std::vector<std::string> ReplicaImages() {
+    const auto& info = cluster_->catalog().table(table_);
+    std::vector<std::string> images;
+    for (store::Key key = 0; key < kLoadedKeys; ++key) {
+      for (const rdma::NodeId node : cluster_->ReplicasFor(table_, key)) {
+        if (!cluster_->membership().IsMemoryAlive(node)) continue;
+        rdma::QueuePair* qp = cluster_->compute(1)->qp(node);
+        store::SlotState state;
+        EXPECT_TRUE(store::FindSlotByProbe(qp, info.region_rkeys[node],
+                                           info.layout, key, &state)
+                        .ok());
+        std::vector<char> buf(store::SlotReadSize(info.layout));
+        EXPECT_TRUE(qp->Read(info.region_rkeys[node],
+                             info.layout.LockOffset(state.slot), buf.data(),
+                             buf.size())
+                        .ok());
+        images.emplace_back(buf.begin(), buf.end());
+      }
+    }
+    return images;
+  }
+
+  // After recovery: replicas agree; each staged transaction's keys are all
+  // at their pre or all at their post state, post if the client was acked;
+  // a lock survives only as the PILL-stealable stray of a transaction that
+  // crashed before logging.
+  void ExpectRecoveredState(const std::vector<StagedTxn>& staged) {
+    std::map<uint16_t, txn::CrashPoint> point_of;
+    for (const StagedTxn& t : staged) point_of[t.id] = t.point;
+    const auto& info = cluster_->catalog().table(table_);
+    const auto read_key = [&](store::Key key, std::string* value) {
+      bool first = true;
+      for (const rdma::NodeId node : cluster_->ReplicasFor(table_, key)) {
+        rdma::QueuePair* qp = cluster_->compute(1)->qp(node);
+        store::SlotState state;
+        ASSERT_TRUE(store::FindSlotByProbe(qp, info.region_rkeys[node],
+                                           info.layout, key, &state)
+                        .ok());
+        if (store::LockHeld(state.lock)) {
+          const auto it = point_of.find(store::LockOwner(state.lock));
+          EXPECT_TRUE(it != point_of.end() &&
+                      it->second == txn::CrashPoint::kAfterLockFetch)
+              << "key " << key << " still locked by "
+              << store::LockOwner(state.lock);
+        }
+        alignas(8) char buf[16];
+        ASSERT_TRUE(qp->Read(info.region_rkeys[node],
+                             info.layout.ValueOffset(state.slot), buf, 16)
+                        .ok());
+        if (first) value->assign(buf, 16);
+        EXPECT_EQ(std::string(buf, 16), *value)
+            << "replica divergence on key " << key;
+        first = false;
+      }
+    };
+    for (const StagedTxn& t : staged) {
+      bool all_pre = true;
+      bool all_post = true;
+      for (size_t i = 0; i < t.keys.size(); ++i) {
+        std::string value;
+        read_key(t.keys[i], &value);
+        all_pre = all_pre && value == t.pre[i];
+        all_post = all_post && value == t.post;
+      }
+      EXPECT_TRUE(all_pre || all_post)
+          << "coordinator " << t.id << " (" << txn::CrashPointName(t.point)
+          << ") left a torn write set";
+      if (t.acked) {
+        EXPECT_TRUE(all_post) << "coordinator " << t.id << " lost an ack";
+      }
+    }
+  }
+
+  static void ExpectSameCounts(const RecoveryStats& a,
+                               const RecoveryStats& b) {
+    EXPECT_EQ(a.log_bytes_read, b.log_bytes_read);
+    EXPECT_EQ(a.logged_txns, b.logged_txns);
+    EXPECT_EQ(a.lock_intents, b.lock_intents);
+    EXPECT_EQ(a.rolled_forward, b.rolled_forward);
+    EXPECT_EQ(a.rolled_back, b.rolled_back);
+    EXPECT_EQ(a.torn_records, b.torn_records);
+    EXPECT_EQ(a.locks_released, b.locks_released);
+    EXPECT_EQ(a.objects_restored, b.objects_restored);
+    EXPECT_EQ(a.slots_scanned, b.slots_scanned);
+  }
+
+  static const std::vector<txn::CrashPoint>& MixedPoints() {
+    static const std::vector<txn::CrashPoint> points = {
+        txn::CrashPoint::kAfterLockFetch, txn::CrashPoint::kMidCommitApply,
+        txn::CrashPoint::kAfterValidation, txn::CrashPoint::kAfterClientAck,
+        txn::CrashPoint::kMidUnlock};
+    return points;
+  }
+
   txn::SystemGate gate_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<RecoveryManager> manager_;
   store::TableId table_ = 0;
   txn::ProtocolMode mode_ = txn::ProtocolMode::kPandora;
   txn::TxnConfig txn_config_;
+  // Crashed coordinators stay alive until recovery has run, as a dead
+  // process's memory would; destroyed before the cluster.
+  std::vector<std::unique_ptr<txn::Coordinator>> staged_coords_;
 };
 
 TEST_F(RecoveryTest, HeartbeatDetectsSilentNode) {
@@ -730,6 +923,92 @@ TEST_F(RecoveryTest, RecoveryCoordinatorCrashMidRecoveryIsIdempotent) {
   ExpectConsistentAndUnlocked(30);
   ExpectConsistentAndUnlocked(31);
   ExpectConsistentAndUnlocked(32);
+
+  // The same over a window of mixed crashes: the RC dies at each doorbell
+  // round boundary in turn — after the log reads, the version reads, the
+  // restores, the unlocks, the truncation — and a clean re-run must
+  // converge to exactly the memory one clean run produces.
+  constexpr uint64_t kSeed = 11;
+  constexpr int kCoordinators = 24;
+  Rebuild(txn::ProtocolMode::kPandora);
+  manager_->Stop();
+  std::vector<StagedTxn> staged =
+      StageCrashes(kSeed, kCoordinators, MixedPoints());
+  ASSERT_LE(kCoordinators, manager_->rc().CoordinatorsPerWindow());
+  ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+  const std::vector<std::string> reference = ReplicaImages();
+
+  for (uint32_t fault_at = 1;
+       fault_at <= RecoveryCoordinator::kRoundsPerWindow; ++fault_at) {
+    Rebuild(txn::ProtocolMode::kPandora);
+    manager_->Stop();
+    staged = StageCrashes(kSeed, kCoordinators, MixedPoints());
+    uint32_t boundary = 0;
+    manager_->rc().set_step_fault_hook(
+        [&boundary, fault_at] { return ++boundary == fault_at; });
+    EXPECT_FALSE(RecoverIds(IdsOf(staged)).ok()) << "fault at " << fault_at;
+    manager_->rc().set_step_fault_hook(nullptr);
+    ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+    EXPECT_EQ(ReplicaImages(), reference)
+        << "re-run after a fault at round boundary " << fault_at
+        << " diverged";
+    ExpectRecoveredState(staged);
+  }
+}
+
+// One recovery over all of a node's coordinators decides from one version
+// snapshot per window; it must repair memory exactly as recovering the ids
+// one by one does, including a key whose stale committed record belongs to
+// one coordinator while another crashed holding it.
+TEST_F(RecoveryTest, WindowedRecoveryMatchesPerCoordinatorRecovery) {
+  constexpr uint64_t kSeed = 7;
+  constexpr int kCoordinators = 24;
+  manager_->Stop();
+  const std::vector<StagedTxn> staged =
+      StageCrashes(kSeed, kCoordinators, MixedPoints());
+  const std::vector<uint16_t> ids = IdsOf(staged);
+  ASSERT_TRUE(RecoverIds(ids).ok());
+  const RecoveryStats together = manager_->last_recovery_stats();
+  const std::vector<std::string> images = ReplicaImages();
+  ExpectRecoveredState(staged);
+  EXPECT_GT(together.rolled_forward, 0u);
+  EXPECT_GT(together.rolled_back, 0u);
+  EXPECT_GT(together.objects_restored, 0u);
+
+  Rebuild(txn::ProtocolMode::kPandora);
+  manager_->Stop();
+  const std::vector<StagedTxn> again =
+      StageCrashes(kSeed, kCoordinators, MixedPoints());
+  ASSERT_EQ(IdsOf(again), ids);
+  RecoveryStats one_by_one;
+  for (const uint16_t id : ids) {
+    ASSERT_TRUE(RecoverIds({id}).ok());
+    one_by_one.Add(manager_->last_recovery_stats());
+  }
+  ExpectSameCounts(together, one_by_one);
+  EXPECT_EQ(ReplicaImages(), images);
+  ExpectRecoveredState(again);
+}
+
+// Log recovery costs a fixed number of doorbells per window, however many
+// coordinators the window holds: 64 coordinators crashed mid-apply fill
+// every round of two unequal windows.
+TEST_F(RecoveryTest, LogRecoveryRingsFixedDoorbellsPerWindow) {
+  constexpr int kCoordinators = 64;
+  manager_->Stop();
+  const std::vector<StagedTxn> staged = StageCrashes(
+      /*seed=*/3, kCoordinators, {txn::CrashPoint::kMidCommitApply});
+  const uint32_t per_window = manager_->rc().CoordinatorsPerWindow();
+  const uint64_t windows = (kCoordinators + per_window - 1) / per_window;
+  ASSERT_GT(windows, 1u);
+  ASSERT_NE(kCoordinators % per_window, 0u);  // The last window is short.
+
+  ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  EXPECT_EQ(stats.rolled_back, static_cast<uint64_t>(kCoordinators));
+  EXPECT_EQ(stats.doorbells,
+            RecoveryCoordinator::kRoundsPerWindow * windows);
+  ExpectRecoveredState(staged);
 }
 
 }  // namespace
