@@ -43,10 +43,16 @@ RecoveryCoordinator::RecoveryCoordinator(cluster::Cluster* cluster)
   }
 }
 
+uint32_t RecoveryCoordinator::ProbeBytes() const {
+  return std::min(kLogProbeBytes,
+                  cluster_->catalog().log_layout().config().slot_bytes);
+}
+
 uint32_t RecoveryCoordinator::CoordinatorsPerWindow() const {
   const uint64_t per_coordinator =
-      cluster_->catalog().log_layout().CoordinatorAreaSize() *
-      cluster_->total_memory_nodes();
+      static_cast<uint64_t>(
+          cluster_->catalog().log_layout().config().slots_per_coordinator) *
+      ProbeBytes() * cluster_->total_memory_nodes();
   return static_cast<uint32_t>(
       std::max<uint64_t>(1, kLogReadBufferBytes / per_coordinator));
 }
@@ -72,19 +78,77 @@ Status RecoveryCoordinator::FinishRound(rdma::VerbBatch* batch,
   return MaybeFault();
 }
 
-void RecoveryCoordinator::ParseCoordinatorLog(const char* areas,
+Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
+                                     const std::vector<rdma::NodeId>& servers,
+                                     RecoveryStats* stats) {
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint32_t slots = layout.config().slots_per_coordinator;
+  const uint32_t slot_bytes = layout.config().slot_bytes;
+  const uint32_t probe = ProbeBytes();
+  rdma::VerbBatch batch;
+
+  // Round 1 — log probes (§3.2.2 "F+1 Log Reads"): the first `probe` bytes
+  // of every slot of each coordinator on every live server. The header
+  // they hold tells the record's length; most records fit entirely.
+  slot_images_.resize(coord_ids.size() * servers.size() * slots);
+  log_buf_.resize(slot_images_.size() * probe);
+  size_t i = 0;
+  for (const uint16_t id : coord_ids) {
+    for (const rdma::NodeId server : servers) {
+      for (uint32_t slot = 0; slot < slots; ++slot, ++i) {
+        char* image = log_buf_.data() + i * probe;
+        slot_images_[i] = image;
+        batch.Read(qp(server), cluster_->catalog().log_rkey(server),
+                   layout.SlotOffset(id, slot), image, probe);
+      }
+    }
+  }
+  stats->log_bytes_read += log_buf_.size();
+  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+
+  // Round 1b — tails, only if some record is longer than its probe: each
+  // such record's remaining bytes land behind a copy of its prefix in a
+  // slot-sized scratch image, so ParseLogRecord checks the whole record's
+  // checksum and torn-write detection is unchanged. Torn headers (bad
+  // magic, length beyond the slot) stay probe images; parsing rejects them.
+  std::vector<std::pair<size_t, size_t>> tails;  // (slot image, extent)
+  for (i = 0; i < slot_images_.size(); ++i) {
+    const Result<size_t> extent =
+        store::LogRecordExtent(slot_images_[i], slot_bytes);
+    if (extent.ok() && extent.value() > probe) {
+      tails.emplace_back(i, extent.value());
+    }
+  }
+  if (tails.empty()) return Status::OK();
+  tail_buf_.resize(tails.size() * slot_bytes);
+  for (size_t t = 0; t < tails.size(); ++t) {
+    const auto [image, extent] = tails[t];
+    const size_t c = image / (servers.size() * slots);
+    const rdma::NodeId server = servers[image / slots % servers.size()];
+    const uint32_t slot = static_cast<uint32_t>(image % slots);
+    char* full = tail_buf_.data() + t * slot_bytes;
+    std::memcpy(full, slot_images_[image], probe);
+    slot_images_[image] = full;
+    batch.Read(qp(server), cluster_->catalog().log_rkey(server),
+               layout.SlotOffset(coord_ids[c], slot) + probe, full + probe,
+               extent - probe);
+    stats->log_bytes_read += extent - probe;
+  }
+  return FinishRound(&batch, stats);
+}
+
+void RecoveryCoordinator::ParseCoordinatorLog(const char* const* images,
                                               size_t num_servers,
                                               CoordinatorLog* log,
                                               RecoveryStats* stats) {
   const store::LogLayout& layout = cluster_->catalog().log_layout();
   const uint32_t slot_bytes = layout.config().slot_bytes;
-  const char* slot_image = areas;
   for (size_t s = 0; s < num_servers; ++s) {
     for (uint32_t slot = 0; slot < layout.config().slots_per_coordinator;
-         ++slot, slot_image += slot_bytes) {
+         ++slot) {
       store::LogRecord record;
       const Status status =
-          store::ParseLogRecord(slot_image, slot_bytes, &record);
+          store::ParseLogRecord(*images++, slot_bytes, &record);
       if (status.IsNotFound()) continue;  // Empty or truncated slot.
       log->used_slots.push_back({s, slot});
       if (!status.ok()) {
@@ -188,7 +252,6 @@ Status RecoveryCoordinator::ResolveSlots(RecoveryStats* stats) {
 Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
                                           RecoveryStats* stats) {
   const store::LogLayout& layout = cluster_->catalog().log_layout();
-  const uint64_t area = layout.CoordinatorAreaSize();
   std::vector<rdma::NodeId> servers;
   for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
     const rdma::NodeId node = cluster_->memory_node_id(m);
@@ -196,24 +259,14 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
   }
   rdma::VerbBatch batch;
 
-  // Round 1 — log reads (§3.2.2 "F+1 Log Reads"): one read per server of
-  // each coordinator's whole contiguous log area.
-  const uint64_t per_coordinator = servers.size() * area;
-  log_buf_.resize(coord_ids.size() * per_coordinator);
-  for (size_t c = 0; c < coord_ids.size(); ++c) {
-    for (size_t s = 0; s < servers.size(); ++s) {
-      batch.Read(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
-                 layout.CoordinatorBase(coord_ids[c]),
-                 log_buf_.data() + c * per_coordinator + s * area, area);
-      stats->log_bytes_read += area;
-    }
-  }
-  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
-
+  // Round 1 (and the conditional tail round) — log reads.
+  PANDORA_RETURN_NOT_OK(ReadLogs(coord_ids, servers, stats));
+  const size_t images_per_coordinator =
+      servers.size() * layout.config().slots_per_coordinator;
   std::vector<CoordinatorLog> logs(coord_ids.size());
   for (size_t c = 0; c < coord_ids.size(); ++c) {
     logs[c].coord_id = coord_ids[c];
-    ParseCoordinatorLog(log_buf_.data() + c * per_coordinator,
+    ParseCoordinatorLog(slot_images_.data() + c * images_per_coordinator,
                         servers.size(), &logs[c], stats);
   }
 
@@ -339,8 +392,8 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
 
   // Round 5 — idempotent truncation (§3.2.3) before the stray-lock
   // notification. The invalid marker is the empty slot's magic word, so
-  // only the slots round 1 found non-empty need it: the fenced
-  // coordinators cannot have written since.
+  // only the slots round 1 found non-empty (torn ones included) need it:
+  // the fenced coordinators cannot have written since.
   const uint64_t marker = store::InvalidRecordMarker();
   for (const CoordinatorLog& log : logs) {
     for (const auto& [s, slot] : log.used_slots) {

@@ -44,11 +44,13 @@ struct RecoveryStats {
 /// truncates the logs.
 ///
 /// Log recovery works over all of a failed node's coordinator ids at once,
-/// in windows whose log areas fit a fixed read buffer. Each window costs
-/// kRoundsPerWindow doorbells however many coordinators it holds: read the
-/// log areas, read every replica version, restore roll-back images, release
-/// locks, truncate. Address-cache misses add one batched probe doorbell per
-/// probe step.
+/// in windows whose slot prefixes fit a fixed read buffer. Each window
+/// costs kRoundsPerWindow doorbells however many coordinators it holds:
+/// read the first kLogProbeBytes of every log slot, read every replica
+/// version, restore roll-back images, release locks, truncate. A window
+/// holding a record longer than the prefix rings one more doorbell, right
+/// after the prefixes, for the tails of all such records. Address-cache
+/// misses add one batched probe doorbell per probe step.
 ///
 /// Every mutation is a *conditional* CAS against "locked by the failed
 /// coordinator" (or a value write under such a lock), so re-executing any
@@ -56,10 +58,15 @@ struct RecoveryStats {
 /// failures.
 class RecoveryCoordinator {
  public:
-  /// Doorbell rounds per log-recovery window.
+  /// Doorbell rounds per log-recovery window whose records all fit the
+  /// probed prefix; one more when a record is longer.
   static constexpr uint32_t kRoundsPerWindow = 5;
-  /// Upper bound on the log-area read buffer of one window.
+  /// Upper bound on the slot-prefix read buffer of one window.
   static constexpr uint64_t kLogReadBufferBytes = 4ull << 20;
+  /// Bytes read from the start of every log slot (at most slot_bytes): the
+  /// 40-byte record header and, for the benches' SmallBank and TATP write
+  /// sets and micro write sets of up to three writes, the whole record.
+  static constexpr uint32_t kLogProbeBytes = 256;
 
   explicit RecoveryCoordinator(cluster::Cluster* cluster);
 
@@ -84,17 +91,18 @@ class RecoveryCoordinator {
     step_fault_hook_ = std::move(hook);
   }
 
-  /// Coordinators per log-recovery window: as many as fit their log areas,
-  /// on every attached memory server, into kLogReadBufferBytes (at least
-  /// one).
+  /// Coordinators per log-recovery window: as many as fit the probed
+  /// prefixes of their slots, on every attached memory server, into
+  /// kLogReadBufferBytes (at least one).
   uint32_t CoordinatorsPerWindow() const;
 
   /// Log recovery for a failed node's coordinator ids, in windows of
-  /// CoordinatorsPerWindow() ids. Every memory server's log area is read:
-  /// Pandora's merged commit doorbell places records on the transaction's
-  /// touched data servers and the baselines scatter per-object records, so
-  /// one path covers every protocol mode. Safe to call repeatedly
-  /// (idempotent); must run *before* the stray-lock notification (Cor4).
+  /// CoordinatorsPerWindow() ids. Every slot of every memory server's log
+  /// area is probed: Pandora's merged commit doorbell places records on the
+  /// transaction's touched data servers and the baselines scatter
+  /// per-object records, so one path covers every protocol mode. Safe to
+  /// call repeatedly (idempotent); must run *before* the stray-lock
+  /// notification (Cor4).
   Status RecoverLogs(const std::vector<uint16_t>& coord_ids,
                      RecoveryStats* stats);
 
@@ -144,13 +152,25 @@ class RecoveryCoordinator {
                                                      target.num_replicas);
   }
 
-  // Recovers one window of coordinator ids in kRoundsPerWindow doorbells.
+  // Bytes probed per slot: kLogProbeBytes clamped to the slot size.
+  uint32_t ProbeBytes() const;
+
+  // Recovers one window of coordinator ids in kRoundsPerWindow doorbells
+  // (plus the tail round when a record outgrows its probe).
   Status RecoverWindow(std::span<const uint16_t> coord_ids,
                        RecoveryStats* stats);
 
-  // Parses `log->coord_id`'s area images (one per server, already read)
-  // and merges record copies and per-object fragments by transaction id.
-  void ParseCoordinatorLog(const char* areas, size_t num_servers,
+  // Reads the slot prefixes of `coord_ids` on `servers` and then the tails
+  // of longer records, leaving one record image per slot in
+  // slot_images_ (coordinator-major, then server, then slot).
+  Status ReadLogs(std::span<const uint16_t> coord_ids,
+                  const std::vector<rdma::NodeId>& servers,
+                  RecoveryStats* stats);
+
+  // Parses `log->coord_id`'s slot images (every slot on every server,
+  // already read) and merges record copies and per-object fragments by
+  // transaction id.
+  void ParseCoordinatorLog(const char* const* images, size_t num_servers,
                            CoordinatorLog* log, RecoveryStats* stats);
 
   // Appends `entry`'s alive replicas to replicas_ as a new target.
@@ -174,7 +194,9 @@ class RecoveryCoordinator {
   cluster::Cluster* cluster_;
   std::vector<std::unique_ptr<rdma::QueuePair>> qps_;
   // Per-window working state, reused across windows and recoveries.
-  std::vector<char> log_buf_;  // <= kLogReadBufferBytes of log areas.
+  std::vector<char> log_buf_;   // <= kLogReadBufferBytes of slot prefixes.
+  std::vector<char> tail_buf_;  // One slot per record longer than a probe.
+  std::vector<const char*> slot_images_;
   std::vector<Target> targets_;
   std::vector<ReplicaView> replicas_;
   std::function<bool()> step_fault_hook_;

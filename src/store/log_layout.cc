@@ -151,22 +151,31 @@ void LogRecordWriter::Finish() {
   EncodeFixed64(p + 32, checksum);
 }
 
+Result<size_t> LogRecordExtent(const char* header, uint32_t slot_bytes) {
+  const uint64_t magic = DecodeFixed64(header);
+  if (magic == kRecordInvalid) return size_t{0};
+  if (magic != kRecordMagic) {
+    return Status::Corruption("bad log record magic");
+  }
+  const uint64_t payload_bytes = DecodeFixed64(header + 24);
+  if (payload_bytes > slot_bytes ||
+      kRecordHeaderBytes + payload_bytes > slot_bytes) {
+    return Status::Corruption("log record payload length out of range");
+  }
+  return static_cast<size_t>(kRecordHeaderBytes + payload_bytes);
+}
+
 Status ParseLogRecord(const char* slot_image, uint32_t slot_bytes,
                       LogRecord* record) {
   if (slot_bytes < kRecordHeaderBytes) {
     return Status::InvalidArgument("slot smaller than record header");
   }
-  const uint64_t magic = DecodeFixed64(slot_image);
-  if (magic == kRecordInvalid) {
+  const Result<size_t> extent = LogRecordExtent(slot_image, slot_bytes);
+  if (!extent.ok()) return extent.status();
+  if (extent.value() == 0) {
     return Status::NotFound("empty or invalidated log slot");
   }
-  if (magic != kRecordMagic) {
-    return Status::Corruption("bad log record magic");
-  }
-  const uint64_t payload_bytes = DecodeFixed64(slot_image + 24);
-  if (kRecordHeaderBytes + payload_bytes > slot_bytes) {
-    return Status::Corruption("log record payload length out of range");
-  }
+  const uint64_t payload_bytes = extent.value() - kRecordHeaderBytes;
   const uint64_t expected =
       Fnv1a64Words(slot_image + 8, 24) ^
       Fnv1a64Words(slot_image + kRecordHeaderBytes, payload_bytes);

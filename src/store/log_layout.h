@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "store/table_layout.h"
 
@@ -19,18 +20,26 @@ namespace store {
 /// checksummed record or it does not; there is no variable-length framing to
 /// resynchronize after a torn write.
 ///
-/// Pandora writes a transaction's entire write-set as ONE record into the
-/// coordinator's next slot (round-robin), with a single RDMA write per log
-/// server (§3.1.4). The FORD baseline reuses the same slot format but writes
-/// one single-entry record per object per object-replica.
+/// Pandora writes a transaction's entire write-set as one record (split
+/// into slot-sized fragments when it is larger), with a single RDMA write
+/// per server (§3.1.4). The merged commit doorbell writes the fragments to
+/// slots [0, n) on every server the transaction touches; the legacy
+/// sequential path writes them round-robin to the coordinator's designated
+/// log servers. The FORD baseline reuses the same slot format but writes
+/// one single-entry record per object per object-replica, round-robin.
+///
+/// Recovery reads a fixed prefix of every slot and the rest of a record
+/// only when it is longer (RecoveryCoordinator, LogRecordExtent).
 struct LogConfig {
   /// Record slots per coordinator. With synchronous coordinators one
   /// outstanding transaction exists per coordinator, but multiple slots keep
   /// history for the FORD baseline's per-object records.
   uint32_t slots_per_coordinator = 8;
-  /// Bytes per record slot. Must fit the largest write-set record; the log
-  /// writer returns ResourceExhausted otherwise. 8 slots x 4 KiB = the
-  /// paper's 32 KiB per coordinator.
+  /// Bytes per record slot. Must fit the largest write-set fragment; the
+  /// log writer returns ResourceExhausted otherwise. These defaults (8 x 4
+  /// KiB, the paper's 32 KiB per coordinator) serve unit tests; the benches
+  /// run PaperTestbed()'s 64 x 2 KiB, sized for TPC-C's per-object and
+  /// lock-intent records.
   uint32_t slot_bytes = 4096;
   /// Number of coordinator-ids the region provisions space for.
   uint32_t max_coordinators = 1024;
@@ -57,11 +66,6 @@ class LogLayout {
   uint64_t SlotOffset(uint16_t coord_id, uint32_t slot) const {
     return CoordinatorBase(coord_id) +
            static_cast<uint64_t>(slot) * config_.slot_bytes;
-  }
-
-  uint64_t CoordinatorAreaSize() const {
-    return static_cast<uint64_t>(config_.slots_per_coordinator) *
-           config_.slot_bytes;
   }
 
  private:
@@ -146,7 +150,21 @@ class LogRecordWriter {
   size_t entries_ = 0;
 };
 
-/// Parses the record in a slot image. Returns:
+/// Size of the record a slot holds, from its header alone: `header` must
+/// hold the slot's first LogRecordHeaderBytes(). Lets a reader fetch a
+/// fixed prefix of every slot and only then read the tails of longer
+/// records. Returns:
+///  - 0 for an empty or invalidated slot,
+///  - the serialized size (header plus payload) of a record,
+///  - Corruption for a bad magic or a length beyond `slot_bytes` (a torn
+///    header; ParseLogRecord reports the same).
+/// The checksum is not checked: a size returned here still has to be
+/// parsed from the full record image.
+Result<size_t> LogRecordExtent(const char* header, uint32_t slot_bytes);
+
+/// Parses the record in a slot image. Only the record's own bytes (see
+/// LogRecordExtent) are read, so the image may end right after them.
+/// Returns:
 ///  - OK and fills `record` for a valid record,
 ///  - NotFound for an empty or invalidated slot,
 ///  - Corruption for a torn/garbled record (treated by recovery as

@@ -26,8 +26,18 @@ namespace txn {
 ///    single-entry record in the log regions of that *object's* replica
 ///    servers — f+1 writes per object.
 ///
-/// Record slots rotate round-robin within the coordinator's fixed-slot
-/// area; invalidation overwrites a slot's magic word with one 8-byte write.
+/// Both modes rotate record slots round-robin within the coordinator's
+/// fixed-slot area; invalidation overwrites a slot's magic word with one
+/// 8-byte write.
+///
+/// Pandora's merged commit doorbell (Coordinator::CommitMergedInternal)
+/// places records differently: it takes the fragments from
+/// PrepareCoordinatorFragments / AcquireBuffer and writes them itself to
+/// slots [0, n) on every replica server the transaction touches, ahead of
+/// the applies and unlocks in the same per-server chains. The touched
+/// servers cover the write set's f+1 replicas, so the designated log
+/// servers are not involved. Recovery reads every server's area, which
+/// covers both placements.
 class LogWriter {
  public:
   LogWriter(cluster::Cluster* cluster, cluster::ComputeServer* server,

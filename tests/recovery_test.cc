@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,9 +51,9 @@ class RecoveryTest : public ::testing::Test {
     config.replication = 2;
     config.net.one_way_ns = 0;
     config.net.per_byte_ns = 0;
-    config.log.max_coordinators = 512;
+    config.log = log_config_;
     cluster_ = std::make_unique<cluster::Cluster>(config);
-    table_ = cluster_->CreateTable("t", /*value_size=*/16, 512);
+    table_ = cluster_->CreateTable("t", value_size_, 512);
     for (store::Key k = 0; k < kLoadedKeys; ++k) {
       ASSERT_TRUE(cluster_->LoadRow(table_, k, Padded("init")).ok());
     }
@@ -71,7 +72,7 @@ class RecoveryTest : public ::testing::Test {
 
   std::string Padded(const std::string& s) {
     std::string v = s;
-    v.resize(16, '\0');
+    v.resize(value_size_, '\0');
     return v;
   }
 
@@ -124,6 +125,18 @@ class RecoveryTest : public ::testing::Test {
     return status.ok();
   }
 
+  // The value bytes of the table's `slot` on `node`.
+  std::string ReadValue(rdma::QueuePair* qp, rdma::NodeId node,
+                        uint64_t slot) {
+    const auto& info = cluster_->catalog().table(table_);
+    std::string value(value_size_, '\0');
+    EXPECT_TRUE(qp->Read(info.region_rkeys[node],
+                         info.layout.ValueOffset(slot), value.data(),
+                         value.size())
+                    .ok());
+    return value;
+  }
+
   // All replicas of `key` must be unlocked and agree on version+value.
   void ExpectConsistentAndUnlocked(store::Key key) {
     const auto& info = cluster_->catalog().table(table_);
@@ -139,19 +152,15 @@ class RecoveryTest : public ::testing::Test {
                       .ok());
       EXPECT_FALSE(store::LockHeld(state.lock))
           << "key " << key << " locked on node " << node;
-      alignas(8) char buf[16];
-      ASSERT_TRUE(qp->Read(info.region_rkeys[node],
-                           info.layout.ValueOffset(state.slot), buf, 16)
-                      .ok());
+      std::string buf = ReadValue(qp, node, state.slot);
       if (first) {
         version = store::VersionOf(state.version);
-        value.assign(buf, 16);
+        value = std::move(buf);
         first = false;
       } else {
         EXPECT_EQ(store::VersionOf(state.version), version)
             << "replica version divergence on key " << key;
-        EXPECT_EQ(std::string(buf, 16), value)
-            << "replica value divergence on key " << key;
+        EXPECT_EQ(buf, value) << "replica value divergence on key " << key;
       }
     }
   }
@@ -173,14 +182,19 @@ class RecoveryTest : public ::testing::Test {
     bool acked = false;            // The client saw a commit ack.
   };
 
+  // Keys written by a long transaction: with 16-byte values its record
+  // (40 + 6 x 48 bytes) outgrows the recovery coordinator's slot probe.
+  static constexpr int kLongTxnKeys = 6;
+
   // Stages `n` coordinators on compute 0, each running one transaction of
-  // 2-3 distinct keys (drawn from `seed`) that crashes at
-  // points[i % points.size()], then halts the node. Coordinator 0 first
-  // commits kSharedKey; coordinator 1's transaction then locks it first.
-  // The caller must have stopped the failure detector, so only explicit
-  // RecoverComputeFailure calls recover.
+  // 2-3 distinct keys (kLongTxnKeys for the indices in `long_txns`), drawn
+  // from `seed`, that crashes at points[i % points.size()], then halts the
+  // node. Coordinator 0 first commits kSharedKey; coordinator 1's
+  // transaction then locks it first. The caller must have stopped the
+  // failure detector, so only explicit RecoverComputeFailure calls recover.
   std::vector<StagedTxn> StageCrashes(
-      uint64_t seed, int n, const std::vector<txn::CrashPoint>& points) {
+      uint64_t seed, int n, const std::vector<txn::CrashPoint>& points,
+      const std::set<int>& long_txns = {}) {
     Random rng(seed);
     std::vector<store::Key> pool;
     for (store::Key k = 0; k < kSharedKey; ++k) pool.push_back(k);
@@ -205,7 +219,9 @@ class RecoveryTest : public ::testing::Test {
         t.keys.push_back(kSharedKey);
         t.pre.push_back(Padded("shared"));
       }
-      for (uint64_t k = 2 + rng.Uniform(2); k > 0; --k) {
+      const uint64_t fresh_keys =
+          long_txns.count(i) ? kLongTxnKeys : 2 + rng.Uniform(2);
+      for (uint64_t k = fresh_keys; k > 0; --k) {
         PANDORA_CHECK(!pool.empty());
         t.keys.push_back(pool.back());
         t.pre.push_back(Padded("init"));
@@ -293,13 +309,9 @@ class RecoveryTest : public ::testing::Test {
               << "key " << key << " still locked by "
               << store::LockOwner(state.lock);
         }
-        alignas(8) char buf[16];
-        ASSERT_TRUE(qp->Read(info.region_rkeys[node],
-                             info.layout.ValueOffset(state.slot), buf, 16)
-                        .ok());
-        if (first) value->assign(buf, 16);
-        EXPECT_EQ(std::string(buf, 16), *value)
-            << "replica divergence on key " << key;
+        const std::string buf = ReadValue(qp, node, state.slot);
+        if (first) *value = buf;
+        EXPECT_EQ(buf, *value) << "replica divergence on key " << key;
         first = false;
       }
     };
@@ -319,6 +331,36 @@ class RecoveryTest : public ::testing::Test {
         EXPECT_TRUE(all_post) << "coordinator " << t.id << " lost an ack";
       }
     }
+  }
+
+  // Every (memory node, slot) of `id`'s log area holding a record longer
+  // than the recovery coordinator's slot probe.
+  std::vector<std::pair<rdma::NodeId, uint32_t>> LongRecordSlots(
+      uint16_t id) {
+    const store::LogLayout& layout = cluster_->catalog().log_layout();
+    const uint32_t slot_bytes = layout.config().slot_bytes;
+    std::vector<std::pair<rdma::NodeId, uint32_t>> slots;
+    for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
+      const rdma::NodeId node = cluster_->memory_node_id(m);
+      if (!cluster_->membership().IsMemoryAlive(node)) continue;
+      for (uint32_t slot = 0; slot < layout.config().slots_per_coordinator;
+           ++slot) {
+        std::vector<char> header(store::LogRecordHeaderBytes());
+        EXPECT_TRUE(cluster_->compute(1)
+                        ->qp(node)
+                        ->Read(cluster_->catalog().log_rkey(node),
+                               layout.SlotOffset(id, slot), header.data(),
+                               header.size())
+                        .ok());
+        const Result<size_t> extent =
+            store::LogRecordExtent(header.data(), slot_bytes);
+        if (extent.ok() &&
+            extent.value() > RecoveryCoordinator::kLogProbeBytes) {
+          slots.emplace_back(node, slot);
+        }
+      }
+    }
+    return slots;
   }
 
   static void ExpectSameCounts(const RecoveryStats& a,
@@ -341,6 +383,10 @@ class RecoveryTest : public ::testing::Test {
         txn::CrashPoint::kMidUnlock};
     return points;
   }
+
+  // Shape of the cluster the next Rebuild() builds.
+  uint32_t value_size_ = 16;
+  store::LogConfig log_config_ = {.max_coordinators = 512};
 
   txn::SystemGate gate_;
   std::unique_ptr<cluster::Cluster> cluster_;
@@ -924,25 +970,29 @@ TEST_F(RecoveryTest, RecoveryCoordinatorCrashMidRecoveryIsIdempotent) {
   ExpectConsistentAndUnlocked(31);
   ExpectConsistentAndUnlocked(32);
 
-  // The same over a window of mixed crashes: the RC dies at each doorbell
-  // round boundary in turn — after the log reads, the version reads, the
+  // The same over a window of mixed crashes that holds a record longer
+  // than the slot probe: the RC dies at each doorbell round boundary in
+  // turn — after the log probes, the record tails, the version reads, the
   // restores, the unlocks, the truncation — and a clean re-run must
   // converge to exactly the memory one clean run produces.
   constexpr uint64_t kSeed = 11;
   constexpr int kCoordinators = 24;
+  const std::set<int> long_txns = {6};  // Crashes mid-apply: logged.
   Rebuild(txn::ProtocolMode::kPandora);
   manager_->Stop();
   std::vector<StagedTxn> staged =
-      StageCrashes(kSeed, kCoordinators, MixedPoints());
+      StageCrashes(kSeed, kCoordinators, MixedPoints(), long_txns);
   ASSERT_LE(kCoordinators, manager_->rc().CoordinatorsPerWindow());
+  ASSERT_FALSE(LongRecordSlots(staged[6].id).empty());
   ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+  constexpr uint32_t kRounds = RecoveryCoordinator::kRoundsPerWindow + 1;
+  ASSERT_EQ(manager_->last_recovery_stats().doorbells, kRounds);
   const std::vector<std::string> reference = ReplicaImages();
 
-  for (uint32_t fault_at = 1;
-       fault_at <= RecoveryCoordinator::kRoundsPerWindow; ++fault_at) {
+  for (uint32_t fault_at = 1; fault_at <= kRounds; ++fault_at) {
     Rebuild(txn::ProtocolMode::kPandora);
     manager_->Stop();
-    staged = StageCrashes(kSeed, kCoordinators, MixedPoints());
+    staged = StageCrashes(kSeed, kCoordinators, MixedPoints(), long_txns);
     uint32_t boundary = 0;
     manager_->rc().set_step_fault_hook(
         [&boundary, fault_at] { return ++boundary == fault_at; });
@@ -992,23 +1042,110 @@ TEST_F(RecoveryTest, WindowedRecoveryMatchesPerCoordinatorRecovery) {
 
 // Log recovery costs a fixed number of doorbells per window, however many
 // coordinators the window holds: 64 coordinators crashed mid-apply fill
-// every round of two unequal windows.
+// every round of two unequal windows. A window whose records all fit the
+// slot probe rings kRoundsPerWindow doorbells; one holding a longer record
+// rings one more, for the tails.
 TEST_F(RecoveryTest, LogRecoveryRingsFixedDoorbellsPerWindow) {
   constexpr int kCoordinators = 64;
+  // 128 slots of 512 bytes: 96 KiB of probes per coordinator over three
+  // servers, so 42 coordinators per 4 MiB window.
+  log_config_ = {.slots_per_coordinator = 128, .slot_bytes = 512,
+                 .max_coordinators = 128};
+  for (const bool with_long_record : {false, true}) {
+    SCOPED_TRACE(with_long_record ? "one long record" : "short records");
+    Rebuild(txn::ProtocolMode::kPandora);
+    manager_->Stop();
+    const int long_txn = kCoordinators - 1;  // In the last window.
+    const std::vector<StagedTxn> staged = StageCrashes(
+        /*seed=*/3, kCoordinators, {txn::CrashPoint::kMidCommitApply},
+        with_long_record ? std::set<int>{long_txn} : std::set<int>{});
+    const uint32_t per_window = manager_->rc().CoordinatorsPerWindow();
+    const uint64_t windows = (kCoordinators + per_window - 1) / per_window;
+    ASSERT_GT(windows, 1u);
+    ASSERT_NE(kCoordinators % per_window, 0u);  // The last window is short.
+    ASSERT_EQ(LongRecordSlots(staged[long_txn].id).empty(),
+              !with_long_record);
+
+    ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+    const RecoveryStats stats = manager_->last_recovery_stats();
+    EXPECT_EQ(stats.rolled_back, static_cast<uint64_t>(kCoordinators));
+    EXPECT_EQ(stats.torn_records, 0u);
+    EXPECT_EQ(stats.doorbells,
+              RecoveryCoordinator::kRoundsPerWindow * windows +
+                  (with_long_record ? 1 : 0));
+    ExpectRecoveredState(staged);
+  }
+}
+
+// Records longer than the slot probe recover through the tail round in
+// every protocol mode: 320-byte values make each undo entry outgrow the
+// probe, whether it sits in Pandora's coordinator record or in the
+// baselines' per-object records. One window, one extra doorbell.
+TEST_F(RecoveryTest, LongRecordsRecoverWithOneTailDoorbell) {
+  value_size_ = 320;
+  for (const txn::ProtocolMode mode :
+       {txn::ProtocolMode::kPandora, txn::ProtocolMode::kFordBaseline,
+        txn::ProtocolMode::kTraditionalLogging}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Rebuild(mode);
+    manager_->Stop();
+    const std::vector<StagedTxn> staged =
+        StageCrashes(/*seed=*/5, /*n=*/10, MixedPoints());
+    bool any_long = false;
+    for (const StagedTxn& t : staged) {
+      any_long = any_long || !LongRecordSlots(t.id).empty();
+    }
+    ASSERT_TRUE(any_long);
+
+    ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+    const RecoveryStats stats = manager_->last_recovery_stats();
+    EXPECT_GT(stats.rolled_back, 0u);
+    EXPECT_EQ(stats.torn_records, 0u);
+    EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
+    ExpectRecoveredState(staged);
+  }
+}
+
+// A long record whose header landed but whose tail did not: the tail round
+// reads the stale tail, the checksum over the whole record rejects it, and
+// the slot counts as torn and is truncated like any other non-empty slot.
+// The record's other copy still recovers the transaction.
+TEST_F(RecoveryTest, TornTailOfLongRecordIsDetectedAndTruncated) {
   manager_->Stop();
-  const std::vector<StagedTxn> staged = StageCrashes(
-      /*seed=*/3, kCoordinators, {txn::CrashPoint::kMidCommitApply});
-  const uint32_t per_window = manager_->rc().CoordinatorsPerWindow();
-  const uint64_t windows = (kCoordinators + per_window - 1) / per_window;
-  ASSERT_GT(windows, 1u);
-  ASSERT_NE(kCoordinators % per_window, 0u);  // The last window is short.
+  const std::vector<StagedTxn> staged =
+      StageCrashes(/*seed=*/9, /*n=*/1, {txn::CrashPoint::kMidCommitApply},
+                   /*long_txns=*/{0});
+  const auto long_slots = LongRecordSlots(staged[0].id);
+  ASSERT_EQ(long_slots.size(), 2u);  // One copy per designated log server.
+  const auto [node, slot] = long_slots[0];
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint64_t garbage = 0x5eed'5eed'5eed'5eedULL;
+  ASSERT_TRUE(cluster_->compute(1)
+                  ->qp(node)
+                  ->Write(cluster_->catalog().log_rkey(node),
+                          layout.SlotOffset(staged[0].id, slot) +
+                              RecoveryCoordinator::kLogProbeBytes,
+                          &garbage, sizeof(garbage))
+                  .ok());
 
   ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
   const RecoveryStats stats = manager_->last_recovery_stats();
-  EXPECT_EQ(stats.rolled_back, static_cast<uint64_t>(kCoordinators));
-  EXPECT_EQ(stats.doorbells,
-            RecoveryCoordinator::kRoundsPerWindow * windows);
+  EXPECT_EQ(stats.torn_records, 1u);
+  EXPECT_EQ(stats.logged_txns, 1u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
   ExpectRecoveredState(staged);
+  for (const auto& [n, s] : long_slots) {
+    uint64_t magic = 1;
+    ASSERT_TRUE(cluster_->compute(1)
+                    ->qp(n)
+                    ->Read(cluster_->catalog().log_rkey(n),
+                           layout.SlotOffset(staged[0].id, s), &magic,
+                           sizeof(magic))
+                    .ok());
+    EXPECT_EQ(magic, store::InvalidRecordMarker())
+        << "slot " << s << " on node " << n << " not truncated";
+  }
 }
 
 }  // namespace

@@ -209,6 +209,72 @@ TEST(LogRecordTest, OversizedRecordRejected) {
   EXPECT_TRUE(SerializeLogRecord(rec, 4096, &buf).IsResourceExhausted());
 }
 
+// A one-entry record whose serialized size is exactly `bytes`.
+std::vector<char> RecordOfSize(size_t bytes) {
+  LogRecord rec;
+  rec.txn_id = 7;
+  rec.coord_id = 3;
+  LogEntry e;
+  e.key = 11;
+  e.old_value = std::vector<char>(
+      bytes - LogRecordHeaderBytes() - LogEntrySerializedSize(e), 'v');
+  rec.entries.push_back(e);
+  std::vector<char> buf;
+  EXPECT_TRUE(SerializeLogRecord(rec, 4096, &buf).ok());
+  EXPECT_EQ(buf.size(), bytes);
+  return buf;
+}
+
+TEST(LogRecordExtentTest, EmptyAndInvalidatedSlotsAreZero) {
+  std::vector<char> slot(64, 0);
+  Result<size_t> extent = LogRecordExtent(slot.data(), 4096);
+  ASSERT_TRUE(extent.ok());
+  EXPECT_EQ(extent.value(), 0u);
+
+  std::vector<char> buf = RecordOfSize(128);
+  EncodeFixed64(buf.data(), InvalidRecordMarker());
+  extent = LogRecordExtent(buf.data(), 4096);
+  ASSERT_TRUE(extent.ok());
+  EXPECT_EQ(extent.value(), 0u);
+}
+
+TEST(LogRecordExtentTest, BadMagicIsCorruption) {
+  std::vector<char> buf = RecordOfSize(128);
+  buf[3] ^= 0x40;
+  EXPECT_TRUE(LogRecordExtent(buf.data(), 4096).status().IsCorruption());
+}
+
+TEST(LogRecordExtentTest, LengthBeyondSlotIsCorruption) {
+  std::vector<char> buf = RecordOfSize(512);
+  EXPECT_TRUE(LogRecordExtent(buf.data(), 504).status().IsCorruption());
+  EXPECT_EQ(LogRecordExtent(buf.data(), 512).value(), 512u);
+  // A garbled length must not wrap around the bound.
+  EncodeFixed64(buf.data() + 24, ~uint64_t{0} - 16);
+  EXPECT_TRUE(LogRecordExtent(buf.data(), 4096).status().IsCorruption());
+}
+
+// A reader probing a fixed 256-byte prefix of every slot needs the tail
+// exactly when the extent exceeds the prefix; the header alone decides.
+TEST(LogRecordExtentTest, RecordsAtAndJustOverAProbe) {
+  constexpr size_t kProbe = 256;
+  const std::vector<char> fits = RecordOfSize(kProbe);
+  const Result<size_t> at = LogRecordExtent(fits.data(), 4096);
+  ASSERT_TRUE(at.ok());
+  EXPECT_EQ(at.value(), kProbe);
+  LogRecord parsed;
+  EXPECT_TRUE(ParseLogRecord(fits.data(), 4096, &parsed).ok());
+
+  const std::vector<char> over = RecordOfSize(kProbe + 8);
+  const Result<size_t> beyond = LogRecordExtent(over.data(), 4096);
+  ASSERT_TRUE(beyond.ok());
+  EXPECT_EQ(beyond.value(), kProbe + 8);
+  // The prefix alone is not the record: its last word is missing.
+  std::vector<char> prefix_only(4096, 0);
+  std::memcpy(prefix_only.data(), over.data(), kProbe);
+  EXPECT_TRUE(
+      ParseLogRecord(prefix_only.data(), 4096, &parsed).IsCorruption());
+}
+
 // ------------------------------------------------------------- LogLayout --
 
 TEST(LogLayoutTest, Offsets) {
@@ -221,7 +287,6 @@ TEST(LogLayoutTest, Offsets) {
   EXPECT_EQ(layout.CoordinatorBase(0), 0u);
   EXPECT_EQ(layout.CoordinatorBase(1), 8u * 4096);
   EXPECT_EQ(layout.SlotOffset(1, 2), 8u * 4096 + 2 * 4096);
-  EXPECT_EQ(layout.CoordinatorAreaSize(), 8u * 4096);
 }
 
 // ---------------------------------------------------------- RemoteObject --
