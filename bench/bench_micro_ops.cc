@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cluster/locator.h"
 #include "cluster/placement.h"
 #include "common/checksum.h"
 #include "common/fixed_bitset.h"
@@ -114,19 +115,8 @@ void BM_LogRecordParse(benchmark::State& state) {
 }
 BENCHMARK(BM_LogRecordParse);
 
-void BM_RingLookup(benchmark::State& state) {
-  cluster::HashRing ring({0, 1, 2, 3, 4}, 3);
-  store::Key key = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.ReplicasFor(1, key++));
-  }
-}
-BENCHMARK(BM_RingLookup);
-
-// The allocation-free counterpart of BM_RingLookup: same ring walk, but
-// the replica set comes back inline (no vector, no heap). The delta
-// between these two is the per-lookup malloc/free cost the placement
-// refactor removed from ExecuteOp.
+// Ring walk: the replica set comes back inline (no vector, no heap). This
+// is a Locator miss's placement cost.
 void BM_RingLookupInline(benchmark::State& state) {
   cluster::HashRing ring({0, 1, 2, 3, 4}, 3);
   store::Key key = 0;
@@ -136,26 +126,26 @@ void BM_RingLookupInline(benchmark::State& state) {
 }
 BENCHMARK(BM_RingLookupInline);
 
-// Warm placement-cache hit: hash fold + direct-mapped probe + 18-byte
-// copy. This is ExecuteOp's per-op placement cost on skewed workloads.
-void BM_PlacementCacheHit(benchmark::State& state) {
-  cluster::HashRing ring({0, 1, 2, 3, 4}, 3);
-  cluster::PlacementCache cache;
+// Warm Locator hit: epoch read + index mix + direct-mapped probe. This is
+// a transaction's per-op placement cost on skewed workloads.
+void BM_LocatorHit(benchmark::State& state) {
+  cluster::ClusterConfig config;
+  config.memory_nodes = 5;
+  config.replication = 3;
+  config.compute_nodes = 1;
+  config.net.one_way_ns = 0;
+  config.net.per_byte_ns = 0;
+  cluster::Cluster cluster(config);
+  cluster::Locator locator(&cluster);
   constexpr uint64_t kKeys = 256;
-  for (store::Key key = 0; key < kKeys; ++key) {
-    const uint64_t hash = cluster::HashRing::PlacementHash(1, key);
-    cache.Insert(hash, /*epoch=*/1, ring.ReplicaSetForHash(hash));
-  }
+  bool hit = false;
+  for (store::Key key = 0; key < kKeys; ++key) locator.Locate(1, key, &hit);
   store::Key key = 0;
   for (auto _ : state) {
-    const uint64_t hash =
-        cluster::HashRing::PlacementHash(1, key++ % kKeys);
-    const cluster::ReplicaSet* hit = cache.Lookup(hash, 1);
-    benchmark::DoNotOptimize(hit != nullptr ? *hit
-                                            : ring.ReplicaSetForHash(hash));
+    benchmark::DoNotOptimize(locator.Locate(1, key++ % kKeys, &hit));
   }
 }
-BENCHMARK(BM_PlacementCacheHit);
+BENCHMARK(BM_LocatorHit);
 
 void BM_KeyHash(benchmark::State& state) {
   uint64_t key = 0;

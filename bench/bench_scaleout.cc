@@ -1,16 +1,17 @@
 // Scale-out scaling matrix: throughput, abort rate, RTTs/committed, and
-// placement-cache hit rate across {1,2} driver threads x {4,8,16,32}
+// Locator hit rate across {1,2} threads x {4,8,16,32}
 // memory nodes at replication 3, plus Zipf-skew and hot-key-storm cells.
 // The companion of the placement fast path: sharding a transaction's
 // working set over many memory servers is only free if the per-op
 // placement lookup stays allocation-free and O(1), so this bench tracks
-// the cache's hit rate next to every throughput number it could affect.
+// the Locator's hit rate next to every throughput number it could affect.
 //
 // The simulator charges per-verb round trips, not per-node contention, so
 // adding memory nodes must NOT cost throughput in the uniform read-heavy
 // cells — the gate checks the 4 -> 8 node step stays monotone within
 // noise. Skewed cells (Zipf 0.99, hot-key storm) concentrate the key
-// space, which is where the direct-mapped placement cache earns its keep.
+// space, which is where the direct-mapped per-coordinator Locator earns
+// its keep.
 
 #include <cstdio>
 #include <cstdlib>
@@ -166,7 +167,7 @@ int main() {
   PrintHeader(
       "Scale-out scaling matrix: threads x memory nodes at replication 3",
       "SS3.2.5 sharded placement: consistent-hash replica sets resolved "
-      "through the per-coordinator placement cache; throughput must not "
+      "through the per-coordinator locator; throughput must not "
       "degrade as the ring grows");
 
   // The scaling matrix proper: uniform read-heavy cells.
@@ -197,7 +198,7 @@ int main() {
     }
   }
   // Hot-key storm: every coordinator hammers 64 keys with pure writes —
-  // worst case for lock conflicts, best case for the placement cache.
+  // worst case for lock conflicts, best case for the Locator.
   {
     Cell cell;
     cell.label = "storm.hot64";

@@ -166,6 +166,7 @@ void Cluster::WipeMemoryNode(rdma::NodeId node) {
   }
   rdma::MemoryRegion* log_region = pd->GetRegion(catalog_->log_rkey(node));
   std::memset(log_region->base(), 0, log_region->size());
+  wipes_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 const HashRing& Cluster::InstallRing(std::unique_ptr<HashRing> ring) {

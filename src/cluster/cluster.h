@@ -114,24 +114,19 @@ class Cluster {
   /// start). Records the slot addresses in the shared address cache.
   Status LoadRow(store::TableId table, store::Key key, Slice value);
 
-  /// Replica set (static, primary first) of an object. Allocating
-  /// compatibility wrapper over ReplicaSetFor; cold paths and tests only.
-  std::vector<rdma::NodeId> ReplicasFor(store::TableId table,
-                                        store::Key key) const {
-    return ring().ReplicasFor(table, key);
-  }
-
   /// Allocation-free replica set (static, primary candidate first).
   ReplicaSet ReplicaSetFor(store::TableId table, store::Key key) const {
     return ring().ReplicaSetFor(table, key);
   }
 
-  /// Epoch covering everything a cached placement depends on: the ring
-  /// identity plus the membership view (primary = first *alive* replica,
-  /// so a failover must invalidate cached placements too). Both inputs are
-  /// monotonic, hence so is the sum.
+  /// Epoch covering everything a Locator entry depends on: the ring
+  /// identity, the membership view (primary = first *alive* replica, so a
+  /// failover must invalidate entries too) and the memory-node wipes
+  /// (which reassign slots). All three are monotonic, so the sum advances
+  /// on every change and never repeats.
   uint64_t placement_epoch() const {
-    return ring().epoch() + membership_.epoch();
+    return ring().epoch() + membership_.epoch() +
+           wipes_.load(std::memory_order_acquire);
   }
 
   /// First *alive* node of the replica set = the current primary (§3.2.5).
@@ -186,12 +181,13 @@ class Cluster {
 
   /// Atomically publishes a new active ring. The superseded ring is kept
   /// alive (readers may still hold references); its distinct epoch makes
-  /// every cached placement self-invalidate. Returns the new ring.
+  /// every Locator entry self-invalidate. Returns the new ring.
   const HashRing& InstallRing(std::unique_ptr<HashRing> ring);
 
   /// Wipes a memory server's table regions, address entries, and log
-  /// region back to the freshly-attached state. Used by RebuildMemoryNode
-  /// and by reconfiguration rollback/drain cleanup.
+  /// region back to the freshly-attached state, then advances the
+  /// placement epoch: every slot it held may be reassigned. Used by
+  /// RebuildMemoryNode and by reconfiguration rollback/drain cleanup.
   void WipeMemoryNode(rdma::NodeId node);
 
   /// Direct access to a memory server's protection domain (control path:
@@ -213,6 +209,8 @@ class Cluster {
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<AddressCache> addresses_;
   Membership membership_;
+  /// WipeMemoryNode calls so far (one input of placement_epoch).
+  std::atomic<uint64_t> wipes_{0};
   std::vector<std::unique_ptr<ComputeServer>> computes_;
   std::function<bool()> quiesce_check_;
 };

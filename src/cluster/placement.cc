@@ -63,14 +63,5 @@ ReplicaSet HashRing::ReplicaSetForHash(uint64_t hash) const {
   return replicas;
 }
 
-std::vector<rdma::NodeId> HashRing::ReplicasForHash(uint64_t hash) const {
-  return ReplicaSetForHash(hash).ToVector();
-}
-
-std::vector<rdma::NodeId> HashRing::ReplicasFor(store::TableId table,
-                                                store::Key key) const {
-  return ReplicaSetForHash(PlacementHash(table, key)).ToVector();
-}
-
 }  // namespace cluster
 }  // namespace pandora

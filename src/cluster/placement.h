@@ -19,8 +19,7 @@ constexpr uint32_t kMaxReplication = 8;
 
 /// Fixed-capacity, inline replica set (primary-candidate order). Fits in two
 /// cache lines' worth of registers, is trivially copyable, and never
-/// allocates — this is the hot-path currency for placement lookups, replacing
-/// the heap-allocated std::vector the ring used to return per operation.
+/// allocates — this is the hot-path currency for placement lookups.
 class ReplicaSet {
  public:
   using const_iterator = const rdma::NodeId*;
@@ -57,11 +56,6 @@ class ReplicaSet {
   }
   bool operator!=(const ReplicaSet& other) const { return !(*this == other); }
 
-  /// Compatibility bridge for cold paths and tests that still speak vector.
-  std::vector<rdma::NodeId> ToVector() const {
-    return std::vector<rdma::NodeId>(begin(), end());
-  }
-
  private:
   std::array<rdma::NodeId, kMaxReplication> nodes_{};
   uint32_t size_ = 0;
@@ -87,7 +81,7 @@ class HashRing {
   const std::vector<rdma::NodeId>& nodes() const { return nodes_; }
 
   /// Monotonic ring identity: every constructed ring gets a distinct epoch
-  /// from a process-wide counter, so epoch-tagged placement caches are
+  /// from a process-wide counter, so epoch-tagged Locator entries are
   /// implicitly invalidated when a cluster swaps in a rebuilt ring.
   uint64_t epoch() const { return epoch_; }
 
@@ -99,14 +93,6 @@ class HashRing {
 
   /// Allocation-free replica set for a precomputed placement hash.
   ReplicaSet ReplicaSetForHash(uint64_t hash) const;
-
-  /// Replica set (primary first) for an object. Size == replication().
-  /// Heap-allocating compatibility wrapper over ReplicaSetFor.
-  std::vector<rdma::NodeId> ReplicasFor(store::TableId table,
-                                        store::Key key) const;
-
-  /// Replica set for a precomputed placement hash (allocating wrapper).
-  std::vector<rdma::NodeId> ReplicasForHash(uint64_t hash) const;
 
   /// Placement hash of (table, key).
   static uint64_t PlacementHash(store::TableId table, store::Key key);
@@ -121,52 +107,6 @@ class HashRing {
   uint32_t replication_;
   uint64_t epoch_;
   std::vector<Point> ring_;  // Sorted by hash.
-};
-
-/// Per-coordinator direct-mapped cache of placement-hash -> ReplicaSet,
-/// validated by a placement epoch (ring identity + membership view), the
-/// same idiom as LocalAddressCache in address_cache.h. Coordinators are
-/// single-threaded, so lookups are one array index with no synchronization;
-/// a ring rebuild or membership change bumps the epoch and implicitly
-/// invalidates every entry without a broadcast.
-class PlacementCache {
- public:
-  /// Returns the cached replica set for `hash` if present and tagged with
-  /// the current `epoch`, else nullptr.
-  const ReplicaSet* Lookup(uint64_t hash, uint64_t epoch) const {
-    const Entry& e = entries_[IndexOf(hash)];
-    if (e.valid && e.hash == hash && e.epoch == epoch) return &e.replicas;
-    return nullptr;
-  }
-
-  void Insert(uint64_t hash, uint64_t epoch, const ReplicaSet& replicas) {
-    Entry& e = entries_[IndexOf(hash)];
-    e.hash = hash;
-    e.epoch = epoch;
-    e.replicas = replicas;
-    e.valid = true;
-  }
-
- private:
-  // Power of two; 1024 entries × ~40 B ≈ 40 KiB per coordinator — covers a
-  // hot key set far larger than any transaction footprint while staying
-  // resident in L1/L2.
-  static constexpr size_t kEntries = 1024;
-
-  struct Entry {
-    uint64_t hash = 0;
-    uint64_t epoch = 0;
-    ReplicaSet replicas;
-    bool valid = false;
-  };
-
-  static size_t IndexOf(uint64_t hash) {
-    // PlacementHash output is already well-mixed; fold the high bits in so
-    // the direct-mapped index is not just the ring-search low bits.
-    return static_cast<size_t>((hash ^ (hash >> 32)) & (kEntries - 1));
-  }
-
-  std::array<Entry, kEntries> entries_{};
 };
 
 }  // namespace cluster

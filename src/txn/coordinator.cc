@@ -30,6 +30,7 @@ Coordinator::Coordinator(cluster::Cluster* cluster,
                          const TxnConfig& config, SystemGate* gate)
     : cluster_(cluster),
       server_(server),
+      locator_(cluster),
       coord_id_(coord_id),
       config_(config),
       gate_(gate),
@@ -37,6 +38,10 @@ Coordinator::Coordinator(cluster::Cluster* cluster,
   // A transaction can touch at most every memory server; reserving here
   // keeps TouchedReplicaServers() allocation-free per commit.
   touched_servers_.reserve(cluster->total_memory_nodes());
+  for (uint32_t i = 0; i < cluster->total_memory_nodes(); ++i) {
+    chains_.push_back(std::make_unique<rdma::OrderedBatch>(
+        server->qp(cluster->memory_node_id(i))));
+  }
 }
 
 Status Coordinator::MaybeCrash(CrashPoint point) {
@@ -152,22 +157,34 @@ Coordinator::WriteOp Coordinator::PopLastWriteOp() {
   return op;
 }
 
-Status Coordinator::ResolveSlot(store::TableId table, store::Key key,
-                                rdma::NodeId node, bool claim_for_insert,
-                                uint64_t* slot, bool* existed,
-                                uint64_t* rtt_counter) {
-  const cluster::AddressCache& shared = cluster_->addresses();
-  if (const auto cached = local_addresses_.Lookup(shared, table, node, key)) {
-    *slot = *cached;
+cluster::Locator::Entry& Coordinator::Locate(store::TableId table,
+                                             store::Key key) {
+  bool hit = false;
+  cluster::Locator::Entry& entry = locator_.Locate(table, key, &hit);
+  ++(hit ? stats_.placement_hits : stats_.placement_misses);
+  return entry;
+}
+
+uint32_t Coordinator::PrimaryIndex(const cluster::ReplicaSet& replicas) const {
+  uint32_t i = 0;
+  while (i < replicas.size() &&
+         !cluster_->membership().IsMemoryAlive(replicas[i])) {
+    ++i;
+  }
+  return i;
+}
+
+Status Coordinator::ResolveSlot(cluster::Locator::Entry& entry, uint32_t i,
+                                bool claim_for_insert, uint64_t* slot,
+                                bool* existed, uint64_t* rtt_counter) {
+  if (const auto known = locator_.SlotOn(entry, i)) {
+    *slot = *known;
     *existed = true;
     return Status::OK();
   }
-  if (const auto cached = shared.Lookup(table, node, key)) {
-    local_addresses_.Insert(shared, table, node, key, *cached);
-    *slot = *cached;
-    *existed = true;
-    return Status::OK();
-  }
+  const store::TableId table = entry.table;
+  const store::Key key = entry.key;
+  const rdma::NodeId node = entry.replicas[i];
   const cluster::TableInfo& info = cluster_->catalog().table(table);
   rdma::QueuePair* qp = server_->qp(node);
   store::SlotState state;
@@ -189,36 +206,13 @@ Status Coordinator::ResolveSlot(store::TableId table, store::Key key,
   if (status.IsNotFound() && !claim_for_insert) return Status::OK();
   PANDORA_RETURN_NOT_OK(status);
   *slot = state.slot;
-  cluster_->addresses().InsertOverlay(table, node, key, state.slot);
-  local_addresses_.Insert(shared, table, node, key, state.slot);
+  locator_.Learn(table, key, node, state.slot);
   return Status::OK();
 }
 
-cluster::ReplicaSet Coordinator::PlacementFor(store::TableId table,
-                                              store::Key key) {
-  const uint64_t hash = cluster::HashRing::PlacementHash(table, key);
-  if (!config_.placement_cache) {
-    return cluster_->ring().ReplicaSetForHash(hash);
-  }
-  const uint64_t epoch = cluster_->placement_epoch();
-  if (const cluster::ReplicaSet* cached =
-          placement_cache_.Lookup(hash, epoch)) {
-    stats_.placement_hits++;
-    return *cached;
-  }
-  stats_.placement_misses++;
-  const cluster::ReplicaSet replicas =
-      cluster_->ring().ReplicaSetForHash(hash);
-  placement_cache_.Insert(hash, epoch, replicas);
-  return replicas;
-}
-
-rdma::NodeId Coordinator::PrimaryFor(store::TableId table, store::Key key) {
-  return cluster_->PrimaryOf(PlacementFor(table, key));
-}
-
 Status Coordinator::ResolvePlacement(WriteOp* op) {
-  op->replicas = PlacementFor(op->table, op->key);
+  cluster::Locator::Entry& entry = Locate(op->table, op->key);
+  op->replicas = entry.replicas;
   op->slots.fill(std::numeric_limits<uint64_t>::max());
   op->lock_node = rdma::kInvalidNodeId;
   for (uint32_t i = 0; i < op->replicas.size(); ++i) {
@@ -226,9 +220,8 @@ Status Coordinator::ResolvePlacement(WriteOp* op) {
     if (!cluster_->membership().IsMemoryAlive(node)) continue;
     bool existed = false;
     uint64_t slot = 0;
-    PANDORA_RETURN_NOT_OK(ResolveSlot(op->table, op->key, node,
-                                      op->is_insert, &slot, &existed,
-                                      &stats_.execution_rtts));
+    PANDORA_RETURN_NOT_OK(ResolveSlot(entry, i, op->is_insert, &slot,
+                                      &existed, &stats_.execution_rtts));
     if (!existed && !op->is_insert) {
       return Status::NotFound("key absent");
     }
@@ -271,7 +264,7 @@ Status Coordinator::PostLockAndFetchChain(WriteOp* op, uint64_t expected,
   fetch_buf_.resize(len);
   *fetched = false;
 
-  rdma::OrderedBatch chain(server_->qp(op->lock_node));
+  rdma::OrderedBatch& chain = *chains_[op->lock_node];
   chain.CompareSwap(info.region_rkeys[op->lock_node],
                     layout.LockOffset(op->lock_slot), expected, mine,
                     observed);
@@ -557,14 +550,16 @@ Status Coordinator::ReadInternal(store::TableId table, store::Key key,
 
   const uint64_t deadline = NowMicros() + config_.stall_timeout_us;
   while (true) {
-    const rdma::NodeId node = PrimaryFor(table, key);
-    if (node == rdma::kInvalidNodeId) {
+    cluster::Locator::Entry& entry = Locate(table, key);
+    const uint32_t primary = PrimaryIndex(entry.replicas);
+    if (primary == entry.replicas.size()) {
       return Status::Internal("all replicas of object lost (> f failures)");
     }
+    const rdma::NodeId node = entry.replicas[primary];
     uint64_t slot = 0;
     bool existed = false;
     PANDORA_RETURN_NOT_OK(
-        ResolveSlot(table, key, node, /*claim_for_insert=*/false, &slot,
+        ResolveSlot(entry, primary, /*claim_for_insert=*/false, &slot,
                     &existed, &stats_.execution_rtts));
     if (!existed) return Status::NotFound("key absent");
 
@@ -679,16 +674,14 @@ Status Coordinator::ReadRangeBatched(
       if (key == hi) break;
       continue;
     }
-    const rdma::NodeId node = PrimaryFor(table, key);
-    if (node == rdma::kInvalidNodeId) {
+    cluster::Locator::Entry& entry = Locate(table, key);
+    const uint32_t primary = PrimaryIndex(entry.replicas);
+    if (primary == entry.replicas.size()) {
       return Status::Internal("all replicas of object lost (> f failures)");
     }
-    const cluster::AddressCache& shared = cluster_->addresses();
-    if (const auto local = local_addresses_.Lookup(shared, table, node, key)) {
-      targets.push_back({key, node, *local});
-    } else if (const auto cached = shared.Lookup(table, node, key)) {
-      local_addresses_.Insert(shared, table, node, key, *cached);
-      targets.push_back({key, node, *cached});
+    const rdma::NodeId node = entry.replicas[primary];
+    if (const auto slot = locator_.SlotOn(entry, primary)) {
+      targets.push_back({key, node, *slot});
     } else {
       probes.push_back(
           {server_->qp(node), info.region_rkeys[node], key});
@@ -726,10 +719,7 @@ Status Coordinator::ReadRangeBatched(
         PANDORA_RETURN_NOT_OK(outcomes[i].status);
         Target target = probe_targets[i];
         target.slot = outcomes[i].state.slot;
-        cluster_->addresses().InsertOverlay(table, target.node, target.key,
-                                            target.slot);
-        local_addresses_.Insert(cluster_->addresses(), table, target.node,
-                                target.key, target.slot);
+        locator_.Learn(table, target.key, target.node, target.slot);
         targets.push_back(target);
       }
     }
@@ -921,38 +911,38 @@ const store::LogRecord& Coordinator::BuildCoordinatorRecord() {
   return record;
 }
 
-Status Coordinator::PostValidationReads(rdma::VerbBatch* batch,
-                                        std::vector<ValidationRead>* reads) {
-  reads->resize(read_set_.size());
+Status Coordinator::PostValidationReads(rdma::VerbBatch* batch) {
+  vreads_.resize(read_set_.size());
   for (size_t i = 0; i < read_set_.size(); ++i) {
     const ReadOp& r = read_set_[i];
     const cluster::TableInfo& info = cluster_->catalog().table(r.table);
     if (!cluster_->membership().IsMemoryAlive(r.node)) continue;
     batch->Read(server_->qp(r.node), info.region_rkeys[r.node],
-                info.layout.LockOffset(r.slot), (*reads)[i].buf, 16);
+                info.layout.LockOffset(r.slot), vreads_[i].buf, 16);
   }
   return Status::OK();
 }
 
-Status Coordinator::CheckValidation(
-    const std::vector<ValidationRead>& reads) {
+Status Coordinator::CheckValidation() {
   for (size_t i = 0; i < read_set_.size(); ++i) {
     const ReadOp& r = read_set_[i];
     store::LockWord lock;
     store::VersionWord version;
     if (cluster_->membership().IsMemoryAlive(r.node)) {
-      lock = DecodeFixed64(reads[i].buf);
-      version = DecodeFixed64(reads[i].buf + 8);
+      lock = DecodeFixed64(vreads_[i].buf);
+      version = DecodeFixed64(vreads_[i].buf + 8);
     } else {
       // The primary we read from died: re-validate against the current
       // primary (a backup holding the same committed version).
-      const rdma::NodeId node = PrimaryFor(r.table, r.key);
-      if (node == rdma::kInvalidNodeId) {
+      cluster::Locator::Entry& entry = Locate(r.table, r.key);
+      const uint32_t primary = PrimaryIndex(entry.replicas);
+      if (primary == entry.replicas.size()) {
         return Status::Aborted("replicas lost during validation");
       }
+      const rdma::NodeId node = entry.replicas[primary];
       uint64_t slot = 0;
       bool existed = false;
-      PANDORA_RETURN_NOT_OK(ResolveSlot(r.table, r.key, node,
+      PANDORA_RETURN_NOT_OK(ResolveSlot(entry, primary,
                                         /*claim_for_insert=*/false, &slot,
                                         &existed, &stats_.commit_rtts));
       if (!existed) return Status::Aborted("object vanished");
@@ -1004,7 +994,6 @@ Status Coordinator::CommitInternal() {
   // ---- Logging + validation, overlapped in one doorbell (§3.1.4-3.1.5:
   // logging costs no extra round trip on the commit path).
   rdma::VerbBatch batch;
-  std::vector<ValidationRead> vreads;
 
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLogWrite));
   if (config_.mode == ProtocolMode::kPandora && !write_set_.empty() &&
@@ -1029,7 +1018,7 @@ Status Coordinator::CommitInternal() {
       if (status.IsUnavailable() && server_->halted()) return status;
     }
   }
-  PANDORA_RETURN_NOT_OK(PostValidationReads(&batch, &vreads));
+  PANDORA_RETURN_NOT_OK(PostValidationReads(&batch));
 
   if (config_.bugs.relaxed_locks) {
     // FORD bug: the deferred lock CASes ride in the same doorbell *after*
@@ -1079,7 +1068,7 @@ Status Coordinator::CommitInternal() {
     }
   }
 
-  status = CheckValidation(vreads);
+  status = CheckValidation();
   if (status.IsUnavailable() && server_->halted()) return status;
   if (!status.ok()) {
     stats_.validation_failures++;
@@ -1125,12 +1114,11 @@ Status Coordinator::CommitMergedInternal() {
   // coord_log_slots_ stays empty and AbortInternal only releases locks.
   if (!read_set_.empty()) {
     rdma::VerbBatch vbatch;
-    std::vector<ValidationRead> vreads;
-    PANDORA_RETURN_NOT_OK(PostValidationReads(&vbatch, &vreads));
+    PANDORA_RETURN_NOT_OK(PostValidationReads(&vbatch));
     if (vbatch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
     Status status = vbatch.Execute();
     if (status.IsUnavailable() && server_->halted()) return status;
-    status = CheckValidation(vreads);
+    status = CheckValidation();
     if (status.IsUnavailable() && server_->halted()) return status;
     if (!status.ok()) {
       stats_.validation_failures++;
@@ -1217,23 +1205,14 @@ Status Coordinator::CommitMergedInternal() {
 
   BuildApplyBufs();
 
+  // Every chain posted to below is drained by the shared wait at the end;
+  // nothing in between returns, so no verb leaks into the next commit.
   const std::vector<rdma::NodeId>& touched = TouchedReplicaServers();
-  std::vector<std::unique_ptr<rdma::OrderedBatch>> chains;
-  chains.reserve(touched.size());
-  for (const rdma::NodeId node : touched) {
-    chains.push_back(
-        std::make_unique<rdma::OrderedBatch>(server_->qp(node)));
-  }
-  auto chain_for = [&](rdma::NodeId node) -> rdma::OrderedBatch* {
-    const auto it = std::lower_bound(touched.begin(), touched.end(), node);
-    return chains[static_cast<size_t>(it - touched.begin())].get();
-  };
 
   // 1) Log fragments, on every touched server.
   if (log_record) {
     const store::LogLayout& log_layout = cluster_->catalog().log_layout();
-    for (size_t i = 0; i < touched.size(); ++i) {
-      const rdma::NodeId node = touched[i];
+    for (const rdma::NodeId node : touched) {
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
       // Fragments reuse slots [0, num_fragments) every commit instead of
       // round-robining the whole ring: a merged commit posts the record
@@ -1244,7 +1223,7 @@ Status Coordinator::CommitMergedInternal() {
       // than strobing the 128 KB slot ring on every commit.
       for (size_t f = 0; f < num_fragments; ++f) {
         const std::vector<char>& buf = log_writer_.PreparedFragment(f);
-        chains[i]->Write(
+        chains_[node]->Write(
             cluster_->catalog().log_rkey(node),
             log_layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
             buf.data(), buf.size());
@@ -1260,9 +1239,9 @@ Status Coordinator::CommitMergedInternal() {
     for (size_t r = 0; r < op.replicas.size(); ++r) {
       const rdma::NodeId node = op.replicas[r];
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      chain_for(node)->Write(info.region_rkeys[node],
-                             info.layout.VersionOffset(op.slots[r]),
-                             apply_bufs_[i].data(), apply_bufs_[i].size());
+      chains_[node]->Write(info.region_rkeys[node],
+                           info.layout.VersionOffset(op.slots[r]),
+                           apply_bufs_[i].data(), apply_bufs_[i].size());
     }
   }
 
@@ -1271,42 +1250,41 @@ Status Coordinator::CommitMergedInternal() {
     if (!op.locked) continue;
     if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
     const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    chain_for(op.lock_node)
-        ->Write(info.region_rkeys[op.lock_node],
-                info.layout.LockOffset(op.lock_slot), &kUnlockedWord,
-                sizeof(kUnlockedWord));
+    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
+                                 info.layout.LockOffset(op.lock_slot),
+                                 &kUnlockedWord, sizeof(kUnlockedWord));
   }
 
   // One shared max-RTT wait covers the whole group: the first non-empty
   // chain pays the max of the sibling chains as extra, the rest drain with
   // Collect().
-  size_t first = chains.size();
+  rdma::OrderedBatch* first = nullptr;
   uint64_t extra_rtt_ns = 0;
-  for (size_t i = 0; i < chains.size(); ++i) {
-    if (chains[i]->size() == 0) continue;
-    if (first == chains.size()) {
-      first = i;
+  for (const rdma::NodeId node : touched) {
+    const rdma::OrderedBatch& chain = *chains_[node];
+    if (chain.size() == 0) continue;
+    if (first == nullptr) {
+      first = chains_[node].get();
     } else {
-      extra_rtt_ns =
-          std::max(extra_rtt_ns, chains[i]->pending_max_rtt_ns());
+      extra_rtt_ns = std::max(extra_rtt_ns, chain.pending_max_rtt_ns());
     }
   }
-  if (first < chains.size()) {
-    CountRtts(&stats_.commit_rtts, 1);
-    for (size_t i = first; i < chains.size(); ++i) {
-      if (chains[i]->size() == 0) continue;
-      const Status status = i == first ? chains[i]->Execute(extra_rtt_ns)
-                                       : chains[i]->Collect();
-      if (status.ok()) continue;
-      if (server_->halted()) {
-        return Status::Unavailable("compute node halted");
-      }
-      // The fabric fails verbs only against dead servers; wait for the
-      // membership verdict and skip (§3.2.5: every *live* replica carries
-      // the update — chains to live servers completed in full).
-      PANDORA_RETURN_NOT_OK(ResolveApplyFailure(touched[i]));
-    }
+  if (first != nullptr) CountRtts(&stats_.commit_rtts, 1);
+  // Drain every chain before acting on a failure.
+  Status failure;
+  for (const rdma::NodeId node : touched) {
+    rdma::OrderedBatch& chain = *chains_[node];
+    if (chain.size() == 0) continue;
+    const Status status =
+        &chain == first ? chain.Execute(extra_rtt_ns) : chain.Collect();
+    if (status.ok() || !failure.ok()) continue;
+    // The fabric fails verbs only against dead servers; wait for the
+    // membership verdict and skip (§3.2.5: every *live* replica carries
+    // the update — chains to live servers completed in full).
+    failure = server_->halted() ? Status::Unavailable("compute node halted")
+                                : ResolveApplyFailure(node);
   }
+  PANDORA_RETURN_NOT_OK(failure);
 
   // ---- Client ack (Cor3: all live replicas are updated).
   if (ack_callback_) ack_callback_(txn_id_, true);
@@ -1317,7 +1295,7 @@ Status Coordinator::CommitMergedInternal() {
 }
 
 Status Coordinator::FlushForPersistence(
-    const std::vector<rdma::NodeId>& servers) {
+    std::span<const rdma::NodeId> servers) {
   if (cluster_->config().persistence !=
       cluster::PersistenceMode::kNvmWithFlush) {
     return Status::OK();

@@ -4,12 +4,15 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/locator.h"
 #include "common/fixed_bitset.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -150,25 +153,24 @@ class Coordinator {
       store::TableId table, store::Key lo, store::Key hi,
       std::vector<std::pair<store::Key, std::string>>* out);
 
-  // Resolves the slot of (table, key) on `node`, consulting the address
-  // cache first and probing remotely on a miss. Probe round trips are
-  // charged to `rtt_counter` (an execution- or commit-phase stat).
-  Status ResolveSlot(store::TableId table, store::Key key,
-                     rdma::NodeId node, bool claim_for_insert,
-                     uint64_t* slot, bool* existed, uint64_t* rtt_counter);
+  // The Locator entry of (table, key); the hit or miss lands in TxnStats.
+  // Every placement and address question goes through here.
+  cluster::Locator::Entry& Locate(store::TableId table, store::Key key);
+
+  // Index of the current primary (first alive replica) in `replicas`, or
+  // replicas.size() when every replica is dead (> f failures).
+  uint32_t PrimaryIndex(const cluster::ReplicaSet& replicas) const;
+
+  // Slot of `entry`'s object on replica `i`: known to the Locator, else
+  // found (or, for an insert, claimed) by a remote probe whose round trips
+  // are charged to `rtt_counter` (an execution- or commit-phase stat).
+  // *existed is false when the probe found no such key.
+  Status ResolveSlot(cluster::Locator::Entry& entry, uint32_t i,
+                     bool claim_for_insert, uint64_t* slot, bool* existed,
+                     uint64_t* rtt_counter);
 
   // Fills op->replicas / op->slots / op->lock_node.
   Status ResolvePlacement(WriteOp* op);
-
-  // Placement fast path: answers from the per-coordinator direct-mapped
-  // PlacementCache when the entry's epoch matches the cluster's placement
-  // epoch (ring identity + membership view), else walks the ring once and
-  // refills. Hit/miss counts land in TxnStats.
-  cluster::ReplicaSet PlacementFor(store::TableId table, store::Key key);
-
-  // Current primary = first alive node of PlacementFor's replica set.
-  // Returns kInvalidNodeId when every replica is dead (> f failures).
-  rdma::NodeId PrimaryFor(store::TableId table, store::Key key);
 
   // Locks op's primary with CAS (stealing stray locks under PILL; stalling
   // or aborting on live conflicts) and fetches the undo image. With
@@ -221,9 +223,10 @@ class Coordinator {
 
   // Commit sub-steps.
   Status CommitInternal();
-  Status PostValidationReads(rdma::VerbBatch* batch,
-                             std::vector<ValidationRead>* reads);
-  Status CheckValidation(const std::vector<ValidationRead>& reads);
+  // Posts one lock+version read per read-set entry into `batch`, landing
+  // in vreads_; CheckValidation decodes them.
+  Status PostValidationReads(rdma::VerbBatch* batch);
+  Status CheckValidation();
   Status ApplyWrites();
   Status UnlockWriteSet(bool crash_points);
 
@@ -254,13 +257,12 @@ class Coordinator {
   // FORD's selective one-sided flush (one small read per server, batched)
   // when the deployment runs NVM behind an RNIC cache. No-op for DRAM and
   // battery-backed deployments.
-  Status FlushForPersistence(const std::vector<rdma::NodeId>& servers);
+  Status FlushForPersistence(std::span<const rdma::NodeId> servers);
 
   // Distinct memory servers holding replicas of the current write-set, in
-  // ascending node-id order (CommitMergedInternal's chain lookup binary
-  // searches it). Collected through a node-id bitset into a reserved member
-  // vector — no per-commit allocation or sort. The returned reference is
-  // valid until the next call.
+  // ascending node-id order. Collected through a node-id bitset into a
+  // reserved member vector — no per-commit allocation or sort. The
+  // returned reference is valid until the next call.
   const std::vector<rdma::NodeId>& TouchedReplicaServers();
 
   // True when the protocols may group verbs into one doorbell batch.
@@ -324,12 +326,9 @@ class Coordinator {
 
   cluster::Cluster* cluster_;
   cluster::ComputeServer* server_;
-  // Private L1 over the cluster's shared address cache (epoch-validated
-  // against memory-server rebuilds); single-threaded like the coordinator.
-  cluster::LocalAddressCache local_addresses_;
-  // Private placement-hash -> ReplicaSet cache (epoch-validated against
-  // ring identity + membership); single-threaded like the coordinator.
-  cluster::PlacementCache placement_cache_;
+  // Private (table, key) -> {replica set, slots} map over the cluster's
+  // shared address cache; single-threaded like the coordinator.
+  cluster::Locator locator_;
   uint16_t coord_id_;
   TxnConfig config_;
   SystemGate* gate_;
@@ -359,6 +358,12 @@ class Coordinator {
   // node-id bitset, emitted ascending into the reserved vector.
   FixedBitset<rdma::kMaxNodes> touched_bits_;
   std::vector<rdma::NodeId> touched_servers_;
+  // One ordered chain per memory server, indexed by node id and built
+  // once: the merged commit's doorbell group and the pipelined lock+fetch
+  // post into these. Whoever posts to a chain drains it before returning.
+  std::vector<std::unique_ptr<rdma::OrderedBatch>> chains_;
+  // Validation read results, one per read-set entry (PostValidationReads).
+  std::vector<ValidationRead> vreads_;
   // Reusable cursor/buffer scratch for batched range probes.
   store::BatchedProbeScratch probe_scratch_;
 

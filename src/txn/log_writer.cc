@@ -21,14 +21,14 @@ LogWriter::LogWriter(cluster::Cluster* cluster,
                 cluster->catalog().log_layout().config().max_coordinators);
 }
 
-std::vector<rdma::NodeId> LogWriter::LogServersFor(
-    const cluster::Cluster& cluster, uint16_t coord_id) {
+cluster::ReplicaSet LogWriter::LogServersFor(const cluster::Cluster& cluster,
+                                             uint16_t coord_id) {
   // Designate the coordinator's log servers from the same ring used for
   // data placement, hashing the coordinator id (with a salt so coordinator
   // 0 does not alias table 0 / key 0 placement).
   const uint64_t hash =
       HashKey(0x10c0'0000'0000'0000ULL | coord_id);
-  return cluster.ring().ReplicasForHash(hash);
+  return cluster.ring().ReplicaSetForHash(hash);
 }
 
 uint32_t LogWriter::NextSlot(rdma::NodeId server) {

@@ -47,12 +47,10 @@ class LogWriter {
   LogWriter& operator=(const LogWriter&) = delete;
 
   /// The f+1 designated log servers of a coordinator.
-  static std::vector<rdma::NodeId> LogServersFor(
-      const cluster::Cluster& cluster, uint16_t coord_id);
+  static cluster::ReplicaSet LogServersFor(const cluster::Cluster& cluster,
+                                          uint16_t coord_id);
 
-  const std::vector<rdma::NodeId>& log_servers() const {
-    return log_servers_;
-  }
+  const cluster::ReplicaSet& log_servers() const { return log_servers_; }
 
   /// Posts the record (one write per designated log server) into `batch`
   /// so the caller can overlap it with validation reads. A record larger
@@ -113,7 +111,7 @@ class LogWriter {
   cluster::Cluster* cluster_;
   cluster::ComputeServer* server_;
   uint16_t coord_id_;
-  std::vector<rdma::NodeId> log_servers_;
+  cluster::ReplicaSet log_servers_;
   /// Round-robin slot cursor per memory server (indexed by NodeId).
   std::vector<uint32_t> next_slot_;
   /// Serialization buffers; stable for the duration of one batch because

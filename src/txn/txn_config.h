@@ -8,9 +8,14 @@ namespace txn {
 
 /// Which transactional protocol a coordinator runs.
 enum class ProtocolMode {
-  /// Pandora (§3): PILL lock words, coordinator-log on f+1 designated log
-  /// servers written with one RDMA write per server at commit time
-  /// (overlapped with validation), abort-truncation, lock stealing.
+  /// Pandora (§3): PILL lock words, one coordinator-log record per
+  /// transaction, lock stealing. Commit runs the merged doorbell
+  /// (Coordinator::CommitMergedInternal): validation, then the record's
+  /// fragments, the replica applies and the unlocks in one group of
+  /// per-server ordered chains. Under a crash hook or `sequential_verbs`
+  /// (and with injected bugs or kNvmWithFlush) the legacy path runs: the
+  /// record on f+1 designated log servers overlapped with validation,
+  /// then applies, then unlocks, with abort-truncation.
   kPandora,
   /// The paper's Baseline (§4.1): FORD's online protocol — per-object undo
   /// logs written eagerly to the object's replicas during execution — with
@@ -90,13 +95,6 @@ struct TxnConfig {
   /// unrecoverable. Benchmarking only.
   bool disable_recovery_logging = false;
 
-  /// Per-coordinator placement cache: memoize PlacementHash -> ReplicaSet
-  /// so repeated touches of hot keys skip the ring binary search entirely.
-  /// Entries are epoch-validated against the cluster's placement epoch
-  /// (ring identity + membership view), so failovers invalidate them
-  /// implicitly. Off = every lookup walks the ring (the ablation knob).
-  bool placement_cache = true;
-
   /// Placement-epoch fence for online reconfiguration: snapshot the ring
   /// epoch at Begin and re-check it before every lock acquisition and at
   /// validation time. A transaction that raced a ring cutover aborts
@@ -157,12 +155,13 @@ struct TxnStats {
   /// litmus harness uses this to flag bug flags that were never exercised
   /// — an injection no-op proves nothing.
   uint64_t bug_injections = 0;
-  /// Placement-cache hits: lookups answered from the per-coordinator
-  /// direct-mapped cache without touching the ring.
+  /// Locator hits: object lookups answered by the coordinator's
+  /// cluster::Locator entry (replica set and remembered slots) without
+  /// walking the ring.
   uint64_t placement_hits = 0;
-  /// Placement-cache misses: lookups that walked the ring (cold entry,
-  /// index collision, or epoch invalidation after a failover/rebuild).
-  /// Zero when TxnConfig::placement_cache is off.
+  /// Locator misses: lookups that walked the ring and started the entry
+  /// over with no slots known (cold entry, index collision, or a
+  /// placement-epoch advance after a failover, wipe or ring swap).
   uint64_t placement_misses = 0;
   /// Transactions aborted by the reconfiguration epoch fence: the ring
   /// was swapped (live join/drain/replication change) after this

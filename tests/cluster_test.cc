@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/locator.h"
 #include "cluster/reconfig.h"
 #include "common/coding.h"
 #include "common/fixed_bitset.h"
@@ -19,8 +20,8 @@
 
 // ---- Allocation-counting guard ------------------------------------------
 // Global operator new override (this test binary only): counts every heap
-// allocation so tests can assert that the placement fast path and the
-// touched-server collection never malloc per lookup.
+// allocation so tests can assert that the Locator and the touched-server
+// collection never malloc per lookup.
 namespace {
 std::atomic<uint64_t> g_heap_allocations{0};
 }  // namespace
@@ -31,10 +32,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The replaced operator new allocates with malloc, so free is the match;
+// GCC cannot see that once the pair is inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pandora {
 namespace cluster {
@@ -45,12 +51,15 @@ namespace {
 TEST(HashRingTest, ReplicasAreDistinctAndStable) {
   HashRing ring({0, 1, 2, 3}, /*replication=*/3);
   for (store::Key key = 0; key < 200; ++key) {
-    const auto replicas = ring.ReplicasFor(1, key);
+    const ReplicaSet replicas = ring.ReplicaSetFor(1, key);
     ASSERT_EQ(replicas.size(), 3u);
     std::set<rdma::NodeId> unique(replicas.begin(), replicas.end());
     EXPECT_EQ(unique.size(), 3u);
     // Deterministic.
-    EXPECT_EQ(replicas, ring.ReplicasFor(1, key));
+    EXPECT_EQ(replicas, ring.ReplicaSetFor(1, key));
+    // Hash-keyed entry point agrees with the (table, key) entry point.
+    EXPECT_EQ(ring.ReplicaSetForHash(HashRing::PlacementHash(1, key)),
+              replicas);
   }
 }
 
@@ -59,7 +68,7 @@ TEST(HashRingTest, PrimariesAreBalanced) {
   std::map<rdma::NodeId, int> primary_count;
   constexpr int kKeys = 8000;
   for (store::Key key = 0; key < kKeys; ++key) {
-    primary_count[ring.ReplicasFor(0, key)[0]]++;
+    primary_count[ring.ReplicaSetFor(0, key)[0]]++;
   }
   for (const auto& [node, count] : primary_count) {
     // Within a factor of ~2 of perfectly even (consistent hashing with 64
@@ -73,7 +82,9 @@ TEST(HashRingTest, TablesPlaceIndependently) {
   HashRing ring({0, 1, 2}, 1);
   int diff = 0;
   for (store::Key key = 0; key < 300; ++key) {
-    if (ring.ReplicasFor(0, key)[0] != ring.ReplicasFor(1, key)[0]) ++diff;
+    if (ring.ReplicaSetFor(0, key)[0] != ring.ReplicaSetFor(1, key)[0]) {
+      ++diff;
+    }
   }
   EXPECT_GT(diff, 50);
 }
@@ -84,8 +95,8 @@ TEST(HashRingTest, NodeRemovalMovesOnlyAffectedKeys) {
   HashRing full({0, 1, 2, 3}, 1);
   HashRing without3({0, 1, 2}, 1);
   for (store::Key key = 0; key < 2000; ++key) {
-    const rdma::NodeId before = full.ReplicasFor(0, key)[0];
-    const rdma::NodeId after = without3.ReplicasFor(0, key)[0];
+    const rdma::NodeId before = full.ReplicaSetFor(0, key)[0];
+    const rdma::NodeId after = without3.ReplicaSetFor(0, key)[0];
     if (before != 3) {
       EXPECT_EQ(after, before) << "key " << key << " moved unnecessarily";
     }
@@ -123,7 +134,7 @@ TEST(ClusterTest, LoadAndReadBackThroughVerbs) {
   ASSERT_TRUE(cluster.LoadRow(t, 7, Slice(value, 16)).ok());
 
   const auto& info = cluster.catalog().table(t);
-  for (const rdma::NodeId node : cluster.ReplicasFor(t, 7)) {
+  for (const rdma::NodeId node : cluster.ReplicaSetFor(t, 7)) {
     rdma::QueuePair* qp = cluster.compute(0)->qp(node);
     store::SlotState state;
     ASSERT_TRUE(store::FindSlotByProbe(qp, info.region_rkeys[node],
@@ -157,7 +168,7 @@ TEST(ClusterTest, KeyZeroIsLegal) {
   const store::TableId t = cluster.CreateTable("t", 8, 10);
   const char v[8] = "zero";
   ASSERT_TRUE(cluster.LoadRow(t, 0, Slice(v, 8)).ok());
-  const rdma::NodeId node = cluster.ReplicasFor(t, 0)[0];
+  const rdma::NodeId node = cluster.ReplicaSetFor(t, 0)[0];
   const auto& info = cluster.catalog().table(t);
   store::SlotState state;
   EXPECT_TRUE(store::FindSlotByProbe(cluster.compute(0)->qp(node),
@@ -174,14 +185,14 @@ TEST(ClusterTest, PrimaryFailsOverToBackup) {
     ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
   }
   for (store::Key k = 0; k < 50; ++k) {
-    const auto replicas = cluster.ReplicasFor(t, k);
+    const ReplicaSet replicas = cluster.ReplicaSetFor(t, k);
     EXPECT_EQ(cluster.PrimaryFor(t, k), replicas[0]);
   }
   const uint64_t epoch_before = cluster.membership().epoch();
   cluster.CrashMemoryNode(0);
   EXPECT_GT(cluster.membership().epoch(), epoch_before);
   for (store::Key k = 0; k < 50; ++k) {
-    const auto replicas = cluster.ReplicasFor(t, k);
+    const ReplicaSet replicas = cluster.ReplicaSetFor(t, k);
     const rdma::NodeId primary = cluster.PrimaryFor(t, k);
     if (replicas[0] == 0) {
       // New primary is the first alive backup, which holds the data.
@@ -273,26 +284,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ReplicationSweep,
 
 // --------------------------------------------- Placement fast path ------
 
-// The inline ReplicaSet path must agree byte-for-byte with the legacy
-// vector path across tables and keys.
-TEST(HashRingTest, ReplicaSetMatchesVectorPath) {
-  HashRing ring({0, 1, 2, 3, 4, 5, 6, 7}, /*replication=*/3);
-  for (store::TableId table = 0; table < 4; ++table) {
-    for (store::Key key = 0; key < 1000; ++key) {
-      const ReplicaSet set = ring.ReplicaSetFor(table, key);
-      const std::vector<rdma::NodeId> vec = ring.ReplicasFor(table, key);
-      ASSERT_EQ(set.size(), vec.size());
-      for (uint32_t i = 0; i < set.size(); ++i) {
-        EXPECT_EQ(set[i], vec[i]) << "table " << table << " key " << key;
-      }
-      EXPECT_EQ(set.ToVector(), vec);
-      // Hash-keyed entry point agrees with the (table, key) entry point.
-      EXPECT_EQ(ring.ReplicaSetForHash(HashRing::PlacementHash(table, key)),
-                set);
-    }
-  }
-}
-
 // Vnode load-balance bound: with 64 vnodes/node the primary ownership of a
 // large uniform hash sample must stay within a small max/min ratio. This is
 // the property the scale-out bench leans on — a skewed ring would turn the
@@ -332,43 +323,106 @@ TEST(HashRingTest, RingsGetDistinctEpochs) {
   EXPECT_NE(a.epoch(), b.epoch());
 }
 
-TEST(PlacementCacheTest, HitAtInsertEpochMissAfterEpochChange) {
-  PlacementCache cache;
-  ReplicaSet replicas;
-  replicas.PushBack(3);
-  replicas.PushBack(7);
-  const uint64_t hash = HashRing::PlacementHash(1, 42);
-  EXPECT_EQ(cache.Lookup(hash, /*epoch=*/5), nullptr);
-  cache.Insert(hash, /*epoch=*/5, replicas);
-  const ReplicaSet* hit = cache.Lookup(hash, 5);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, replicas);
-  // Any epoch change — ring swap or membership event — invalidates.
-  EXPECT_EQ(cache.Lookup(hash, 6), nullptr);
-  EXPECT_EQ(cache.Lookup(hash, 4), nullptr);
-  // Re-inserting at the new epoch revalidates.
-  cache.Insert(hash, 6, replicas);
-  ASSERT_NE(cache.Lookup(hash, 6), nullptr);
+// Loads keys [0, n) of a fresh 8-byte table.
+store::TableId LoadKeys(Cluster* cluster, store::Key n) {
+  const store::TableId t = cluster->CreateTable("t", 8, n);
+  const char v[8] = "x";
+  for (store::Key k = 0; k < n; ++k) {
+    EXPECT_TRUE(cluster->LoadRow(t, k, Slice(v, 8)).ok());
+  }
+  return t;
 }
 
-TEST(PlacementCacheTest, CollidingIndexEvicts) {
-  PlacementCache cache;
-  ReplicaSet a;
-  a.PushBack(1);
-  // Two hashes that map to the same direct-mapped slot: differ only above
-  // the index bits in a way that cancels in IndexOf's fold.
-  const uint64_t h1 = 0x1234;
-  const uint64_t h2 = h1 ^ (1ull << 40) ^ (1ull << (40 - 32));
-  cache.Insert(h1, 1, a);
-  ASSERT_NE(cache.Lookup(h1, 1), nullptr);
-  cache.Insert(h2, 1, a);
-  // h2 may or may not collide with h1 depending on the fold; the invariant
-  // is simply that lookups never return a wrong entry.
-  const ReplicaSet* r1 = cache.Lookup(h1, 1);
-  if (r1 != nullptr) EXPECT_EQ(*r1, a);
-  const ReplicaSet* r2 = cache.Lookup(h2, 1);
-  ASSERT_NE(r2, nullptr);
-  EXPECT_EQ(*r2, a);
+TEST(LocatorTest, HitAtInsertEpochMissAfterEpochChange) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = LoadKeys(&cluster, 64);
+  Locator locator(&cluster);
+  bool hit = true;
+  Locator::Entry& cold = locator.Locate(t, 42, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cold.replicas, cluster.ReplicaSetFor(t, 42));
+  for (uint32_t i = 0; i < cold.replicas.size(); ++i) {
+    EXPECT_EQ(cold.slots[i], Locator::kUnknownSlot);
+    // Filled lazily from the shared, loader-filled address cache.
+    EXPECT_EQ(locator.SlotOn(cold, i),
+              cluster.addresses().Lookup(t, cold.replicas[i], 42));
+  }
+
+  Locator::Entry& warm = locator.Locate(t, 42, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(&warm, &cold);
+  EXPECT_NE(warm.slots[0], Locator::kUnknownSlot);
+
+  // Any epoch change — here a membership event on an unrelated node —
+  // invalidates the entry, its slots included.
+  rdma::NodeId unrelated = 0;
+  while (warm.replicas.Contains(unrelated)) ++unrelated;
+  cluster.CrashMemoryNode(unrelated);
+  Locator::Entry& stale = locator.Locate(t, 42, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(stale.slots[0], Locator::kUnknownSlot);
+  // Re-locating at the new epoch revalidates.
+  locator.Locate(t, 42, &hit);
+  EXPECT_TRUE(hit);
+}
+
+// Far more keys than entries: every Locate must describe the object asked
+// for, and a Learn for an evicted object must not touch the entry that
+// evicted it.
+TEST(LocatorTest, CollidingIndexEvicts) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = LoadKeys(&cluster, 4096);
+  Locator locator(&cluster);
+  bool hit = false;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (store::Key k = 0; k < 4096; ++k) {
+      Locator::Entry& entry = locator.Locate(t, k, &hit);
+      ASSERT_EQ(entry.key, k);
+      ASSERT_EQ(entry.table, t);
+      ASSERT_EQ(entry.replicas, cluster.ReplicaSetFor(t, k));
+      EXPECT_EQ(locator.SlotOn(entry, 0),
+                cluster.addresses().Lookup(t, entry.replicas[0], k));
+    }
+  }
+
+  locator.Locate(t, 0, &hit);
+  store::Key evictor = 1;
+  for (; evictor < 4096; ++evictor) {
+    locator.Locate(t, evictor, &hit);
+    locator.Locate(t, 0, &hit);
+    if (!hit) break;  // `evictor` shares key 0's index.
+  }
+  ASSERT_LT(evictor, 4096u);
+  Locator::Entry& entry = locator.Locate(t, evictor, &hit);
+  const rdma::NodeId node = cluster.ReplicaSetFor(t, 0).front();
+  locator.Learn(t, 0, node, *cluster.addresses().Lookup(t, node, 0));
+  for (uint32_t i = 0; i < entry.replicas.size(); ++i) {
+    EXPECT_EQ(entry.slots[i], Locator::kUnknownSlot);
+  }
+}
+
+// A wipe reassigns slots without touching ring or membership; it alone
+// must still kill every entry.
+TEST(LocatorTest, WipeWithoutMembershipChangeInvalidates) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = LoadKeys(&cluster, 64);
+  Locator locator(&cluster);
+  bool hit = false;
+  Locator::Entry& entry = locator.Locate(t, 9, &hit);
+  ASSERT_TRUE(locator.SlotOn(entry, 0).has_value());
+  const uint64_t membership_epoch = cluster.membership().epoch();
+  const uint64_t ring_epoch = cluster.ring().epoch();
+  const uint64_t epoch = cluster.placement_epoch();
+
+  cluster.WipeMemoryNode(entry.replicas[0]);
+  EXPECT_EQ(cluster.membership().epoch(), membership_epoch);
+  EXPECT_EQ(cluster.ring().epoch(), ring_epoch);
+  EXPECT_GT(cluster.placement_epoch(), epoch);
+  Locator::Entry& after = locator.Locate(t, 9, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(after.slots[0], Locator::kUnknownSlot);
+  EXPECT_FALSE(locator.SlotOn(after, 0).has_value())
+      << "wiped node's slot still known";
 }
 
 TEST(ClusterTest, PlacementEpochAdvancesOnFailoverAndRebuild) {
@@ -382,67 +436,66 @@ TEST(ClusterTest, PlacementEpochAdvancesOnFailoverAndRebuild) {
   const uint64_t e0 = cluster.placement_epoch();
   cluster.CrashMemoryNode(0);
   const uint64_t e1 = cluster.placement_epoch();
-  EXPECT_GT(e1, e0) << "crash must invalidate placement caches";
+  EXPECT_GT(e1, e0) << "crash must invalidate Locator entries";
   ASSERT_TRUE(cluster.RebuildMemoryNode(0).ok());
   const uint64_t e2 = cluster.placement_epoch();
-  EXPECT_GT(e2, e1) << "re-admission must invalidate placement caches";
+  EXPECT_GT(e2, e1) << "re-admission must invalidate Locator entries";
 }
 
 // A rebuilt memory node gets new slot assignments, so every coordinator's
-// private address entries for it must go stale — whatever its node id, not
-// only on small clusters.
+// Locator entries for it must go stale — whatever its node id, not only on
+// small clusters.
 TEST(ClusterTest, RebuildInvalidatesLocalAddressesOfHighNodeIds) {
   ClusterConfig config = TestConfig();
   config.memory_nodes = 66;
   config.log.max_coordinators = 1;
   Cluster cluster(config);
-  const store::TableId t = cluster.CreateTable("t", 8, 512);
-  const char v[8] = "x";
-  for (store::Key k = 0; k < 512; ++k) {
-    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
-  }
+  const store::TableId t = LoadKeys(&cluster, 512);
   const rdma::NodeId high = cluster.memory_node_id(65);
   ASSERT_GE(high, 64);
   store::Key key = 0;
   while (key < 512 && !cluster.ReplicaSetFor(t, key).Contains(high)) ++key;
   ASSERT_LT(key, 512u) << "no key replicated on node " << high;
-  rdma::NodeId other = cluster.ReplicaSetFor(t, key).front();
-  if (other == high) other = cluster.ReplicaSetFor(t, key)[1];
 
-  LocalAddressCache local;
-  for (const rdma::NodeId node : {high, other}) {
-    const auto slot = cluster.addresses().Lookup(t, node, key);
-    ASSERT_TRUE(slot.has_value());
-    local.Insert(cluster.addresses(), t, node, key, *slot);
-    ASSERT_TRUE(local.Lookup(cluster.addresses(), t, node, key).has_value());
+  Locator locator(&cluster);
+  bool hit = false;
+  Locator::Entry& entry = locator.Locate(t, key, &hit);
+  uint32_t high_index = 0;
+  while (entry.replicas[high_index] != high) ++high_index;
+  for (uint32_t i = 0; i < entry.replicas.size(); ++i) {
+    ASSERT_TRUE(locator.SlotOn(entry, i).has_value());
   }
 
   cluster.CrashMemoryNode(high);
   ASSERT_TRUE(cluster.RebuildMemoryNode(high).ok());
-  EXPECT_FALSE(local.Lookup(cluster.addresses(), t, high, key).has_value())
-      << "stale slot served for rebuilt node " << high;
-  EXPECT_TRUE(local.Lookup(cluster.addresses(), t, other, key).has_value());
+  Locator::Entry& after = locator.Locate(t, key, &hit);
+  EXPECT_FALSE(hit) << "stale entry served for rebuilt node " << high;
+  EXPECT_EQ(after.slots[high_index], Locator::kUnknownSlot);
+  EXPECT_EQ(locator.SlotOn(after, high_index),
+            cluster.addresses().Lookup(t, high, key));
 }
 
-// Zero-allocation guard: once the cache is warm, the hot placement path —
-// hash, cache lookup, primary selection, touched-server collection — must
-// not touch the heap. This is the tentpole's core claim; the global
-// operator-new counter at the top of this file enforces it.
+// Zero-allocation guard: once the Locator is warm, the hot placement path —
+// locate, slot lookup, primary selection, touched-server collection — must
+// not touch the heap. The global operator-new counter at the top of this
+// file enforces it.
 TEST(ClusterTest, PlacementFastPathIsAllocationFree) {
   ClusterConfig config = TestConfig();
   config.memory_nodes = 4;
   config.replication = 3;
   Cluster cluster(config);
-
-  PlacementCache cache;
-  const uint64_t epoch = cluster.placement_epoch();
   constexpr store::Key kKeys = 512;
-  // Warm: every key's replica set enters the cache (collisions simply
+  const store::TableId t = LoadKeys(&cluster, kKeys);
+
+  auto locator = std::make_unique<Locator>(&cluster);
+  bool hit = false;
+  // Warm: every key's entry and slots enter the Locator (collisions simply
   // leave some keys on the ring-walk path, which is also allocation-free).
   for (store::Key k = 0; k < kKeys; ++k) {
-    const uint64_t hash = HashRing::PlacementHash(0, k);
-    const ReplicaSet replicas = cluster.ring().ReplicaSetForHash(hash);
-    cache.Insert(hash, epoch, replicas);
+    Locator::Entry& entry = locator->Locate(t, k, &hit);
+    for (uint32_t i = 0; i < entry.replicas.size(); ++i) {
+      locator->SlotOn(entry, i);
+    }
   }
 
   FixedBitset<rdma::kMaxNodes> touched_bits;
@@ -455,12 +508,10 @@ TEST(ClusterTest, PlacementFastPathIsAllocationFree) {
     touched_bits.Reset();
     touched.clear();
     for (store::Key k = 0; k < kKeys; ++k) {
-      const uint64_t hash = HashRing::PlacementHash(0, k);
-      const ReplicaSet* cached = cache.Lookup(hash, epoch);
-      const ReplicaSet replicas =
-          cached != nullptr ? *cached : cluster.ring().ReplicaSetForHash(hash);
-      checksum += cluster.PrimaryOf(replicas);
-      for (const rdma::NodeId node : replicas) touched_bits.Set(node);
+      Locator::Entry& entry = locator->Locate(t, k, &hit);
+      checksum += cluster.PrimaryOf(entry.replicas);
+      checksum += locator->SlotOn(entry, 0).value_or(0);
+      for (const rdma::NodeId node : entry.replicas) touched_bits.Set(node);
     }
     touched_bits.ForEachSet([&touched](size_t bit) {
       touched.push_back(static_cast<rdma::NodeId>(bit));
@@ -522,21 +573,21 @@ TEST(ClusterTest, PlacementEpochMonotonicAcrossJoinCrashRebuildDrain) {
   const uint64_t e0 = cluster.placement_epoch();
   ASSERT_TRUE(migrator.JoinMemoryNode(standby).ok());
   const uint64_t e1 = cluster.placement_epoch();
-  EXPECT_GT(e1, e0) << "join must invalidate placement caches";
+  EXPECT_GT(e1, e0) << "join must invalidate Locator entries";
   const auto& joined = cluster.ring().nodes();
   EXPECT_NE(std::find(joined.begin(), joined.end(), standby), joined.end());
 
   cluster.CrashMemoryNode(0);
   const uint64_t e2 = cluster.placement_epoch();
-  EXPECT_GT(e2, e1) << "crash must invalidate placement caches";
+  EXPECT_GT(e2, e1) << "crash must invalidate Locator entries";
 
   ASSERT_TRUE(cluster.RebuildMemoryNode(0).ok());
   const uint64_t e3 = cluster.placement_epoch();
-  EXPECT_GT(e3, e2) << "re-admission must invalidate placement caches";
+  EXPECT_GT(e3, e2) << "re-admission must invalidate Locator entries";
 
   ASSERT_TRUE(migrator.DrainMemoryNode(standby).ok());
   const uint64_t e4 = cluster.placement_epoch();
-  EXPECT_GT(e4, e3) << "drain must invalidate placement caches";
+  EXPECT_GT(e4, e3) << "drain must invalidate Locator entries";
   const auto& drained = cluster.ring().nodes();
   EXPECT_EQ(std::find(drained.begin(), drained.end(), standby),
             drained.end());
@@ -567,60 +618,50 @@ TEST(ClusterTest, PlacementEpochMonotonicAcrossJoinCrashRebuildDrain) {
   EXPECT_GT(stats.objects_copied, 0u);
 }
 
-// A cache entry inserted before a reconfiguration must never satisfy a
-// lookup made at the post-reconfiguration epoch: the epoch key is the only
-// thing standing between a coordinator and a retired replica set.
-TEST(PlacementCacheTest, NeverServesPreReconfigurationReplicas) {
+// An entry filled before a reconfiguration must never satisfy a Locate
+// made at the post-reconfiguration epoch: the epoch tag is the only thing
+// standing between a coordinator and a retired replica set.
+TEST(LocatorTest, NeverServesPreReconfigurationReplicas) {
   Cluster cluster(StandbyConfig());
-  const store::TableId t = cluster.CreateTable("t", 8, 128);
-  const char v[8] = "x";
+  const store::TableId t = LoadKeys(&cluster, 128);
+  auto locator = std::make_unique<Locator>(&cluster);
+  bool hit = false;
+  std::vector<ReplicaSet> before;
   for (store::Key k = 0; k < 128; ++k) {
-    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
-  }
-  PlacementCache cache;
-  const uint64_t e0 = cluster.placement_epoch();
-  std::vector<uint64_t> hashes;
-  for (store::Key k = 0; k < 128; ++k) {
-    const uint64_t hash = HashRing::PlacementHash(t, k);
-    cache.Insert(hash, e0, cluster.ring().ReplicaSetForHash(hash));
-    hashes.push_back(hash);
+    Locator::Entry& entry = locator->Locate(t, k, &hit);
+    locator->SlotOn(entry, 0);
+    before.push_back(entry.replicas);
   }
 
   ReconfigManager migrator(&cluster);
   ASSERT_TRUE(migrator.JoinMemoryNode(cluster.memory_node_id(3)).ok());
-  const uint64_t e1 = cluster.placement_epoch();
-  ASSERT_GT(e1, e0);
 
   int moved = 0;
-  for (const uint64_t hash : hashes) {
-    // The pre-join entry is dead at the new epoch — a fresh lookup must
-    // miss and force a ring walk, never return the retired set.
-    EXPECT_EQ(cache.Lookup(hash, e1), nullptr);
-    const ReplicaSet now = cluster.ring().ReplicaSetForHash(hash);
-    const ReplicaSet* old_entry = cache.Lookup(hash, e0);
-    if (old_entry != nullptr && !(*old_entry == now)) ++moved;
-    cache.Insert(hash, e1, now);
-    const ReplicaSet* hit = cache.Lookup(hash, e1);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, now);
+  for (store::Key k = 0; k < 128; ++k) {
+    // The pre-join entry is dead at the new epoch — Locate must miss and
+    // re-walk the ring, never return the retired set or its slots.
+    Locator::Entry& entry = locator->Locate(t, k, &hit);
+    EXPECT_FALSE(hit) << "key " << k;
+    const ReplicaSet now = cluster.ReplicaSetFor(t, k);
+    EXPECT_EQ(entry.replicas, now);
+    EXPECT_EQ(entry.slots[0], Locator::kUnknownSlot);
+    if (before[k] != now) ++moved;
+    locator->Locate(t, k, &hit);
+    EXPECT_TRUE(hit);
   }
   // The join actually changed placement for some keys, so serving the old
   // sets would have been a real misdirection, not a no-op.
   EXPECT_GT(moved, 0);
 }
 
-// Same invariant under concurrency: readers that snapshot the epoch, look
-// up, and double-check the epoch must never observe a replica set that
+// Same invariant under concurrency: readers that snapshot the epoch,
+// locate, and double-check the epoch must never observe a replica set that
 // disagrees with the ring published for that epoch, even while a join and
-// a drain swap rings underneath them. Each reader owns its cache, as each
-// coordinator does: PlacementCache is single-threaded.
-TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
+// a drain swap rings underneath them. Each reader owns its Locator, as each
+// coordinator does: a Locator is single-threaded.
+TEST(LocatorTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   Cluster cluster(StandbyConfig());
-  const store::TableId t = cluster.CreateTable("t", 8, 128);
-  const char v[8] = "x";
-  for (store::Key k = 0; k < 128; ++k) {
-    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
-  }
+  const store::TableId t = LoadKeys(&cluster, 128);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> mismatches{0};
@@ -628,25 +669,21 @@ TEST(PlacementCacheTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
-      PlacementCache cache;
+      auto locator = std::make_unique<Locator>(&cluster);
       while (!stop.load(std::memory_order_acquire)) {
         for (store::Key k = 0; k < 128; ++k) {
-          const uint64_t hash = HashRing::PlacementHash(t, k);
           const uint64_t epoch = cluster.placement_epoch();
-          const ReplicaSet* cached = cache.Lookup(hash, epoch);
-          const ReplicaSet from_ring = cluster.ring().ReplicaSetForHash(hash);
+          bool hit = false;
+          const ReplicaSet located = locator->Locate(t, k, &hit).replicas;
+          const ReplicaSet from_ring = cluster.ReplicaSetFor(t, k);
           // If the epoch did not move across the whole window, `from_ring`
           // came from the epoch's ring, so an epoch-matched hit must agree
           // with it. (If it did move, the comparison is not well-defined
           // and the iteration is discarded.)
-          if (cluster.placement_epoch() != epoch) continue;
-          if (cached != nullptr) {
-            hits.fetch_add(1, std::memory_order_relaxed);
-            if (!(*cached == from_ring)) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else {
-            cache.Insert(hash, epoch, from_ring);
+          if (cluster.placement_epoch() != epoch || !hit) continue;
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (located != from_ring) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
       }

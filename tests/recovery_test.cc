@@ -143,7 +143,7 @@ class RecoveryTest : public ::testing::Test {
     uint64_t version = 0;
     std::string value;
     bool first = true;
-    for (const rdma::NodeId node : cluster_->ReplicasFor(table_, key)) {
+    for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
       store::SlotState state;
       rdma::QueuePair* qp = cluster_->compute(1)->qp(node);
@@ -268,7 +268,7 @@ class RecoveryTest : public ::testing::Test {
     const auto& info = cluster_->catalog().table(table_);
     std::vector<std::string> images;
     for (store::Key key = 0; key < kLoadedKeys; ++key) {
-      for (const rdma::NodeId node : cluster_->ReplicasFor(table_, key)) {
+      for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
         if (!cluster_->membership().IsMemoryAlive(node)) continue;
         rdma::QueuePair* qp = cluster_->compute(1)->qp(node);
         store::SlotState state;
@@ -296,7 +296,7 @@ class RecoveryTest : public ::testing::Test {
     const auto& info = cluster_->catalog().table(table_);
     const auto read_key = [&](store::Key key, std::string* value) {
       bool first = true;
-      for (const rdma::NodeId node : cluster_->ReplicasFor(table_, key)) {
+      for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
         rdma::QueuePair* qp = cluster_->compute(1)->qp(node);
         store::SlotState state;
         ASSERT_TRUE(store::FindSlotByProbe(qp, info.region_rkeys[node],

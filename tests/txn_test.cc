@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +12,29 @@
 #include "common/coding.h"
 #include "store/remote_object.h"
 #include "txn/coordinator.h"
+
+// ---- Allocation-counting guard ------------------------------------------
+// Global operator new override (this test binary only): counts every heap
+// allocation so tests can assert that a warm commit never mallocs.
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// The replaced operator new allocates with malloc, so free is the match;
+// GCC cannot see that once the pair is inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pandora {
 namespace txn {
@@ -86,7 +112,7 @@ TEST_F(TxnTest, CommitUpdatesAllReplicasAndBumpsVersion) {
   EXPECT_EQ(coord->stats().committed, 1u);
 
   const auto& info = cluster_->catalog().table(table_);
-  for (const rdma::NodeId node : cluster_->ReplicasFor(table_, 5)) {
+  for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, 5)) {
     const store::SlotState state = Inspect(5, node);
     EXPECT_EQ(store::VersionOf(state.version), 2u) << "node " << node;
     EXPECT_FALSE(store::LockHeld(state.lock)) << "node " << node;
@@ -119,7 +145,7 @@ TEST_F(TxnTest, AbortRestoresNothingAndReleasesLocks) {
 
   auto reader = MakeCoordinator(0, 2);
   EXPECT_EQ(ReadCommitted(reader.get(), 5), Padded("init-5"));
-  for (const rdma::NodeId node : cluster_->ReplicasFor(table_, 5)) {
+  for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, 5)) {
     EXPECT_FALSE(store::LockHeld(Inspect(5, node).lock));
   }
 }
@@ -268,7 +294,7 @@ TEST_F(TxnTest, PillStealsStrayLock) {
   ASSERT_TRUE(c1->Write(table_, 7, Padded("dying")).ok());
   cluster_->CrashComputeNode(cluster_->compute_node_id(0));
 
-  const rdma::NodeId primary = cluster_->ReplicasFor(table_, 7)[0];
+  const rdma::NodeId primary = cluster_->ReplicaSetFor(table_, 7)[0];
   EXPECT_TRUE(store::LockHeld(Inspect(7, primary).lock));
 
   // Without the failed-ids bit, coordinator 2 conflicts and aborts.
@@ -329,7 +355,7 @@ TEST_F(TxnTest, CrashedCoordinatorAbandonsWithoutCleanup) {
   EXPECT_FALSE(c1->in_txn());
   EXPECT_EQ(c1->stats().crashed, 1u);
   // The lock is still held in memory — a stray lock.
-  const rdma::NodeId primary = cluster_->ReplicasFor(table_, 7)[0];
+  const rdma::NodeId primary = cluster_->ReplicaSetFor(table_, 7)[0];
   EXPECT_TRUE(store::LockHeld(Inspect(7, primary).lock));
   EXPECT_EQ(store::LockOwner(Inspect(7, primary).lock), 1);
 }
@@ -360,7 +386,7 @@ TEST_F(TxnTest, StallOnConflictWaitsOutRecoveryPendingLock) {
   // Let c2 start stalling, then play the recovery's lock release.
   SleepForMicros(20'000);
   const auto& info = cluster_->catalog().table(table_);
-  const rdma::NodeId primary = cluster_->ReplicasFor(table_, 7)[0];
+  const rdma::NodeId primary = cluster_->ReplicaSetFor(table_, 7)[0];
   const store::SlotState state = Inspect(7, primary);
   uint64_t observed = 0;
   ASSERT_TRUE(cluster_->compute(1)
@@ -641,22 +667,22 @@ TEST(PipelineTimingTest, LockAndFetchWaitsOneRttNotTwo) {
   }
 }
 
-// Placement cache vs. membership failover: a warm cache must never serve a
+// Locator vs. membership failover: a warm Locator must never serve a
 // placement decision from before a failover. Crashing a key's primary bumps
 // the cluster placement epoch, so the next lookup re-walks the ring (a
-// cache miss) and the operation lands on the surviving backup.
+// miss) and the operation lands on the surviving backup.
 TEST_F(TxnTest, PlacementCacheInvalidatedByMemoryFailover) {
-  auto coord = MakeCoordinator(0, 1);  // placement_cache defaults on.
+  auto coord = MakeCoordinator(0, 1);
 
-  // Warm the placement cache across many keys.
+  // Warm the Locator across many keys.
   for (store::Key k = 0; k < 50; ++k) {
     ReadCommitted(coord.get(), k);
   }
   EXPECT_GT(coord->stats().placement_misses, 0u);
 
-  // Re-reading the same keys is now mostly cache hits; the direct-mapped
-  // cache may evict a handful of colliding keys, so bound rather than
-  // forbid repeat misses.
+  // Re-reading the same keys is now mostly hits; the direct-mapped Locator
+  // may evict a handful of colliding keys, so bound rather than forbid
+  // repeat misses.
   const uint64_t misses_warm = coord->stats().placement_misses;
   const uint64_t hits_before = coord->stats().placement_hits;
   for (store::Key k = 0; k < 50; ++k) {
@@ -674,12 +700,12 @@ TEST_F(TxnTest, PlacementCacheInvalidatedByMemoryFailover) {
     }
   }
   ASSERT_NE(victim, store::kFreeKey);
-  const auto replicas = cluster_->ReplicasFor(table_, victim);
+  const auto replicas = cluster_->ReplicaSetFor(table_, victim);
   cluster_->CrashMemoryNode(0);
 
-  // The epoch bump invalidates every cached entry: the next transaction on
-  // the victim key misses the cache, re-resolves, and commits against the
-  // surviving backup rather than the dead primary.
+  // The epoch bump invalidates every entry: the next transaction on the
+  // victim key misses, re-resolves, and commits against the surviving
+  // backup rather than the dead primary.
   const uint64_t misses_after_crash = coord->stats().placement_misses;
   ASSERT_TRUE(coord->Begin().ok());
   ASSERT_TRUE(coord->Write(table_, victim, Padded("failover")).ok());
@@ -693,17 +719,31 @@ TEST_F(TxnTest, PlacementCacheInvalidatedByMemoryFailover) {
   EXPECT_EQ(ReadCommitted(reader.get(), victim), Padded("failover"));
 }
 
-// Ablation: with the cache disabled every lookup is a ring walk and the
-// stats counters stay untouched — the knob isolates the fast path.
-TEST_F(TxnTest, PlacementCacheKnobDisablesCounting) {
-  TxnConfig config;
-  config.placement_cache = false;
-  auto coord = MakeCoordinator(0, 1, config);
-  for (store::Key k = 0; k < 20; ++k) {
-    ReadCommitted(coord.get(), k);
+// A warm merged-path commit (validation, log fragments, applies and unlocks
+// in one doorbell group) must not touch the heap: the ordered chains, the
+// validation buffer and the log and apply buffers are all reused.
+TEST_F(TxnTest, WarmMergedCommitIsAllocationFree) {
+  auto coord = MakeCoordinator(0, 1);
+  for (const bool with_read : {false, true}) {
+    uint64_t allocations = 0;
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_TRUE(coord->Begin().ok());
+      std::string value;
+      if (with_read) {
+        ASSERT_TRUE(coord->Read(table_, 40, &value).ok());
+      }
+      ASSERT_TRUE(coord->Write(table_, 10, Padded("a")).ok());
+      ASSERT_TRUE(coord->Write(table_, 20, Padded("b")).ok());
+      const uint64_t before = g_heap_allocations.load();
+      const Status status = coord->Commit();
+      const uint64_t after = g_heap_allocations.load();
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (round > 0) allocations += after - before;  // Round 0 warms up.
+    }
+    EXPECT_EQ(allocations, 0u)
+        << "warm Commit() allocated " << allocations << " times over 3 "
+        << (with_read ? "write+read" : "write-only") << " transactions";
   }
-  EXPECT_EQ(coord->stats().placement_hits, 0u);
-  EXPECT_EQ(coord->stats().placement_misses, 0u);
 }
 
 }  // namespace
