@@ -64,11 +64,14 @@ std::unique_ptr<workloads::Workload> MakeWorkload(const std::string& name) {
 
 // Stages `coordinators` in-flight transactions on compute node 0 (each
 // crashed right after its decision point, so logs and locks are live in
-// memory), then times the recovery protocol for all of them. The recovery
-// coordinator is a long-lived service, so each cell first runs one untimed
-// stage-and-recover round: the timed round then finds the RC's log-read
-// buffer already faulted in, as every recovery after a process's first
-// does.
+// memory), then times the recovery protocol for all of them. Each cell
+// prints the log-recovery latency and the log bytes read per coordinator:
+// one slot-0 probe per memory server when every record fits it, more for
+// longer records, multi-slot spans and the baselines' span-0 records.
+// The recovery coordinator is a long-lived service, so each cell first
+// runs one untimed stage-and-recover round: the timed round then finds
+// the RC's log-read buffers already faulted in, as every recovery after a
+// process's first does.
 void MeasureRecovery(const std::string& workload_name,
                      txn::ProtocolMode mode,
                      const std::vector<uint32_t>& coordinator_counts) {
@@ -118,11 +121,18 @@ void MeasureRecovery(const std::string& workload_name,
       stats = testbed.manager().last_recovery_stats();
       cluster.RestartComputeNode(victim);
     }
-    std::printf(" %9.0f", static_cast<double>(stats.log_recovery_ns) /
-                              1000.0);
+    std::printf(" %8.0f us %7.0f B",
+                static_cast<double>(stats.log_recovery_ns) / 1000.0,
+                static_cast<double>(stats.log_bytes_read) / coordinators);
     std::fflush(stdout);
   }
-  std::printf("   us\n");
+  std::printf("\n");
+}
+
+void PrintCoordinatorHeader(const std::vector<uint32_t>& counts) {
+  std::printf("%-12s", "Bench\\Coord.");
+  for (const uint32_t c : counts) std::printf(" %21u", c);
+  std::printf("\n");
 }
 
 void ScanRecoverySection() {
@@ -164,9 +174,7 @@ int main() {
   PrintHeader("Pandora recovery latency (log-recovery step)",
               "Table 2: latency in microseconds while increasing the "
               "number of outstanding coordinators per compute node");
-  std::printf("%-12s", "Bench\\Coord.");
-  for (const uint32_t c : counts) std::printf(" %9u", c);
-  std::printf("\n");
+  PrintCoordinatorHeader(counts);
   for (const char* name : {"TPC-C", "SmallBank", "TATP", "MicroBench"}) {
     MeasureRecovery(name, txn::ProtocolMode::kPandora, counts);
   }
@@ -175,9 +183,7 @@ int main() {
               "§6.1: recovers locks from lock-intent logs without "
               "scanning, but ~2x slower than Pandora at high coordinator "
               "counts");
-  std::printf("%-12s", "Bench\\Coord.");
-  for (const uint32_t c : counts) std::printf(" %9u", c);
-  std::printf("\n");
+  PrintCoordinatorHeader(counts);
   for (const char* name : {"TPC-C", "SmallBank", "TATP", "MicroBench"}) {
     MeasureRecovery(name, txn::ProtocolMode::kTraditionalLogging, counts);
   }

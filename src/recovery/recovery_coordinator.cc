@@ -82,103 +82,153 @@ Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
                                      const std::vector<rdma::NodeId>& servers,
                                      RecoveryStats* stats) {
   const store::LogLayout& layout = cluster_->catalog().log_layout();
-  const uint32_t slots = layout.config().slots_per_coordinator;
   const uint32_t slot_bytes = layout.config().slot_bytes;
   const uint32_t probe = ProbeBytes();
+  const size_t num_areas = coord_ids.size() * servers.size();
+  images_.clear();
+  next_slot_.assign(num_areas, 1);
   rdma::VerbBatch batch;
 
-  // Round 1 — log probes (§3.2.2 "F+1 Log Reads"): the first `probe` bytes
-  // of every slot of each coordinator on every live server. The header
-  // they hold tells the record's length; most records fit entirely.
-  slot_images_.resize(coord_ids.size() * servers.size() * slots);
-  log_buf_.resize(slot_images_.size() * probe);
-  size_t i = 0;
-  for (const uint16_t id : coord_ids) {
-    for (const rdma::NodeId server : servers) {
-      for (uint32_t slot = 0; slot < slots; ++slot, ++i) {
-        char* image = log_buf_.data() + i * probe;
-        slot_images_[i] = image;
+  // Round 1 — log probes (§3.2.2 "F+1 Log Reads", over the dense log):
+  // the first `probe` bytes of slot 0 of each coordinator's area on every
+  // live server. Every transaction starts at slot 0, so its header tells
+  // the record's length and how many slots the transaction spans there;
+  // most records fit the probe and span one slot, and then this is the
+  // only log round. Otherwise each round reads what the last one's images
+  // call for (PlanReads), until none calls for more.
+  std::vector<AreaRead> reads;
+  std::vector<TailRead> tails;
+  for (size_t area = 0; area < num_areas; ++area) {
+    reads.push_back({area, 0, 1, false});
+  }
+  for (size_t round = 0; !reads.empty() || !tails.empty(); ++round) {
+    size_t bytes = tails.size() * slot_bytes;
+    for (const AreaRead& read : reads) {
+      bytes += static_cast<size_t>(read.count) *
+               (read.whole ? slot_bytes : probe);
+    }
+    if (log_bufs_.size() == round) log_bufs_.emplace_back();
+    log_bufs_[round].resize(bytes);
+    char* next = log_bufs_[round].data();
+    std::vector<size_t> fresh;  // The images this round fills.
+    // A tail lands behind a copy of its record's probe in a slot-sized
+    // image, so ParseLogRecord checks the whole record's checksum and
+    // torn-write detection is unchanged.
+    for (const TailRead& tail : tails) {
+      SlotImage& image = images_[tail.image];
+      std::memcpy(next, image.image, probe);
+      image.image = next;
+      image.whole = true;
+      const rdma::NodeId server = servers[image.area % servers.size()];
+      batch.Read(qp(server), cluster_->catalog().log_rkey(server),
+                 layout.SlotOffset(coord_ids[image.area / servers.size()],
+                                   image.slot) +
+                     probe,
+                 next + probe, tail.bytes - probe);
+      stats->log_bytes_read += tail.bytes - probe;
+      fresh.push_back(tail.image);
+      next += slot_bytes;
+    }
+    for (const AreaRead& read : reads) {
+      const uint16_t id = coord_ids[read.area / servers.size()];
+      const rdma::NodeId server = servers[read.area % servers.size()];
+      const uint32_t image_bytes = read.whole ? slot_bytes : probe;
+      if (read.whole) {
         batch.Read(qp(server), cluster_->catalog().log_rkey(server),
-                   layout.SlotOffset(id, slot), image, probe);
+                   layout.SlotOffset(id, read.slot), next,
+                   static_cast<size_t>(read.count) * slot_bytes);
       }
+      for (uint32_t k = 0; k < read.count; ++k) {
+        if (!read.whole) {
+          batch.Read(qp(server), cluster_->catalog().log_rkey(server),
+                     layout.SlotOffset(id, read.slot + k), next, probe);
+        }
+        fresh.push_back(images_.size());
+        images_.push_back({read.area, read.slot + k, next, read.whole});
+        next += image_bytes;
+      }
+      stats->log_bytes_read += static_cast<size_t>(read.count) * image_bytes;
     }
+    PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+    reads.clear();
+    tails.clear();
+    for (const size_t image : fresh) PlanReads(image, &reads, &tails);
   }
-  stats->log_bytes_read += log_buf_.size();
-  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
-
-  // Round 1b — tails, only if some record is longer than its probe: each
-  // such record's remaining bytes land behind a copy of its prefix in a
-  // slot-sized scratch image, so ParseLogRecord checks the whole record's
-  // checksum and torn-write detection is unchanged. Torn headers (bad
-  // magic, length beyond the slot) stay probe images; parsing rejects them.
-  std::vector<std::pair<size_t, size_t>> tails;  // (slot image, extent)
-  for (i = 0; i < slot_images_.size(); ++i) {
-    const Result<size_t> extent =
-        store::LogRecordExtent(slot_images_[i], slot_bytes);
-    if (extent.ok() && extent.value() > probe) {
-      tails.emplace_back(i, extent.value());
-    }
-  }
-  if (tails.empty()) return Status::OK();
-  tail_buf_.resize(tails.size() * slot_bytes);
-  for (size_t t = 0; t < tails.size(); ++t) {
-    const auto [image, extent] = tails[t];
-    const size_t c = image / (servers.size() * slots);
-    const rdma::NodeId server = servers[image / slots % servers.size()];
-    const uint32_t slot = static_cast<uint32_t>(image % slots);
-    char* full = tail_buf_.data() + t * slot_bytes;
-    std::memcpy(full, slot_images_[image], probe);
-    slot_images_[image] = full;
-    batch.Read(qp(server), cluster_->catalog().log_rkey(server),
-               layout.SlotOffset(coord_ids[c], slot) + probe, full + probe,
-               extent - probe);
-    stats->log_bytes_read += extent - probe;
-  }
-  return FinishRound(&batch, stats);
+  return Status::OK();
 }
 
-void RecoveryCoordinator::ParseCoordinatorLog(const char* const* images,
-                                              size_t num_servers,
-                                              CoordinatorLog* log,
-                                              RecoveryStats* stats) {
-  const store::LogLayout& layout = cluster_->catalog().log_layout();
-  const uint32_t slot_bytes = layout.config().slot_bytes;
-  for (size_t s = 0; s < num_servers; ++s) {
-    for (uint32_t slot = 0; slot < layout.config().slots_per_coordinator;
-         ++slot) {
-      store::LogRecord record;
-      const Status status =
-          store::ParseLogRecord(*images++, slot_bytes, &record);
-      if (status.IsNotFound()) continue;  // Empty or truncated slot.
-      log->used_slots.push_back({s, slot});
-      if (!status.ok()) {
-        // Torn write: the coordinator died mid-log-write. The transaction
-        // cannot have applied any update (validation completes only after
-        // the log write), so ignoring the record is exactly right — its
-        // locks are stray and will be stolen / scanned.
-        stats->torn_records++;
-        continue;
-      }
-      if (record.coord_id != log->coord_id) continue;
-      // Merge record copies / per-object fragments by transaction id; keep
-      // lock intents separate (they are processed last, Cor4-safe).
-      for (store::LogEntry& entry : record.entries) {
-        if (entry.is_lock_intent) {
-          log->intents.push_back(std::move(entry));
-          continue;
-        }
-        std::vector<store::LogEntry>& entries = log->txns[record.txn_id];
-        const bool duplicate =
-            std::any_of(entries.begin(), entries.end(),
-                        [&](const store::LogEntry& e) {
-                          return e.table == entry.table && e.key == entry.key;
-                        });
-        if (!duplicate) entries.push_back(std::move(entry));
-      }
+void RecoveryCoordinator::PlanReads(size_t index, std::vector<AreaRead>* reads,
+                                    std::vector<TailRead>* tails) {
+  const uint32_t slot_bytes =
+      cluster_->catalog().log_layout().config().slot_bytes;
+  const SlotImage& image = images_[index];
+  if (!image.whole) {
+    const Result<store::LogExtent> header =
+        store::LogRecordExtent(image.image, slot_bytes);
+    if (header.ok() && header.value().bytes > ProbeBytes()) {
+      tails->push_back({index, header.value().bytes});
+      // Slot 0's span rides the tail's doorbell before the checksum has
+      // vouched for it; a torn record reads the rest of the area once its
+      // tail is in.
+      if (image.slot == 0) PlanSpan(image.area, header.value().span, reads);
+      return;
     }
   }
-  stats->logged_txns += log->txns.size();
-  stats->lock_intents += log->intents.size();
+  if (image.slot != 0) return;
+  const Result<store::LogExtent> record =
+      store::VerifiedLogRecordExtent(image.image, slot_bytes);
+  if (record.ok() && record.value().bytes == 0) return;  // Empty.
+  // A torn slot 0 hides its span: read the whole area, as for span 0.
+  PlanSpan(image.area, record.ok() ? record.value().span : 0, reads);
+}
+
+void RecoveryCoordinator::PlanSpan(size_t area, uint16_t span,
+                                   std::vector<AreaRead>* reads) {
+  // Slots beyond a known span hold only completed transactions' records
+  // (DESIGN.md "Dense per-coordinator log"). An unknown span's slots are
+  // probed like slot 0, so reading a whole area costs what a probe of
+  // every slot does, plus the long records' tails.
+  const uint32_t slots =
+      cluster_->catalog().log_layout().config().slots_per_coordinator;
+  const uint32_t end = span == 0 ? slots : std::min<uint32_t>(span, slots);
+  uint32_t& next = next_slot_[area];
+  if (next >= end) return;
+  reads->push_back({area, next, end - next, /*whole=*/span > 0});
+  next = end;
+}
+
+void RecoveryCoordinator::ParseSlot(const char* image, size_t server,
+                                    uint32_t slot, CoordinatorLog* log,
+                                    RecoveryStats* stats) {
+  store::LogRecord record;
+  const Status status = store::ParseLogRecord(
+      image, cluster_->catalog().log_layout().config().slot_bytes, &record);
+  if (status.IsNotFound()) return;  // Empty or truncated slot.
+  log->used_slots.push_back({server, slot});
+  if (!status.ok()) {
+    // Torn write: the coordinator died mid-log-write. The transaction
+    // cannot have applied any update (validation completes only after the
+    // log write), so ignoring the record is exactly right — its locks are
+    // stray and will be stolen / scanned.
+    stats->torn_records++;
+    return;
+  }
+  if (record.coord_id != log->coord_id) return;
+  // Merge record copies / per-object fragments by transaction id; keep
+  // lock intents separate (they are processed last, Cor4-safe).
+  for (store::LogEntry& entry : record.entries) {
+    if (entry.is_lock_intent) {
+      log->intents.push_back(std::move(entry));
+      continue;
+    }
+    std::vector<store::LogEntry>& entries = log->txns[record.txn_id];
+    const bool duplicate =
+        std::any_of(entries.begin(), entries.end(),
+                    [&](const store::LogEntry& e) {
+                      return e.table == entry.table && e.key == entry.key;
+                    });
+    if (!duplicate) entries.push_back(std::move(entry));
+  }
 }
 
 void RecoveryCoordinator::AddTarget(uint16_t coord_id,
@@ -259,15 +309,19 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
   }
   rdma::VerbBatch batch;
 
-  // Round 1 (and the conditional tail round) — log reads.
+  // Round 1 (and the conditional log rounds) — log reads.
   PANDORA_RETURN_NOT_OK(ReadLogs(coord_ids, servers, stats));
-  const size_t images_per_coordinator =
-      servers.size() * layout.config().slots_per_coordinator;
   std::vector<CoordinatorLog> logs(coord_ids.size());
   for (size_t c = 0; c < coord_ids.size(); ++c) {
     logs[c].coord_id = coord_ids[c];
-    ParseCoordinatorLog(slot_images_.data() + c * images_per_coordinator,
-                        servers.size(), &logs[c], stats);
+  }
+  for (const SlotImage& image : images_) {
+    ParseSlot(image.image, image.area % servers.size(), image.slot,
+              &logs[image.area / servers.size()], stats);
+  }
+  for (const CoordinatorLog& log : logs) {
+    stats->logged_txns += log.txns.size();
+    stats->lock_intents += log.intents.size();
   }
 
   // The objects to repair. Per coordinator, logged transactions go in
@@ -392,14 +446,20 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
 
   // Round 5 — idempotent truncation (§3.2.3) before the stray-lock
   // notification. The invalid marker is the empty slot's magic word, so
-  // only the slots round 1 found non-empty (torn ones included) need it:
-  // the fenced coordinators cannot have written since.
+  // only the slots the log reads found non-empty (torn ones included)
+  // need it: the fenced coordinators cannot have written since. Slot 0
+  // goes last on each queue pair, so an RC that dies mid-doorbell never
+  // leaves slot 0 empty in front of a record its successor must still
+  // read and truncate.
   const uint64_t marker = store::InvalidRecordMarker();
-  for (const CoordinatorLog& log : logs) {
-    for (const auto& [s, slot] : log.used_slots) {
-      batch.Write(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
-                  layout.SlotOffset(log.coord_id, slot), &marker,
-                  sizeof(marker));
+  for (const bool slot0 : {false, true}) {
+    for (const CoordinatorLog& log : logs) {
+      for (const auto& [s, slot] : log.used_slots) {
+        if ((slot == 0) != slot0) continue;
+        batch.Write(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
+                    layout.SlotOffset(log.coord_id, slot), &marker,
+                    sizeof(marker));
+      }
     }
   }
   return FinishRound(&batch, stats);

@@ -44,13 +44,19 @@ struct RecoveryStats {
 /// truncates the logs.
 ///
 /// Log recovery works over all of a failed node's coordinator ids at once,
-/// in windows whose slot prefixes fit a fixed read buffer. Each window
-/// costs kRoundsPerWindow doorbells however many coordinators it holds:
-/// read the first kLogProbeBytes of every log slot, read every replica
-/// version, restore roll-back images, release locks, truncate. A window
-/// holding a record longer than the prefix rings one more doorbell, right
-/// after the prefixes, for the tails of all such records. Address-cache
-/// misses add one batched probe doorbell per probe step.
+/// in windows sized so that probing every slot of their areas would fit a
+/// fixed read buffer. Each window costs kRoundsPerWindow doorbells however
+/// many coordinators it holds: read the first kLogProbeBytes of slot 0 of
+/// every coordinator's area on every live server, read every replica
+/// version, restore roll-back images, release locks, truncate. The logs
+/// are dense (store::LogConfig): a transaction starts at slot 0 and its
+/// records say how many slots it spans, so further log reads ring extra
+/// doorbells right after the slot-0 probes only when some area needs them:
+/// the tails of records longer than the probe and the slots of a known
+/// span (one doorbell), and for an unknown span or a torn slot 0 the
+/// probes of the rest of the area (one more for their records' tails; a
+/// long slot 0 shows itself torn only once its tail is in, one later).
+/// Address-cache misses add one batched probe doorbell per probe step.
 ///
 /// Every mutation is a *conditional* CAS against "locked by the failed
 /// coordinator" (or a value write under such a lock), so re-executing any
@@ -58,12 +64,13 @@ struct RecoveryStats {
 /// failures.
 class RecoveryCoordinator {
  public:
-  /// Doorbell rounds per log-recovery window whose records all fit the
-  /// probed prefix; one more when a record is longer.
+  /// Doorbell rounds per log-recovery window whose slot-0 probes hold
+  /// every record whole and every span is one slot.
   static constexpr uint32_t kRoundsPerWindow = 5;
-  /// Upper bound on the slot-prefix read buffer of one window.
+  /// Upper bound on one window's log probes were every slot probed (the
+  /// unknown-span worst case); record bytes beyond the probes come on top.
   static constexpr uint64_t kLogReadBufferBytes = 4ull << 20;
-  /// Bytes read from the start of every log slot (at most slot_bytes): the
+  /// Bytes read from the start of a log slot (at most slot_bytes): the
   /// 40-byte record header and, for the benches' SmallBank and TATP write
   /// sets and micro write sets of up to three writes, the whole record.
   static constexpr uint32_t kLogProbeBytes = 256;
@@ -91,13 +98,13 @@ class RecoveryCoordinator {
     step_fault_hook_ = std::move(hook);
   }
 
-  /// Coordinators per log-recovery window: as many as fit the probed
-  /// prefixes of their slots, on every attached memory server, into
+  /// Coordinators per log-recovery window: as many as fit a probe of every
+  /// slot of their areas, on every attached memory server, into
   /// kLogReadBufferBytes (at least one).
   uint32_t CoordinatorsPerWindow() const;
 
   /// Log recovery for a failed node's coordinator ids, in windows of
-  /// CoordinatorsPerWindow() ids. Every slot of every memory server's log
+  /// CoordinatorsPerWindow() ids. Slot 0 of every memory server's log
   /// area is probed: Pandora's merged commit doorbell places records on the
   /// transaction's touched data servers and the baselines scatter
   /// per-object records, so one path covers every protocol mode. Safe to
@@ -115,6 +122,31 @@ class RecoveryCoordinator {
                                   RecoveryStats* stats);
 
  private:
+  // One slot image the log reads left: slot `slot` of area `area`
+  // (coordinator-major, then server), its first ProbeBytes() unless
+  // `whole`.
+  struct SlotImage {
+    size_t area = 0;
+    uint32_t slot = 0;
+    const char* image = nullptr;
+    bool whole = false;
+  };
+
+  // A read of `count` slots of an area from `slot` on: one probe each, or
+  // one read of the whole slots.
+  struct AreaRead {
+    size_t area = 0;
+    uint32_t slot = 0;
+    uint32_t count = 0;
+    bool whole = false;
+  };
+
+  // The rest of a record whose probe images_[image] holds: `bytes` in all.
+  struct TailRead {
+    size_t image = 0;
+    size_t bytes = 0;
+  };
+
   // One coordinator's parsed log: each logged transaction's write set by
   // transaction id, the traditional scheme's lock intents, and the
   // non-empty slots as (server index, slot) for truncation.
@@ -152,26 +184,33 @@ class RecoveryCoordinator {
                                                      target.num_replicas);
   }
 
-  // Bytes probed per slot: kLogProbeBytes clamped to the slot size.
+  // Bytes probed of a slot: kLogProbeBytes clamped to the slot size.
   uint32_t ProbeBytes() const;
 
   // Recovers one window of coordinator ids in kRoundsPerWindow doorbells
-  // (plus the tail round when a record outgrows its probe).
+  // (plus the log reads some slot 0 calls for beyond its probe).
   Status RecoverWindow(std::span<const uint16_t> coord_ids,
                        RecoveryStats* stats);
 
-  // Reads the slot prefixes of `coord_ids` on `servers` and then the tails
-  // of longer records, leaving one record image per slot in
-  // slot_images_ (coordinator-major, then server, then slot).
+  // Probes slot 0 of `coord_ids`' areas on `servers`, then reads whatever
+  // else each area's slot 0 says its transaction holds, leaving the slot
+  // images in images_.
   Status ReadLogs(std::span<const uint16_t> coord_ids,
                   const std::vector<rdma::NodeId>& servers,
                   RecoveryStats* stats);
 
-  // Parses `log->coord_id`'s slot images (every slot on every server,
-  // already read) and merges record copies and per-object fragments by
-  // transaction id.
-  void ParseCoordinatorLog(const char* const* images, size_t num_servers,
-                           CoordinatorLog* log, RecoveryStats* stats);
+  // Plans the reads images_[image] calls for: its record's tail if the
+  // probe cut it short and, for slot 0, the rest of its area's span.
+  void PlanReads(size_t image, std::vector<AreaRead>* reads,
+                 std::vector<TailRead>* tails);
+
+  // Plans reads of `area`'s slots from next_slot_ up to `span` (the whole
+  // area for span 0): whole slots for a known span, probes otherwise.
+  void PlanSpan(size_t area, uint16_t span, std::vector<AreaRead>* reads);
+
+  // Parses one slot image into `log`.
+  void ParseSlot(const char* image, size_t server, uint32_t slot,
+                 CoordinatorLog* log, RecoveryStats* stats);
 
   // Appends `entry`'s alive replicas to replicas_ as a new target.
   void AddTarget(uint16_t coord_id, const store::LogEntry* entry, size_t txn);
@@ -194,9 +233,9 @@ class RecoveryCoordinator {
   cluster::Cluster* cluster_;
   std::vector<std::unique_ptr<rdma::QueuePair>> qps_;
   // Per-window working state, reused across windows and recoveries.
-  std::vector<char> log_buf_;   // <= kLogReadBufferBytes of slot prefixes.
-  std::vector<char> tail_buf_;  // One slot per record longer than a probe.
-  std::vector<const char*> slot_images_;
+  std::vector<std::vector<char>> log_bufs_;  // One per log-read round.
+  std::vector<SlotImage> images_;
+  std::vector<uint32_t> next_slot_;  // Per area: first slot not yet read.
   std::vector<Target> targets_;
   std::vector<ReplicaView> replicas_;
   std::function<bool()> step_fault_hook_;

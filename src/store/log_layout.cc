@@ -17,7 +17,7 @@ constexpr uint64_t kRecordInvalid = 0;
 // Serialized record layout (all fields 8-byte aligned):
 //   [0]  magic            (8B)
 //   [8]  txn_id           (8B)
-//   [16] coord_id (4B) | num_entries (4B)
+//   [16] coord_id (2B) | span (2B) | num_entries (4B)
 //   [24] payload_bytes    (8B)  -- bytes of entry payload after checksum
 //   [32] checksum         (8B)  -- word-folded FNV-1a over header[8..32) + payload
 //   [40] payload: per entry
@@ -25,6 +25,13 @@ constexpr uint64_t kRecordInvalid = 0;
 //        | value_bytes (8B) | value (padded to 8B)
 constexpr size_t kRecordHeaderBytes = 40;
 constexpr size_t kEntryFixedBytes = 32;
+
+// The word at [16]: the coordinator id in the low 16 bits, the span in the
+// high 16 — inside the checksummed header, so a torn span is detected.
+uint32_t IdWord(uint16_t coord_id, uint16_t span) {
+  return static_cast<uint32_t>(coord_id) |
+         (static_cast<uint32_t>(span) << 16);
+}
 
 constexpr uint32_t kFlagInsert = 1u << 0;
 constexpr uint32_t kFlagDelete = 1u << 1;
@@ -40,19 +47,15 @@ uint64_t InvalidRecordMarker() { return kRecordInvalid; }
 
 size_t LogRecordHeaderBytes() { return kRecordHeaderBytes; }
 
-size_t LogEntrySerializedSize(const LogEntry& entry) {
-  return EntrySerializedSize(entry);
-}
-
 Status SerializeLogRecord(const LogRecord& record, uint32_t slot_bytes,
                           std::vector<char>* buf) {
   return SerializeLogRecordSpan(record, 0, record.entries.size(),
-                                slot_bytes, buf);
+                                /*span=*/0, slot_bytes, buf);
 }
 
 Status SerializeLogRecordSpan(const LogRecord& record, size_t first,
-                              size_t count, uint32_t slot_bytes,
-                              std::vector<char>* buf) {
+                              size_t count, uint16_t span,
+                              uint32_t slot_bytes, std::vector<char>* buf) {
   size_t total = kRecordHeaderBytes;
   for (size_t i = first; i < first + count; ++i) {
     total += EntrySerializedSize(record.entries[i]);
@@ -65,7 +68,7 @@ Status SerializeLogRecordSpan(const LogRecord& record, size_t first,
   char* p = buf->data();
   EncodeFixed64(p + 0, kRecordMagic);
   EncodeFixed64(p + 8, record.txn_id);
-  EncodeFixed32(p + 16, record.coord_id);
+  EncodeFixed32(p + 16, IdWord(record.coord_id, span));
   EncodeFixed32(p + 20, static_cast<uint32_t>(count));
   EncodeFixed64(p + 24, static_cast<uint64_t>(total - kRecordHeaderBytes));
 
@@ -100,13 +103,13 @@ Status SerializeLogRecordSpan(const LogRecord& record, size_t first,
 LogRecordWriter::LogRecordWriter(uint64_t txn_id, uint16_t coord_id,
                                  uint32_t slot_bytes,
                                  std::vector<char>* buf)
-    : slot_bytes_(slot_bytes), buf_(buf) {
+    : coord_id_(coord_id), slot_bytes_(slot_bytes), buf_(buf) {
   buf_->resize(kRecordHeaderBytes);
   char* p = buf_->data();
   EncodeFixed64(p + 0, kRecordMagic);
   EncodeFixed64(p + 8, txn_id);
-  EncodeFixed32(p + 16, coord_id);
-  // num_entries, payload_bytes and checksum are sealed by Finish().
+  // The id word, num_entries, payload_bytes and checksum are sealed by
+  // Finish().
 }
 
 bool LogRecordWriter::AddEntry(TableId table, Key key, uint64_t old_version,
@@ -139,8 +142,9 @@ bool LogRecordWriter::AddEntry(TableId table, Key key, uint64_t old_version,
   return true;
 }
 
-void LogRecordWriter::Finish() {
+void LogRecordWriter::Finish(uint16_t span) {
   char* p = buf_->data();
+  EncodeFixed32(p + 16, IdWord(coord_id_, span));
   EncodeFixed32(p + 20, static_cast<uint32_t>(entries_));
   const uint64_t payload =
       static_cast<uint64_t>(buf_->size() - kRecordHeaderBytes);
@@ -151,9 +155,10 @@ void LogRecordWriter::Finish() {
   EncodeFixed64(p + 32, checksum);
 }
 
-Result<size_t> LogRecordExtent(const char* header, uint32_t slot_bytes) {
+Result<LogExtent> LogRecordExtent(const char* header,
+                                  uint32_t slot_bytes) {
   const uint64_t magic = DecodeFixed64(header);
-  if (magic == kRecordInvalid) return size_t{0};
+  if (magic == kRecordInvalid) return LogExtent{};
   if (magic != kRecordMagic) {
     return Status::Corruption("bad log record magic");
   }
@@ -162,7 +167,22 @@ Result<size_t> LogRecordExtent(const char* header, uint32_t slot_bytes) {
       kRecordHeaderBytes + payload_bytes > slot_bytes) {
     return Status::Corruption("log record payload length out of range");
   }
-  return static_cast<size_t>(kRecordHeaderBytes + payload_bytes);
+  return LogExtent{static_cast<size_t>(kRecordHeaderBytes + payload_bytes),
+                   static_cast<uint16_t>(DecodeFixed32(header + 16) >> 16)};
+}
+
+Result<LogExtent> VerifiedLogRecordExtent(const char* image,
+                                          uint32_t slot_bytes) {
+  const Result<LogExtent> extent = LogRecordExtent(image, slot_bytes);
+  if (!extent.ok() || extent.value().bytes == 0) return extent;
+  const uint64_t expected =
+      Fnv1a64Words(image + 8, 24) ^
+      Fnv1a64Words(image + kRecordHeaderBytes,
+                   extent.value().bytes - kRecordHeaderBytes);
+  if (expected != DecodeFixed64(image + 32)) {
+    return Status::Corruption("log record checksum mismatch (torn write)");
+  }
+  return extent;
 }
 
 Status ParseLogRecord(const char* slot_image, uint32_t slot_bytes,
@@ -170,21 +190,17 @@ Status ParseLogRecord(const char* slot_image, uint32_t slot_bytes,
   if (slot_bytes < kRecordHeaderBytes) {
     return Status::InvalidArgument("slot smaller than record header");
   }
-  const Result<size_t> extent = LogRecordExtent(slot_image, slot_bytes);
+  const Result<LogExtent> extent =
+      VerifiedLogRecordExtent(slot_image, slot_bytes);
   if (!extent.ok()) return extent.status();
-  if (extent.value() == 0) {
+  if (extent.value().bytes == 0) {
     return Status::NotFound("empty or invalidated log slot");
   }
-  const uint64_t payload_bytes = extent.value() - kRecordHeaderBytes;
-  const uint64_t expected =
-      Fnv1a64Words(slot_image + 8, 24) ^
-      Fnv1a64Words(slot_image + kRecordHeaderBytes, payload_bytes);
-  if (expected != DecodeFixed64(slot_image + 32)) {
-    return Status::Corruption("log record checksum mismatch (torn write)");
-  }
+  const uint64_t payload_bytes = extent.value().bytes - kRecordHeaderBytes;
 
   record->txn_id = DecodeFixed64(slot_image + 8);
   record->coord_id = static_cast<uint16_t>(DecodeFixed32(slot_image + 16));
+  record->span = extent.value().span;
   const uint32_t num_entries = DecodeFixed32(slot_image + 20);
   record->entries.clear();
   record->entries.reserve(num_entries);

@@ -22,18 +22,25 @@ namespace store {
 ///
 /// Pandora writes a transaction's entire write-set as one record (split
 /// into slot-sized fragments when it is larger), with a single RDMA write
-/// per server (§3.1.4). The merged commit doorbell writes the fragments to
-/// slots [0, n) on every server the transaction touches; the legacy
-/// sequential path writes them round-robin to the coordinator's designated
-/// log servers. The FORD baseline reuses the same slot format but writes
-/// one single-entry record per object per object-replica, round-robin.
+/// per server (§3.1.4). The baselines reuse the same slot format but post
+/// one single-entry record per object per object-replica (and, under
+/// traditional logging, one lock intent per object per designated log
+/// server) while the transaction executes.
 ///
-/// Recovery reads a fixed prefix of every slot and the rest of a record
-/// only when it is longer (RecoveryCoordinator, LogRecordExtent).
+/// Dense log: every writer starts each transaction at slot 0 on each
+/// server and fills slots upwards, and every record carries its *span* —
+/// the number of slots its transaction used on that server, or 0 when the
+/// writer posts records one at a time and cannot know it. Recovery
+/// therefore probes only slot 0 of each (coordinator, server) and reads
+/// further slots only when that record's span (or a torn or unknown span)
+/// says so (RecoveryCoordinator, LogRecordExtent; DESIGN.md "Dense
+/// per-coordinator log").
 struct LogConfig {
-  /// Record slots per coordinator. With synchronous coordinators one
-  /// outstanding transaction exists per coordinator, but multiple slots keep
-  /// history for the FORD baseline's per-object records.
+  /// Record slots per coordinator: the most one transaction may use on
+  /// one server. A coordinator has at most one transaction in flight, so
+  /// the area only needs room for the largest one — the FORD baseline's
+  /// per-object records and lock intents are what size it. At most 65535
+  /// (a record's span is 16 bits).
   uint32_t slots_per_coordinator = 8;
   /// Bytes per record slot. Must fit the largest write-set fragment; the
   /// log writer returns ResourceExhausted otherwise. These defaults (8 x 4
@@ -97,27 +104,41 @@ struct LogEntry {
 struct LogRecord {
   uint64_t txn_id = 0;
   uint16_t coord_id = 0;
+  /// Parsed only (serializers take it as an argument): slots [0, span) of
+  /// the server's area hold the record's transaction (it starts at slot
+  /// 0); 0 = unknown, the rest of the area may hold more of it (records
+  /// posted one at a time by the baselines).
+  uint16_t span = 0;
   std::vector<LogEntry> entries;
 };
 
-/// Serialized-size bookkeeping, exposed so the log writer can pack a
-/// record into slot-sized fragments with O(entries) size accounting
-/// instead of O(entries²) trial serialization.
-size_t LogRecordHeaderBytes();
-size_t LogEntrySerializedSize(const LogEntry& entry);
+/// What a slot's header alone tells a reader (LogRecordExtent).
+struct LogExtent {
+  /// Serialized size (header plus payload); 0 for an empty or invalidated
+  /// slot.
+  size_t bytes = 0;
+  /// The record's LogRecord::span, not yet checksum-verified.
+  uint16_t span = 0;
+};
 
-/// Serializes `record` into `buf` (which must hold at least `slot_bytes`).
-/// Returns ResourceExhausted if the record does not fit. The serialized
-/// image is 8-byte aligned and carries a magic word and checksum.
+/// Bytes of a serialized record's header: what a reader must hold to
+/// classify a slot (LogRecordExtent).
+size_t LogRecordHeaderBytes();
+
+/// Serializes `record` into `buf` (which must hold at least `slot_bytes`),
+/// with span 0: the records posted one at a time. Returns ResourceExhausted if the record does not
+/// fit. The serialized image is 8-byte aligned and carries a magic word
+/// and checksum.
 Status SerializeLogRecord(const LogRecord& record, uint32_t slot_bytes,
                           std::vector<char>* buf);
 
-/// Serializes only entries [first, first + count) of `record` — the
-/// fragmenting path: fragments share the record's txn_id/coord_id and
-/// recovery merges them back by transaction id.
+/// Serializes only entries [first, first + count) of `record`, as a
+/// fragment of a transaction spanning `span` slots: fragments share the
+/// record's txn_id/coord_id and recovery merges them back by transaction
+/// id.
 Status SerializeLogRecordSpan(const LogRecord& record, size_t first,
-                              size_t count, uint32_t slot_bytes,
-                              std::vector<char>* buf);
+                              size_t count, uint16_t span,
+                              uint32_t slot_bytes, std::vector<char>* buf);
 
 /// Streaming serializer producing the same wire image as
 /// SerializeLogRecordSpan, but fed entry by entry straight from the
@@ -125,7 +146,8 @@ Status SerializeLogRecordSpan(const LogRecord& record, size_t first,
 /// an intermediate LogRecord (whose per-entry value strings are a pure
 /// copy + cache-miss tax). Usage: construct over a reused buffer, AddEntry
 /// until it reports the slot is full (start the next fragment then), and
-/// Finish() to seal header fields and checksum.
+/// Finish(span) to seal header fields and checksum once the transaction's
+/// fragment count is known.
 class LogRecordWriter {
  public:
   LogRecordWriter(uint64_t txn_id, uint16_t coord_id, uint32_t slot_bytes,
@@ -140,32 +162,40 @@ class LogRecordWriter {
 
   size_t entries() const { return entries_; }
 
-  /// Seals num_entries / payload_bytes / checksum. The buffer then holds
-  /// exactly the serialized fragment.
-  void Finish();
+  /// Seals num_entries / payload_bytes / span / checksum. The buffer then
+  /// holds exactly the serialized fragment. The default span is that of a
+  /// transaction whose whole record fits this one slot.
+  void Finish(uint16_t span = 1);
 
  private:
+  uint16_t coord_id_;
   uint32_t slot_bytes_;
   std::vector<char>* buf_;
   size_t entries_ = 0;
 };
 
-/// Size of the record a slot holds, from its header alone: `header` must
-/// hold the slot's first LogRecordHeaderBytes(). Lets a reader fetch a
-/// fixed prefix of every slot and only then read the tails of longer
-/// records. Returns:
-///  - 0 for an empty or invalidated slot,
-///  - the serialized size (header plus payload) of a record,
+/// Size and span of the record a slot holds, from its header alone:
+/// `header` must hold the slot's first LogRecordHeaderBytes(). Lets a
+/// reader fetch a fixed prefix of slot 0 and only then read the tail of a
+/// longer record and the span's further slots. Returns:
+///  - bytes 0 for an empty or invalidated slot,
+///  - the serialized size (header plus payload) and span of a record,
 ///  - Corruption for a bad magic or a length beyond `slot_bytes` (a torn
 ///    header; ParseLogRecord reports the same).
-/// The checksum is not checked: a size returned here still has to be
-/// parsed from the full record image.
-Result<size_t> LogRecordExtent(const char* header, uint32_t slot_bytes);
+/// The checksum is not checked: a record returned here still has to be
+/// parsed from its full image.
+Result<LogExtent> LogRecordExtent(const char* header, uint32_t slot_bytes);
+
+/// LogRecordExtent plus the checksum: `image` must hold the whole record
+/// (the extent's bytes), as a probe does for a record no longer than it.
+/// A torn record of any kind — header or payload — is Corruption.
+Result<LogExtent> VerifiedLogRecordExtent(const char* image,
+                                          uint32_t slot_bytes);
 
 /// Parses the record in a slot image. Only the record's own bytes (see
 /// LogRecordExtent) are read, so the image may end right after them.
 /// Returns:
-///  - OK and fills `record` for a valid record,
+///  - OK and fills `record` (span included) for a valid record,
 ///  - NotFound for an empty or invalidated slot,
 ///  - Corruption for a torn/garbled record (treated by recovery as
 ///    not-logged, which is safe: the log write had not completed, so the

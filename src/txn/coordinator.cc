@@ -107,7 +107,7 @@ Status Coordinator::Begin() {
   write_set_.clear();
   write_index_.clear();
   read_set_.clear();
-  coord_log_slots_.clear();
+  coord_log_fragments_ = 0;
   log_writer_.ResetForNewTxn();
   return Status::OK();
 }
@@ -117,7 +117,7 @@ void Coordinator::FinishTxn() {
   write_set_.clear();
   write_index_.clear();
   read_set_.clear();
-  coord_log_slots_.clear();
+  coord_log_fragments_ = 0;
   if (gate_ != nullptr) gate_->ExitTxn();
 }
 
@@ -408,10 +408,12 @@ Status Coordinator::WriteLockIntent(const WriteOp& op) {
   entry.is_lock_intent = true;
   record.entries.push_back(std::move(entry));
 
+  // Intents are never invalidated (a stale one is a no-op CAS), so their
+  // slots need no tracking.
   rdma::VerbBatch batch;
-  std::vector<uint32_t> slots;
-  PANDORA_RETURN_NOT_OK(
-      log_writer_.PostCoordinatorRecord(record, &batch, &slots));
+  std::vector<std::pair<rdma::NodeId, uint32_t>> slots;
+  PANDORA_RETURN_NOT_OK(log_writer_.PostIncrementalRecord(
+      record, log_writer_.log_servers(), &batch, &slots));
   stats_.log_records_written++;
   CountRtts(&stats_.execution_rtts, 1);
   return batch.Execute();
@@ -430,7 +432,7 @@ Status Coordinator::PostPerObjectLog(WriteOp* op, rdma::VerbBatch* batch) {
   if (!op->is_insert) entry.old_value = op->old_value;
   record.entries.push_back(std::move(entry));
 
-  PANDORA_RETURN_NOT_OK(log_writer_.PostPerObjectRecord(
+  PANDORA_RETURN_NOT_OK(log_writer_.PostIncrementalRecord(
       record, op->replicas, batch, &op->log_slots));
   stats_.log_records_written++;
   return Status::OK();
@@ -450,25 +452,22 @@ Status Coordinator::WritePerObjectLog(WriteOp* op) {
   return MaybeCrash(CrashPoint::kAfterLogWrite);
 }
 
-Status Coordinator::StageWrite(WriteOp op) {
-  // Guard the fixed-slot log area: baseline modes write one record per
-  // object (plus one intent in the traditional scheme).
-  const uint32_t slots =
-      cluster_->catalog().log_layout().config().slots_per_coordinator;
-  const uint32_t per_op =
-      config_.mode == ProtocolMode::kTraditionalLogging ? 2 : 1;
-  if (config_.mode != ProtocolMode::kPandora &&
-      (write_set_.size() + 1) * per_op > slots) {
-    return Status::ResourceExhausted(
-        "write-set exceeds per-coordinator log slots");
-  }
+Status Coordinator::AbortIfLogFull(Status status) {
+  if (!status.IsResourceExhausted()) return status;
+  const Status abort_status = AbortInternal();
+  if (abort_status.IsUnavailable()) return abort_status;
+  return Status::Aborted(status.message());
+}
 
+Status Coordinator::StageWrite(WriteOp op) {
   PANDORA_RETURN_NOT_OK(ResolvePlacement(&op));
 
+  // Baseline records take one slot each on their servers; a transaction
+  // that fills a server's log area aborts (AbortIfLogFull).
   if (config_.mode == ProtocolMode::kTraditionalLogging) {
     // §6.1: lock-intent logged *before* the lock CAS — the extra round
     // trip that lets recovery release stray locks without scanning.
-    PANDORA_RETURN_NOT_OK(WriteLockIntent(op));
+    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WriteLockIntent(op)));
   }
 
   if (config_.bugs.relaxed_locks) {
@@ -496,10 +495,10 @@ Status Coordinator::StageWrite(WriteOp op) {
       // costing a round trip of their own. The normal (fixed) FORD path
       // cannot coalesce this way: its record carries the post-lock image
       // the chain is about to fetch.
-      PANDORA_RETURN_NOT_OK(PostPerObjectLog(&op, &log_rider));
+      PANDORA_RETURN_NOT_OK(AbortIfLogFull(PostPerObjectLog(&op, &log_rider)));
       rider_pending = true;
     } else {
-      PANDORA_RETURN_NOT_OK(WritePerObjectLog(&op));
+      PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(&op)));
     }
   }
 
@@ -519,7 +518,7 @@ Status Coordinator::StageWrite(WriteOp op) {
   if (config_.mode != ProtocolMode::kPandora && !log_before_lock) {
     // FORD writes the per-object undo record during execution, after
     // lock + read (lock-to-log order holds per object).
-    PANDORA_RETURN_NOT_OK(WritePerObjectLog(staged));
+    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(staged)));
   }
   return Status::OK();
 }
@@ -886,29 +885,23 @@ Status Coordinator::Delete(store::TableId table, store::Key key) {
   return Status::OK();
 }
 
-const store::LogRecord& Coordinator::BuildCoordinatorRecord() {
-  store::LogRecord& record = record_scratch_;
-  record.txn_id = txn_id_;
-  record.coord_id = coord_id_;
-  size_t n = 0;
+Status Coordinator::PrepareCoordinatorRecord(size_t* num_fragments) {
+  // Serialize fragments straight from the write set (no intermediate
+  // LogRecord): with a hundred-plus coordinators sharing a core, every
+  // per-coordinator scratch structure is cache-cold by its next commit, so
+  // a copy into record entries would be pure miss tax.
+  log_writer_.BeginFragments(txn_id_);
   for (const WriteOp& op : write_set_) {
     if (op.is_insert && config_.bugs.missing_insert_logging) continue;
-    if (n == record.entries.size()) record.entries.emplace_back();
-    store::LogEntry& entry = record.entries[n++];
-    entry.table = op.table;
-    entry.key = op.key;
-    entry.old_version = op.old_version;
-    entry.is_insert = op.is_insert;
-    entry.is_delete = op.is_delete;
-    entry.is_lock_intent = false;
-    if (op.is_insert) {
-      entry.old_value.clear();
-    } else {
-      entry.old_value.assign(op.old_value.begin(), op.old_value.end());
+    const size_t old_len = op.is_insert ? 0 : op.old_value.size();
+    const void* old_data = old_len > 0 ? op.old_value.data() : nullptr;
+    if (!log_writer_.AddFragmentEntry(op.table, op.key, op.old_version,
+                                      op.is_insert, op.is_delete, old_data,
+                                      old_len)) {
+      break;  // Single entry exceeds the slot size.
     }
   }
-  record.entries.resize(n);
-  return record;
+  return log_writer_.FinishFragments(num_fragments);
 }
 
 Status Coordinator::PostValidationReads(rdma::VerbBatch* batch) {
@@ -998,17 +991,12 @@ Status Coordinator::CommitInternal() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLogWrite));
   if (config_.mode == ProtocolMode::kPandora && !write_set_.empty() &&
       !config_.disable_recovery_logging) {
-    const Status log_status = log_writer_.PostCoordinatorRecord(
-        BuildCoordinatorRecord(), &batch, &coord_log_slots_);
-    if (log_status.IsResourceExhausted()) {
-      // Write-set larger than the coordinator's log area: abort cleanly.
-      if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-      batch.Execute();
-      Status abort_status = AbortInternal();
-      if (abort_status.IsUnavailable()) return abort_status;
-      return Status::Aborted(log_status.message());
-    }
-    PANDORA_RETURN_NOT_OK(log_status);
+    size_t num_fragments = 0;
+    // Write-set larger than the coordinator's log area: abort cleanly.
+    PANDORA_RETURN_NOT_OK(
+        AbortIfLogFull(PrepareCoordinatorRecord(&num_fragments)));
+    log_writer_.PostCoordinatorRecord(num_fragments, &batch);
+    coord_log_fragments_ = num_fragments;
     stats_.log_records_written++;
     if (!batching_enabled()) {
       // Ablation: without doorbell batching the log write is its own
@@ -1047,7 +1035,7 @@ Status Coordinator::CommitInternal() {
   // A dead memory server inside the batch is tolerated: log writes to dead
   // log servers are skipped, validation falls back per entry below.
 
-  if (config_.mode == ProtocolMode::kPandora && !coord_log_slots_.empty()) {
+  if (config_.mode == ProtocolMode::kPandora && coord_log_fragments_ > 0) {
     // NVM deployments: the record is durable only after the flush.
     PANDORA_RETURN_NOT_OK(
         FlushForPersistence(log_writer_.log_servers()));
@@ -1111,7 +1099,7 @@ Status Coordinator::CommitInternal() {
 Status Coordinator::CommitMergedInternal() {
   // ---- Validation first. Because the commit decision is reached before
   // any log write below, an abort here needs no truncation round trip:
-  // coord_log_slots_ stays empty and AbortInternal only releases locks.
+  // coord_log_fragments_ stays 0 and AbortInternal only releases locks.
   if (!read_set_.empty()) {
     rdma::VerbBatch vbatch;
     PANDORA_RETURN_NOT_OK(PostValidationReads(&vbatch));
@@ -1162,45 +1150,9 @@ Status Coordinator::CommitMergedInternal() {
   const bool log_record = !config_.disable_recovery_logging;
   size_t num_fragments = 0;
   if (log_record) {
-    // Serialize fragments straight from the write set (no intermediate
-    // LogRecord): with a hundred-plus coordinators sharing a core, every
-    // per-coordinator scratch structure is cache-cold by its next commit,
-    // so the copy into record entries was pure miss tax.
-    const store::LogConfig& log_config =
-        cluster_->catalog().log_layout().config();
-    log_writer_.BeginPrepare();
-    bool overflow = false;
-    store::LogRecordWriter writer(txn_id_, coord_id_,
-                                  log_config.slot_bytes,
-                                  log_writer_.AcquireBuffer());
-    for (const WriteOp& op : write_set_) {
-      const size_t old_len = op.is_insert ? 0 : op.old_value.size();
-      const void* old_data = old_len > 0 ? op.old_value.data() : nullptr;
-      if (writer.AddEntry(op.table, op.key, op.old_version, op.is_insert,
-                          op.is_delete, old_data, old_len)) {
-        continue;
-      }
-      // Fragment full: seal it and start the next one.
-      writer.Finish();
-      ++num_fragments;
-      writer = store::LogRecordWriter(txn_id_, coord_id_,
-                                      log_config.slot_bytes,
-                                      log_writer_.AcquireBuffer());
-      if (!writer.AddEntry(op.table, op.key, op.old_version, op.is_insert,
-                           op.is_delete, old_data, old_len)) {
-        overflow = true;  // Single entry exceeds the slot size.
-        break;
-      }
-    }
-    writer.Finish();
-    ++num_fragments;
-    if (overflow || num_fragments > log_config.slots_per_coordinator) {
-      // Write-set larger than the coordinator's log area: abort cleanly.
-      Status abort_status = AbortInternal();
-      if (abort_status.IsUnavailable()) return abort_status;
-      return Status::Aborted(
-          "write-set exceeds the coordinator's log area");
-    }
+    // Write-set larger than the coordinator's log area: abort cleanly.
+    PANDORA_RETURN_NOT_OK(
+        AbortIfLogFull(PrepareCoordinatorRecord(&num_fragments)));
   }
 
   BuildApplyBufs();
@@ -1214,13 +1166,13 @@ Status Coordinator::CommitMergedInternal() {
     const store::LogLayout& log_layout = cluster_->catalog().log_layout();
     for (const rdma::NodeId node : touched) {
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      // Fragments reuse slots [0, num_fragments) every commit instead of
-      // round-robining the whole ring: a merged commit posts the record
-      // and its applies in one doorbell group, so at most one in-flight
-      // record exists per coordinator and the previous txn's (already
-      // applied, benign-stale) record is safe to overwrite. The small
-      // fixed window also keeps these writes in warm cache lines rather
-      // than strobing the 128 KB slot ring on every commit.
+      // Fragments take slots [0, num_fragments) every commit (the dense
+      // log, DESIGN.md): at most one in-flight record exists per
+      // coordinator, so the previous txn's (already applied,
+      // benign-stale) record is safe to overwrite. Fragment 0 goes first
+      // in the chain, so a later fragment never lands without it. The
+      // small fixed window also keeps these writes in warm cache lines
+      // rather than strobing the 128 KB slot area on every commit.
       for (size_t f = 0; f < num_fragments; ++f) {
         const std::vector<char>& buf = log_writer_.PreparedFragment(f);
         chains_[node]->Write(
@@ -1497,9 +1449,8 @@ Status Coordinator::AbortInternal() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeAbortTruncate));
   rdma::VerbBatch batch;
   if (config_.mode == ProtocolMode::kPandora) {
-    for (const uint32_t slot : coord_log_slots_) {
-      log_writer_.PostInvalidateCoordinatorSlot(slot, &batch);
-    }
+    log_writer_.PostInvalidateCoordinatorRecord(coord_log_fragments_,
+                                                &batch);
   }
   if (config_.mode != ProtocolMode::kPandora) {
     if (config_.bugs.lost_decision) {
@@ -1512,8 +1463,11 @@ Status Coordinator::AbortInternal() {
         }
       }
     } else {
-      for (WriteOp& op : write_set_) {
-        for (const auto& [server, slot] : op.log_slots) {
+      // Newest record first: each server's slots then go empty in
+      // descending order, slot 0 last (the dense log's recovery probe
+      // never sees slot 0 empty while a later record is still valid).
+      for (auto op = write_set_.rbegin(); op != write_set_.rend(); ++op) {
+        for (const auto& [server, slot] : op->log_slots) {
           log_writer_.PostInvalidate(server, slot, &batch);
         }
       }

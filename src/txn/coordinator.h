@@ -211,10 +211,14 @@ class Coordinator {
   // Traditional scheme: lock-intent record before the lock CAS.
   Status WriteLockIntent(const WriteOp& op);
 
-  // Builds the Pandora commit-time record over the whole write-set into
-  // `record_scratch_` (entry and undo-image buffers are recycled across
-  // transactions; the hot path must not reallocate per commit).
-  const store::LogRecord& BuildCoordinatorRecord();
+  // A baseline record that found a server's log area full: aborts the
+  // transaction cleanly, as an oversized Pandora record does at commit.
+  // Any other status passes through.
+  Status AbortIfLogFull(Status status);
+
+  // Serializes the Pandora commit-time record over the whole write-set
+  // into the log writer's fragments (LogWriter::PreparedFragment).
+  Status PrepareCoordinatorRecord(size_t* num_fragments);
 
   // Validation read results (lock+version per read-set entry).
   struct ValidationRead {
@@ -347,13 +351,11 @@ class Coordinator {
   std::vector<char> fetch_buf_;
   std::vector<char> read_buf_;
   std::vector<char> range_buf_;
-  // Pandora: coordinator-log slots used by the in-flight transaction
-  // (empty = no record written yet).
-  std::vector<uint32_t> coord_log_slots_;
+  // Pandora legacy path: fragments of the in-flight transaction's record
+  // in slots [0, n) of the designated log servers (0 = none written yet).
+  size_t coord_log_fragments_ = 0;
   // Reusable commit-apply buffers, one per write op.
   std::vector<std::vector<char>> apply_bufs_;
-  // Reusable coordinator-log record (BuildCoordinatorRecord).
-  store::LogRecord record_scratch_;
   // Reusable touched-server collection (TouchedReplicaServers): dedup via
   // node-id bitset, emitted ascending into the reserved vector.
   FixedBitset<rdma::kMaxNodes> touched_bits_;

@@ -11,14 +11,18 @@ LogWriter::LogWriter(cluster::Cluster* cluster,
     : cluster_(cluster),
       server_(server),
       coord_id_(coord_id),
+      slots_per_coordinator_(
+          cluster->catalog().log_layout().config().slots_per_coordinator),
+      slot_bytes_(cluster->catalog().log_layout().config().slot_bytes),
       log_servers_(LogServersFor(*cluster, coord_id)),
       // Sized to include standbys: after a live join the placement ring
-      // can designate one as a log server, and next_slot_ is indexed by
-      // node id.
+      // can place objects or designate log servers there, and next_slot_
+      // is indexed by node id.
       next_slot_(cluster->total_memory_nodes(), 0),
       invalid_marker_(store::InvalidRecordMarker()) {
   PANDORA_CHECK(coord_id_ <
                 cluster->catalog().log_layout().config().max_coordinators);
+  PANDORA_CHECK(slots_per_coordinator_ <= UINT16_MAX);  // Spans are 16-bit.
 }
 
 cluster::ReplicaSet LogWriter::LogServersFor(const cluster::Cluster& cluster,
@@ -31,107 +35,86 @@ cluster::ReplicaSet LogWriter::LogServersFor(const cluster::Cluster& cluster,
   return cluster.ring().ReplicaSetForHash(hash);
 }
 
-uint32_t LogWriter::NextSlot(rdma::NodeId server) {
-  const uint32_t slots =
-      cluster_->catalog().log_layout().config().slots_per_coordinator;
-  const uint32_t slot = next_slot_[server];
-  next_slot_[server] = (slot + 1) % slots;
-  return slot;
+void LogWriter::BeginFragments(uint64_t txn_id) {
+  prepared_first_ = buffers_used_;
+  fragments_txn_id_ = txn_id;
+  fragments_.clear();
+  fragments_.emplace_back(txn_id, coord_id_, slot_bytes_, AcquireBuffer());
+  fragment_overflow_ = false;
 }
 
-Status LogWriter::PrepareCoordinatorFragments(const store::LogRecord& record,
-                                              size_t* num_fragments) {
-  const store::LogLayout& layout = cluster_->catalog().log_layout();
-  const uint32_t slot_bytes = layout.config().slot_bytes;
-  const size_t header = store::LogRecordHeaderBytes();
-  prepared_first_ = buffers_used_;
-  *num_fragments = 0;
-
-  // Split into fragments that fit one slot each, packing greedily by wire
-  // size — O(entries) accounting, one serialization per fragment.
-  // Recovery merges fragments of the same txn_id, so one slot per
-  // fragment is all that is needed.
-  auto emit = [&](size_t first, size_t count) -> Status {
-    if (buffers_used_ == buffers_.size()) buffers_.emplace_back();
-    std::vector<char>& buf = buffers_[buffers_used_++];
-    PANDORA_RETURN_NOT_OK(store::SerializeLogRecordSpan(
-        record, first, count, slot_bytes, &buf));
-    (*num_fragments)++;
-    return Status::OK();
-  };
-
-  size_t begin = 0;
-  size_t used = header;
-  for (size_t i = 0; i < record.entries.size(); ++i) {
-    const size_t entry_bytes =
-        store::LogEntrySerializedSize(record.entries[i]);
-    if (header + entry_bytes > slot_bytes) {
-      return Status::ResourceExhausted(
-          "single log entry exceeds slot size; raise "
-          "LogConfig::slot_bytes");
-    }
-    if (used + entry_bytes > slot_bytes) {
-      PANDORA_RETURN_NOT_OK(emit(begin, i - begin));
-      begin = i;
-      used = header;
-    }
-    used += entry_bytes;
+bool LogWriter::AddFragmentEntry(store::TableId table, store::Key key,
+                                 uint64_t old_version, bool is_insert,
+                                 bool is_delete, const void* old_value,
+                                 size_t old_value_len) {
+  if (fragments_.back().AddEntry(table, key, old_version, is_insert,
+                                 is_delete, old_value, old_value_len)) {
+    return true;
   }
-  // The tail fragment; also the whole record when the entry list is empty
-  // (an all-inserts write-set under the missing-insert-logging bug).
-  PANDORA_RETURN_NOT_OK(emit(begin, record.entries.size() - begin));
+  // Fragment full: start the next one. Recovery merges fragments of the
+  // same txn_id, so one slot per fragment is all that is needed.
+  fragments_.emplace_back(fragments_txn_id_, coord_id_, slot_bytes_,
+                          AcquireBuffer());
+  if (fragments_.back().AddEntry(table, key, old_version, is_insert,
+                                 is_delete, old_value, old_value_len)) {
+    return true;
+  }
+  fragment_overflow_ = true;
+  return false;
+}
 
-  if (*num_fragments > layout.config().slots_per_coordinator) {
+Status LogWriter::FinishFragments(size_t* num_fragments) {
+  *num_fragments = fragments_.size();
+  if (fragment_overflow_) {
+    return Status::ResourceExhausted(
+        "single log entry exceeds slot size; raise LogConfig::slot_bytes");
+  }
+  if (*num_fragments > slots_per_coordinator_) {
     return Status::ResourceExhausted(
         "write-set exceeds the coordinator's log area");
   }
-  return Status::OK();
-}
-
-Status LogWriter::PostCoordinatorRecord(const store::LogRecord& record,
-                                        rdma::VerbBatch* batch,
-                                        std::vector<uint32_t>* slots) {
-  const store::LogLayout& layout = cluster_->catalog().log_layout();
-  size_t num_fragments = 0;
-  PANDORA_RETURN_NOT_OK(
-      PrepareCoordinatorFragments(record, &num_fragments));
-
-  for (size_t f = 0; f < num_fragments; ++f) {
-    const std::vector<char>& buf = PreparedFragment(f);
-    // All designated servers use the same slot index; advance their
-    // cursors in lockstep.
-    uint32_t chosen = 0;
-    bool first = true;
-    for (const rdma::NodeId server : log_servers_) {
-      const uint32_t s = NextSlot(server);
-      if (first) {
-        chosen = s;
-        first = false;
-      }
-      if (!cluster_->membership().IsMemoryAlive(server)) continue;
-      batch->Write(server_->qp(server),
-                   cluster_->catalog().log_rkey(server),
-                   layout.SlotOffset(coord_id_, s), buf.data(),
-                   buf.size());
-    }
-    slots->push_back(chosen);
+  // The tail fragment is sealed too when it holds no entry: then it is the
+  // whole record (an all-inserts write-set under the
+  // missing-insert-logging bug).
+  for (store::LogRecordWriter& fragment : fragments_) {
+    fragment.Finish(static_cast<uint16_t>(*num_fragments));
   }
   return Status::OK();
 }
 
-Status LogWriter::PostPerObjectRecord(
-    const store::LogRecord& record,
-    const cluster::ReplicaSet& object_replicas, rdma::VerbBatch* batch,
-    std::vector<std::pair<rdma::NodeId, uint32_t>>* written) {
+void LogWriter::PostCoordinatorRecord(size_t num_fragments,
+                                      rdma::VerbBatch* batch) {
   const store::LogLayout& layout = cluster_->catalog().log_layout();
-  if (buffers_used_ == buffers_.size()) buffers_.emplace_back();
-  std::vector<char>& buf = buffers_[buffers_used_++];
-  PANDORA_RETURN_NOT_OK(SerializeLogRecord(
-      record, layout.config().slot_bytes, &buf));
+  for (size_t f = 0; f < num_fragments; ++f) {
+    const std::vector<char>& buf = PreparedFragment(f);
+    for (const rdma::NodeId server : log_servers_) {
+      if (!cluster_->membership().IsMemoryAlive(server)) continue;
+      batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
+                   layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
+                   buf.data(), buf.size());
+    }
+  }
+}
 
-  for (const rdma::NodeId server : object_replicas) {
+Status LogWriter::PostIncrementalRecord(
+    const store::LogRecord& record, const cluster::ReplicaSet& servers,
+    rdma::VerbBatch* batch,
+    std::vector<std::pair<rdma::NodeId, uint32_t>>* written) {
+  for (const rdma::NodeId server : servers) {
+    if (cluster_->membership().IsMemoryAlive(server) &&
+        next_slot_[server] == slots_per_coordinator_) {
+      return Status::ResourceExhausted(
+          "transaction's log records exceed the coordinator's log area on "
+          "a memory server");
+    }
+  }
+  std::vector<char>& buf = *AcquireBuffer();
+  PANDORA_RETURN_NOT_OK(SerializeLogRecord(record, slot_bytes_, &buf));
+
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  for (const rdma::NodeId server : servers) {
     if (!cluster_->membership().IsMemoryAlive(server)) continue;
-    const uint32_t s = NextSlot(server);
+    const uint32_t s = next_slot_[server]++;
     batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
                  layout.SlotOffset(coord_id_, s), buf.data(), buf.size());
     written->emplace_back(server, s);
@@ -148,10 +131,12 @@ void LogWriter::PostInvalidate(rdma::NodeId server, uint32_t slot,
                sizeof(invalid_marker_));
 }
 
-void LogWriter::PostInvalidateCoordinatorSlot(uint32_t slot,
-                                              rdma::VerbBatch* batch) {
-  for (const rdma::NodeId server : log_servers_) {
-    PostInvalidate(server, slot, batch);
+void LogWriter::PostInvalidateCoordinatorRecord(size_t num_fragments,
+                                                rdma::VerbBatch* batch) {
+  for (size_t f = num_fragments; f-- > 0;) {
+    for (const rdma::NodeId server : log_servers_) {
+      PostInvalidate(server, static_cast<uint32_t>(f), batch);
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 #ifndef PANDORA_TXN_LOG_WRITER_H_
 #define PANDORA_TXN_LOG_WRITER_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -14,30 +16,33 @@ namespace pandora {
 namespace txn {
 
 /// Writes undo-log records into the per-coordinator areas of the memory
-/// servers' log regions, in both placement modes the protocols need:
+/// servers' log regions, in the placements the protocols need:
 ///
-///  * Coordinator log (Pandora, §3.1.4): a coordinator's records all go to
-///    the same f+1 *designated log servers*, chosen from the coordinator-id
-///    on the placement ring (the Stamos/Cristian coordinator-log
-///    technique). One record covers the whole write-set and costs one RDMA
-///    write per log server.
+///  * Coordinator log (Pandora, §3.1.4): one record covers the whole
+///    write-set, split into slot-sized fragments when it is larger. The
+///    merged commit doorbell (Coordinator::CommitMergedInternal) takes the
+///    fragments from BeginFragments / AddFragmentEntry / FinishFragments
+///    and writes them itself to every replica server the transaction
+///    touches, ahead of the applies and unlocks in the same per-server
+///    chains; the legacy sequential path (PostCoordinatorRecord) writes
+///    the same fragments to the coordinator's f+1 *designated log
+///    servers*, chosen from
+///    the coordinator-id on the placement ring (the Stamos/Cristian
+///    coordinator-log technique).
 ///
-///  * Per-object log (FORD Baseline): each write-set object gets its own
-///    single-entry record in the log regions of that *object's* replica
-///    servers — f+1 writes per object.
+///  * Incremental records (the baselines): FORD's per-object undo records
+///    go to the object's replica servers, and traditional logging's lock
+///    intents to the designated log servers, one record per post while the
+///    transaction executes (PostIncrementalRecord).
 ///
-/// Both modes rotate record slots round-robin within the coordinator's
-/// fixed-slot area; invalidation overwrites a slot's magic word with one
-/// 8-byte write.
-///
-/// Pandora's merged commit doorbell (Coordinator::CommitMergedInternal)
-/// places records differently: it takes the fragments from
-/// PrepareCoordinatorFragments / AcquireBuffer and writes them itself to
-/// slots [0, n) on every replica server the transaction touches, ahead of
-/// the applies and unlocks in the same per-server chains. The touched
-/// servers cover the write set's f+1 replicas, so the designated log
-/// servers are not involved. Recovery reads every server's area, which
-/// covers both placements.
+/// Dense log: every transaction starts at slot 0 on each server. A whole
+/// record's n fragments take slots [0, n) and carry span n; incremental
+/// records take the next free slot of a per-transaction cursor and carry
+/// span 0 (the writer cannot know how many more follow). A transaction
+/// that would need more than slots_per_coordinator slots on one server
+/// gets ResourceExhausted before anything is posted. Invalidation
+/// overwrites a slot's magic word with one 8-byte write. Recovery probes
+/// slot 0 of every server's area, which covers every placement.
 class LogWriter {
  public:
   LogWriter(cluster::Cluster* cluster, cluster::ComputeServer* server,
@@ -52,74 +57,88 @@ class LogWriter {
 
   const cluster::ReplicaSet& log_servers() const { return log_servers_; }
 
-  /// Posts the record (one write per designated log server) into `batch`
-  /// so the caller can overlap it with validation reads. A record larger
-  /// than one slot is split into multiple records sharing the txn_id over
-  /// consecutive slots — recovery merges fragments by txn_id, so the
-  /// failure-atomicity argument is unchanged (all fragments land in the
-  /// same doorbell and validation completes only after all of them).
-  /// Appends the slot indices used to `slots`.
-  Status PostCoordinatorRecord(const store::LogRecord& record,
-                               rdma::VerbBatch* batch,
-                               std::vector<uint32_t>* slots);
-
-  /// Splits `record` into slot-sized fragments and serializes each one
-  /// exactly once — O(entries) wire-size accounting, no trial
-  /// serialization. The fragments stay valid until ResetForNewTxn() or
-  /// the next Prepare call; read them back with PreparedFragment(). The
-  /// merged-commit path posts them itself (into per-server ordered
-  /// chains) instead of going through PostCoordinatorRecord.
-  Status PrepareCoordinatorFragments(const store::LogRecord& record,
-                                     size_t* num_fragments);
+  /// Hot-path fragment assembly without an intermediate LogRecord: the
+  /// merged commit serializes straight from the write set into the reused
+  /// buffer pool. BeginFragments starts the run; AddFragmentEntry packs
+  /// entries greedily, opening the next fragment when one is full, and
+  /// returns false when a single entry exceeds a slot; FinishFragments
+  /// seals every fragment with span n = *num_fragments and returns
+  /// ResourceExhausted when an entry overflowed or n exceeds the area.
+  /// The fragments stay readable through PreparedFragment(i) — to be
+  /// written to slot i — until the next BeginFragments or
+  /// ResetForNewTxn().
+  void BeginFragments(uint64_t txn_id);
+  bool AddFragmentEntry(store::TableId table, store::Key key,
+                        uint64_t old_version, bool is_insert, bool is_delete,
+                        const void* old_value, size_t old_value_len);
+  Status FinishFragments(size_t* num_fragments);
   const std::vector<char>& PreparedFragment(size_t i) const {
     return buffers_[prepared_first_ + i];
   }
 
-  /// Posts one single-entry record to each of the object's replica servers.
-  /// Appends the (server, slot) pairs written to `written` so the abort
-  /// path can invalidate them.
-  Status PostPerObjectRecord(
-      const store::LogRecord& record,
-      const cluster::ReplicaSet& object_replicas, rdma::VerbBatch* batch,
+  /// Posts the n finished fragments to slots [0, n) of every live
+  /// designated log server so the caller can overlap them with validation
+  /// reads: fragment f goes to slot f, after fragment f - 1 on the same
+  /// queue pair. Recovery merges fragments by txn_id, so the
+  /// failure-atomicity argument is unchanged (all fragments land in the
+  /// same doorbell and validation completes only after all of them).
+  void PostCoordinatorRecord(size_t num_fragments, rdma::VerbBatch* batch);
+
+  /// Posts `record` (one slot, span 0) at the next free slot of the
+  /// current transaction on each live server of `servers`. Returns
+  /// ResourceExhausted, posting nothing, when one of them has no slot
+  /// left. Appends the (server, slot) pairs written to `written` so the
+  /// abort path can invalidate them.
+  Status PostIncrementalRecord(
+      const store::LogRecord& record, const cluster::ReplicaSet& servers,
+      rdma::VerbBatch* batch,
       std::vector<std::pair<rdma::NodeId, uint32_t>>* written);
 
   /// Posts an invalidation (8-byte magic overwrite) of `slot` on `server`.
   void PostInvalidate(rdma::NodeId server, uint32_t slot,
                       rdma::VerbBatch* batch);
 
-  /// Posts invalidation of a coordinator-log slot on every designated log
-  /// server.
-  void PostInvalidateCoordinatorSlot(uint32_t slot, rdma::VerbBatch* batch);
+  /// Posts invalidation of a PostCoordinatorRecord record's slots
+  /// [0, num_fragments) on every designated log server, slot 0 last: on
+  /// one queue pair the writes land in post order, so slot 0 is never
+  /// empty while a later fragment of the record is still valid.
+  void PostInvalidateCoordinatorRecord(size_t num_fragments,
+                                       rdma::VerbBatch* batch);
 
-  /// Hot-path fragment assembly without an intermediate LogRecord: the
-  /// merged commit serializes straight from the write set into the reused
-  /// buffer pool via store::LogRecordWriter. BeginPrepare() marks the
-  /// start of the fragment run; AcquireBuffer() hands out one (recycled)
-  /// buffer per fragment, readable back through PreparedFragment().
-  void BeginPrepare() { prepared_first_ = buffers_used_; }
+  /// Starts a transaction: slot cursors back to 0, serialization buffers
+  /// recycled.
+  void ResetForNewTxn() {
+    buffers_used_ = 0;
+    std::fill(next_slot_.begin(), next_slot_.end(), 0);
+  }
+
+ private:
   std::vector<char>* AcquireBuffer() {
     if (buffers_used_ == buffers_.size()) buffers_.emplace_back();
     return &buffers_[buffers_used_++];
   }
 
-  /// Recycles the serialization buffers; call at transaction begin.
-  void ResetForNewTxn() { buffers_used_ = 0; }
-
- private:
-  uint32_t NextSlot(rdma::NodeId server);
-
   cluster::Cluster* cluster_;
   cluster::ComputeServer* server_;
   uint16_t coord_id_;
+  uint32_t slots_per_coordinator_;
+  uint32_t slot_bytes_;
   cluster::ReplicaSet log_servers_;
-  /// Round-robin slot cursor per memory server (indexed by NodeId).
+  /// The current transaction's next free slot per memory server (indexed
+  /// by NodeId), for incremental records.
   std::vector<uint32_t> next_slot_;
   /// Serialization buffers; stable for the duration of one batch because
-  /// the simulated fabric applies writes at post time.
-  std::vector<std::vector<char>> buffers_;
+  /// the simulated fabric applies writes at post time. A deque, so the
+  /// open fragment writers' buffers stay put while the pool grows.
+  std::deque<std::vector<char>> buffers_;
   size_t buffers_used_ = 0;
-  /// First buffer index of the most recent PrepareCoordinatorFragments.
+  /// The fragment run of the most recent BeginFragments: its first buffer
+  /// index, its transaction, one writer per fragment, and whether an entry
+  /// overflowed a slot.
   size_t prepared_first_ = 0;
+  uint64_t fragments_txn_id_ = 0;
+  std::vector<store::LogRecordWriter> fragments_;
+  bool fragment_overflow_ = false;
   uint64_t invalid_marker_;
 };
 

@@ -333,34 +333,77 @@ class RecoveryTest : public ::testing::Test {
     }
   }
 
+  // The header of `slot` in `id`'s log area on `node`.
+  Result<store::LogExtent> SlotHeader(rdma::NodeId node, uint16_t id,
+                                      uint32_t slot) {
+    const store::LogLayout& layout = cluster_->catalog().log_layout();
+    std::vector<char> header(store::LogRecordHeaderBytes());
+    EXPECT_TRUE(cluster_->compute(1)
+                    ->qp(node)
+                    ->Read(cluster_->catalog().log_rkey(node),
+                           layout.SlotOffset(id, slot), header.data(),
+                           header.size())
+                    .ok());
+    return store::LogRecordExtent(header.data(), layout.config().slot_bytes);
+  }
+
   // Every (memory node, slot) of `id`'s log area holding a record longer
   // than the recovery coordinator's slot probe.
   std::vector<std::pair<rdma::NodeId, uint32_t>> LongRecordSlots(
       uint16_t id) {
     const store::LogLayout& layout = cluster_->catalog().log_layout();
-    const uint32_t slot_bytes = layout.config().slot_bytes;
     std::vector<std::pair<rdma::NodeId, uint32_t>> slots;
     for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
       const rdma::NodeId node = cluster_->memory_node_id(m);
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
       for (uint32_t slot = 0; slot < layout.config().slots_per_coordinator;
            ++slot) {
-        std::vector<char> header(store::LogRecordHeaderBytes());
-        EXPECT_TRUE(cluster_->compute(1)
-                        ->qp(node)
-                        ->Read(cluster_->catalog().log_rkey(node),
-                               layout.SlotOffset(id, slot), header.data(),
-                               header.size())
-                        .ok());
-        const Result<size_t> extent =
-            store::LogRecordExtent(header.data(), slot_bytes);
+        const Result<store::LogExtent> extent = SlotHeader(node, id, slot);
         if (extent.ok() &&
-            extent.value() > RecoveryCoordinator::kLogProbeBytes) {
+            extent.value().bytes > RecoveryCoordinator::kLogProbeBytes) {
           slots.emplace_back(node, slot);
         }
       }
     }
     return slots;
+  }
+
+  // --- Multi-fragment records --------------------------------------------
+
+  // Ten keys written by a wide transaction: with 256-byte slots (four
+  // 48-byte entries each) its record spans three fragments, keys [0, 4)
+  // in the first.
+  static std::vector<store::Key> WideKeys() {
+    std::vector<store::Key> keys;
+    for (store::Key k = 100; k < 110; ++k) keys.push_back(k);
+    return keys;
+  }
+
+  // A cluster with 256-byte log slots, the failure detector stopped, and
+  // coordinators on the sequential commit path, whose records go to slots
+  // [0, n) of the coordinator's two designated log servers.
+  void RebuildWithSmallSlots() {
+    log_config_ = {.slots_per_coordinator = 8, .slot_bytes = 256,
+                   .max_coordinators = 512};
+    Rebuild(txn::ProtocolMode::kPandora);
+    manager_->Stop();
+    txn_config_.sequential_verbs = true;
+  }
+
+  // Runs one transaction on `coord` writing `keys` that crashes at
+  // `point`, then crashes compute 0 for good.
+  void CrashTxn(txn::Coordinator* coord, txn::CrashPoint point,
+                const std::vector<store::Key>& keys) {
+    CrashAt hook(point);
+    coord->set_crash_hook(&hook);
+    Status status = coord->Begin();
+    for (const store::Key key : keys) {
+      if (status.ok()) status = coord->Write(table_, key, Padded("crashed"));
+    }
+    if (status.ok()) status = coord->Commit();
+    EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+    coord->set_crash_hook(nullptr);
+    cluster_->CrashComputeNode(cluster_->compute_node_id(0));
   }
 
   static void ExpectSameCounts(const RecoveryStats& a,
@@ -1047,8 +1090,9 @@ TEST_F(RecoveryTest, WindowedRecoveryMatchesPerCoordinatorRecovery) {
 // rings one more, for the tails.
 TEST_F(RecoveryTest, LogRecoveryRingsFixedDoorbellsPerWindow) {
   constexpr int kCoordinators = 64;
-  // 128 slots of 512 bytes: 96 KiB of probes per coordinator over three
-  // servers, so 42 coordinators per 4 MiB window.
+  // 128 slots of 512 bytes: a window is sized as if all 128 slots were
+  // probed on each of three servers (96 KiB per coordinator), so it holds
+  // 42 coordinators of a 4 MiB buffer.
   log_config_ = {.slots_per_coordinator = 128, .slot_bytes = 512,
                  .max_coordinators = 128};
   for (const bool with_long_record : {false, true}) {
@@ -1073,6 +1117,11 @@ TEST_F(RecoveryTest, LogRecoveryRingsFixedDoorbellsPerWindow) {
     EXPECT_EQ(stats.doorbells,
               RecoveryCoordinator::kRoundsPerWindow * windows +
                   (with_long_record ? 1 : 0));
+    if (!with_long_record) {  // The windows read the slot-0 probes only.
+      EXPECT_EQ(stats.log_bytes_read, uint64_t{kCoordinators} *
+                                          cluster_->total_memory_nodes() *
+                                          RecoveryCoordinator::kLogProbeBytes);
+    }
     ExpectRecoveredState(staged);
   }
 }
@@ -1080,7 +1129,10 @@ TEST_F(RecoveryTest, LogRecoveryRingsFixedDoorbellsPerWindow) {
 // Records longer than the slot probe recover through the tail round in
 // every protocol mode: 320-byte values make each undo entry outgrow the
 // probe, whether it sits in Pandora's coordinator record or in the
-// baselines' per-object records. One window, one extra doorbell.
+// baselines' per-object records. One window, one extra doorbell for the
+// tails. The baselines' records leave their span unknown, so the rest of
+// each area is probed in that doorbell too, and the tails of the long
+// records found there ring one more.
 TEST_F(RecoveryTest, LongRecordsRecoverWithOneTailDoorbell) {
   value_size_ = 320;
   for (const txn::ProtocolMode mode :
@@ -1101,7 +1153,9 @@ TEST_F(RecoveryTest, LongRecordsRecoverWithOneTailDoorbell) {
     const RecoveryStats stats = manager_->last_recovery_stats();
     EXPECT_GT(stats.rolled_back, 0u);
     EXPECT_EQ(stats.torn_records, 0u);
-    EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
+    EXPECT_EQ(stats.doorbells,
+              RecoveryCoordinator::kRoundsPerWindow +
+                  (mode == txn::ProtocolMode::kPandora ? 1 : 2));
     ExpectRecoveredState(staged);
   }
 }
@@ -1109,7 +1163,9 @@ TEST_F(RecoveryTest, LongRecordsRecoverWithOneTailDoorbell) {
 // A long record whose header landed but whose tail did not: the tail round
 // reads the stale tail, the checksum over the whole record rejects it, and
 // the slot counts as torn and is truncated like any other non-empty slot.
-// The record's other copy still recovers the transaction.
+// The record's other copy still recovers the transaction. A torn slot 0
+// cannot vouch for its span, so the rest of its area is probed one
+// doorbell after the tail.
 TEST_F(RecoveryTest, TornTailOfLongRecordIsDetectedAndTruncated) {
   manager_->Stop();
   const std::vector<StagedTxn> staged =
@@ -1133,7 +1189,7 @@ TEST_F(RecoveryTest, TornTailOfLongRecordIsDetectedAndTruncated) {
   EXPECT_EQ(stats.torn_records, 1u);
   EXPECT_EQ(stats.logged_txns, 1u);
   EXPECT_EQ(stats.rolled_back, 1u);
-  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
+  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 2);
   ExpectRecoveredState(staged);
   for (const auto& [n, s] : long_slots) {
     uint64_t magic = 1;
@@ -1145,6 +1201,259 @@ TEST_F(RecoveryTest, TornTailOfLongRecordIsDetectedAndTruncated) {
                     .ok());
     EXPECT_EQ(magic, store::InvalidRecordMarker())
         << "slot " << s << " on node " << n << " not truncated";
+  }
+}
+
+// The dense log's probe shape: crashed coordinators whose transactions
+// each logged one short record cost exactly one slot-0 probe per server
+// and nothing more, in kRoundsPerWindow doorbells.
+TEST_F(RecoveryTest, SingleFragmentLogsReadOneProbePerServer) {
+  constexpr int kCoordinators = 24;
+  manager_->Stop();
+  const std::vector<StagedTxn> staged =
+      StageCrashes(/*seed=*/7, kCoordinators, MixedPoints());
+  ASSERT_TRUE(RecoverIds(IdsOf(staged)).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  EXPECT_EQ(stats.log_bytes_read, uint64_t{kCoordinators} *
+                                      cluster_->total_memory_nodes() *
+                                      RecoveryCoordinator::kLogProbeBytes);
+  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow);
+  EXPECT_GT(stats.logged_txns, 0u);
+  EXPECT_GT(stats.objects_restored, 0u);  // Every round had work.
+  EXPECT_EQ(stats.torn_records, 0u);
+  ExpectRecoveredState(staged);
+}
+
+// A completed three-fragment transaction leaves fragments in slots 1-2;
+// the coordinator's next transaction logs one fragment in slot 0 and
+// crashes. Its span of one keeps the stale fragments unread: they cost no
+// bytes, add no transaction, restore nothing, release nothing, and stay
+// in place (only what recovery read is truncated).
+TEST_F(RecoveryTest, StaleFragmentsBeyondTheSpanAreNotRead) {
+  RebuildWithSmallSlots();
+  auto c0 = MakeCoordinator(0);
+  const uint16_t id = c0->coord_id();
+  const cluster::ReplicaSet log_servers =
+      txn::LogWriter::LogServersFor(*cluster_, id);
+  ASSERT_TRUE(c0->Begin().ok());
+  for (const store::Key key : WideKeys()) {
+    ASSERT_TRUE(c0->Write(table_, key, Padded("wide")).ok());
+  }
+  ASSERT_TRUE(c0->Commit().ok());
+  for (const rdma::NodeId node : log_servers) {
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+      const Result<store::LogExtent> header = SlotHeader(node, id, slot);
+      ASSERT_TRUE(header.ok());
+      ASSERT_GT(header.value().bytes, 0u);
+      ASSERT_EQ(header.value().span, 3u);
+    }
+  }
+
+  CrashTxn(c0.get(), txn::CrashPoint::kAfterValidation, {120, 121});
+  ASSERT_TRUE(RecoverIds({id}).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  EXPECT_EQ(stats.log_bytes_read, cluster_->total_memory_nodes() *
+                                      RecoveryCoordinator::kLogProbeBytes);
+  EXPECT_EQ(stats.logged_txns, 1u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.rolled_forward, 0u);
+  EXPECT_EQ(stats.objects_restored, 0u);
+  EXPECT_EQ(stats.locks_released, 2u);
+  for (const rdma::NodeId node : log_servers) {
+    EXPECT_EQ(SlotHeader(node, id, 0).value().bytes, 0u);  // Truncated.
+    for (uint32_t slot = 1; slot < 3; ++slot) {
+      EXPECT_EQ(SlotHeader(node, id, slot).value().span, 3u)
+          << "stale fragment in slot " << slot << " was touched";
+    }
+  }
+  for (const store::Key key : WideKeys()) {
+    EXPECT_EQ(ReadCommitted(key), Padded("wide"));
+    ExpectConsistentAndUnlocked(key);
+  }
+  for (const store::Key key : {120, 121}) {
+    EXPECT_EQ(ReadCommitted(key), Padded("init"));
+    ExpectConsistentAndUnlocked(key);
+  }
+}
+
+// A crashed transaction spanning three slots: the probe of slot 0 tells
+// the span, and slots [1, 3) ride the conditional doorbell — one more than
+// kRoundsPerWindow, with every fragment merged into one transaction.
+TEST_F(RecoveryTest, MultiFragmentSpanIsReadInTheConditionalDoorbell) {
+  RebuildWithSmallSlots();
+  auto c0 = MakeCoordinator(0);
+  const uint16_t id = c0->coord_id();
+  CrashTxn(c0.get(), txn::CrashPoint::kMidCommitApply, WideKeys());
+  ASSERT_TRUE(RecoverIds({id}).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  const uint32_t slot_bytes = log_config_.slot_bytes;
+  EXPECT_EQ(stats.log_bytes_read,
+            cluster_->total_memory_nodes() *
+                    RecoveryCoordinator::kLogProbeBytes +
+                2 /*log servers*/ * 2 /*slots 1-2*/ * slot_bytes);
+  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
+  EXPECT_EQ(stats.logged_txns, 1u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_GT(stats.objects_restored, 0u);
+  EXPECT_EQ(stats.locks_released, WideKeys().size());
+  EXPECT_EQ(stats.torn_records, 0u);
+  for (const rdma::NodeId node :
+       txn::LogWriter::LogServersFor(*cluster_, id)) {
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+      EXPECT_EQ(SlotHeader(node, id, slot).value().bytes, 0u)
+          << "slot " << slot << " on node " << node << " not truncated";
+    }
+  }
+  for (const store::Key key : WideKeys()) {
+    EXPECT_EQ(ReadCommitted(key), Padded("init"));
+    ExpectConsistentAndUnlocked(key);
+  }
+}
+
+// A torn slot-0 header cannot say how far its transaction reaches, so the
+// whole rest of the area is read: the locks named only in the later
+// fragments are still released. Slot 0's own keys stay locked by the dead
+// coordinator — PILL-stealable strays, as for any torn record.
+TEST_F(RecoveryTest, TornSlotZeroFallsBackToTheWholeArea) {
+  RebuildWithSmallSlots();
+  auto c0 = MakeCoordinator(0);
+  const uint16_t id = c0->coord_id();
+  const cluster::ReplicaSet log_servers =
+      txn::LogWriter::LogServersFor(*cluster_, id);
+  const std::vector<store::Key> keys = WideKeys();
+  CrashTxn(c0.get(), txn::CrashPoint::kAfterValidation, keys);
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint64_t garbage = 0x5eed'5eed'5eed'5eedULL;
+  for (const rdma::NodeId node : log_servers) {
+    ASSERT_TRUE(cluster_->compute(1)
+                    ->qp(node)
+                    ->Write(cluster_->catalog().log_rkey(node),
+                            layout.SlotOffset(id, 0), &garbage,
+                            sizeof(garbage))
+                    .ok());
+    ASSERT_FALSE(SlotHeader(node, id, 0).ok());
+  }
+
+  ASSERT_TRUE(RecoverIds({id}).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  const uint64_t rest_of_area =
+      uint64_t{log_config_.slots_per_coordinator - 1} * log_config_.slot_bytes;
+  EXPECT_EQ(stats.log_bytes_read,
+            cluster_->total_memory_nodes() *
+                    RecoveryCoordinator::kLogProbeBytes +
+                2 /*log servers*/ * rest_of_area);
+  EXPECT_EQ(stats.torn_records, 2u);
+  EXPECT_EQ(stats.logged_txns, 1u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.locks_released, keys.size() - 4);
+  for (const rdma::NodeId node : log_servers) {
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+      const Result<store::LogExtent> header = SlotHeader(node, id, slot);
+      EXPECT_TRUE(header.ok() && header.value().bytes == 0)
+          << "slot " << slot << " on node " << node << " not truncated";
+    }
+  }
+  for (size_t i = 4; i < keys.size(); ++i) {
+    EXPECT_EQ(ReadCommitted(keys[i]), Padded("init"));
+    ExpectConsistentAndUnlocked(keys[i]);
+  }
+  // The first fragment's keys: stray locks of the dead coordinator, which
+  // a survivor steals.
+  auto c1 = MakeCoordinator(1);
+  ASSERT_TRUE(c1->Begin().ok());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c1->Write(table_, keys[i], Padded("stolen")).ok());
+  }
+  ASSERT_TRUE(c1->Commit().ok());
+  EXPECT_EQ(c1->stats().locks_stolen, 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ReadCommitted(keys[i]), Padded("stolen"));
+    ExpectConsistentAndUnlocked(keys[i]);
+  }
+}
+
+// A slot-0 record longer than the probe is trusted for its span before
+// its checksum is checked, so its span's slots ride the tail's doorbell.
+// When the checksum then fails, the span may be torn too: the rest of the
+// area is read, one doorbell later. Here the span understates the
+// transaction (1 instead of 2), and the locks named only in slot 1 are
+// still released.
+TEST_F(RecoveryTest, TornLongSlotZeroFallsBackToTheWholeArea) {
+  log_config_ = {.slots_per_coordinator = 8, .slot_bytes = 512,
+                 .max_coordinators = 512};
+  Rebuild(txn::ProtocolMode::kPandora);
+  manager_->Stop();
+  txn_config_.sequential_verbs = true;
+  auto c0 = MakeCoordinator(0);
+  const uint16_t id = c0->coord_id();
+  const cluster::ReplicaSet log_servers =
+      txn::LogWriter::LogServersFor(*cluster_, id);
+  const std::vector<store::Key> keys = WideKeys();
+  CrashTxn(c0.get(), txn::CrashPoint::kAfterValidation, keys);
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint32_t probe = RecoveryCoordinator::kLogProbeBytes;
+  size_t slot0_bytes = 0;
+  for (const rdma::NodeId node : log_servers) {
+    const Result<store::LogExtent> header = SlotHeader(node, id, 0);
+    ASSERT_TRUE(header.ok());
+    ASSERT_GT(header.value().bytes, probe);
+    ASSERT_EQ(header.value().span, 2u);
+    slot0_bytes = header.value().bytes;
+    // The header word at byte 16: coordinator id, then the span.
+    uint64_t word = 0;
+    ASSERT_TRUE(cluster_->compute(1)
+                    ->qp(node)
+                    ->Read(cluster_->catalog().log_rkey(node),
+                           layout.SlotOffset(id, 0) + 16, &word, sizeof(word))
+                    .ok());
+    word = (word & ~uint64_t{0xffff'0000}) | (uint64_t{1} << 16);
+    ASSERT_TRUE(cluster_->compute(1)
+                    ->qp(node)
+                    ->Write(cluster_->catalog().log_rkey(node),
+                            layout.SlotOffset(id, 0) + 16, &word,
+                            sizeof(word))
+                    .ok());
+    ASSERT_EQ(SlotHeader(node, id, 0).value().span, 1u);
+  }
+  // The keys slot 1 holds on the first log server (the same on both).
+  std::vector<char> image(log_config_.slot_bytes);
+  ASSERT_TRUE(cluster_->compute(1)
+                  ->qp(log_servers[0])
+                  ->Read(cluster_->catalog().log_rkey(log_servers[0]),
+                         layout.SlotOffset(id, 1), image.data(),
+                         image.size())
+                  .ok());
+  store::LogRecord later;
+  ASSERT_TRUE(
+      store::ParseLogRecord(image.data(), log_config_.slot_bytes, &later)
+          .ok());
+  ASSERT_FALSE(later.entries.empty());
+
+  ASSERT_TRUE(RecoverIds({id}).ok());
+  const RecoveryStats stats = manager_->last_recovery_stats();
+  const uint64_t rest_of_area =
+      uint64_t{log_config_.slots_per_coordinator - 1} * probe;
+  EXPECT_EQ(stats.log_bytes_read,
+            cluster_->total_memory_nodes() * probe +
+                2 /*log servers*/ * (slot0_bytes - probe + rest_of_area));
+  // The tail and the rest of the area add two log doorbells; nothing was
+  // applied, so the restore round is empty and rings none.
+  EXPECT_EQ(stats.objects_restored, 0u);
+  EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow - 1 + 2);
+  EXPECT_EQ(stats.torn_records, 2u);
+  EXPECT_EQ(stats.logged_txns, 1u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.locks_released, later.entries.size());
+  for (const store::LogEntry& entry : later.entries) {
+    EXPECT_EQ(ReadCommitted(entry.key), Padded("init"));
+    ExpectConsistentAndUnlocked(entry.key);
+  }
+  for (const rdma::NodeId node : log_servers) {
+    for (uint32_t slot = 0; slot < 2; ++slot) {
+      const Result<store::LogExtent> header = SlotHeader(node, id, slot);
+      EXPECT_TRUE(header.ok() && header.value().bytes == 0)
+          << "slot " << slot << " on node " << node << " not truncated";
+    }
   }
 }
 

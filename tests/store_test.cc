@@ -209,17 +209,17 @@ TEST(LogRecordTest, OversizedRecordRejected) {
   EXPECT_TRUE(SerializeLogRecord(rec, 4096, &buf).IsResourceExhausted());
 }
 
-// A one-entry record whose serialized size is exactly `bytes`.
+// A one-entry record whose serialized size is exactly `bytes` (a
+// multiple of 8).
 std::vector<char> RecordOfSize(size_t bytes) {
   LogRecord rec;
   rec.txn_id = 7;
   rec.coord_id = 3;
-  LogEntry e;
-  e.key = 11;
-  e.old_value = std::vector<char>(
-      bytes - LogRecordHeaderBytes() - LogEntrySerializedSize(e), 'v');
-  rec.entries.push_back(e);
+  rec.entries.emplace_back();
+  rec.entries[0].key = 11;
   std::vector<char> buf;
+  EXPECT_TRUE(SerializeLogRecord(rec, 4096, &buf).ok());
+  rec.entries[0].old_value = std::vector<char>(bytes - buf.size(), 'v');
   EXPECT_TRUE(SerializeLogRecord(rec, 4096, &buf).ok());
   EXPECT_EQ(buf.size(), bytes);
   return buf;
@@ -227,15 +227,15 @@ std::vector<char> RecordOfSize(size_t bytes) {
 
 TEST(LogRecordExtentTest, EmptyAndInvalidatedSlotsAreZero) {
   std::vector<char> slot(64, 0);
-  Result<size_t> extent = LogRecordExtent(slot.data(), 4096);
+  Result<LogExtent> extent = LogRecordExtent(slot.data(), 4096);
   ASSERT_TRUE(extent.ok());
-  EXPECT_EQ(extent.value(), 0u);
+  EXPECT_EQ(extent.value().bytes, 0u);
 
   std::vector<char> buf = RecordOfSize(128);
   EncodeFixed64(buf.data(), InvalidRecordMarker());
   extent = LogRecordExtent(buf.data(), 4096);
   ASSERT_TRUE(extent.ok());
-  EXPECT_EQ(extent.value(), 0u);
+  EXPECT_EQ(extent.value().bytes, 0u);
 }
 
 TEST(LogRecordExtentTest, BadMagicIsCorruption) {
@@ -247,32 +247,103 @@ TEST(LogRecordExtentTest, BadMagicIsCorruption) {
 TEST(LogRecordExtentTest, LengthBeyondSlotIsCorruption) {
   std::vector<char> buf = RecordOfSize(512);
   EXPECT_TRUE(LogRecordExtent(buf.data(), 504).status().IsCorruption());
-  EXPECT_EQ(LogRecordExtent(buf.data(), 512).value(), 512u);
+  EXPECT_EQ(LogRecordExtent(buf.data(), 512).value().bytes, 512u);
   // A garbled length must not wrap around the bound.
   EncodeFixed64(buf.data() + 24, ~uint64_t{0} - 16);
   EXPECT_TRUE(LogRecordExtent(buf.data(), 4096).status().IsCorruption());
 }
 
-// A reader probing a fixed 256-byte prefix of every slot needs the tail
+// A reader probing a fixed 256-byte prefix of a slot needs the tail
 // exactly when the extent exceeds the prefix; the header alone decides.
 TEST(LogRecordExtentTest, RecordsAtAndJustOverAProbe) {
   constexpr size_t kProbe = 256;
   const std::vector<char> fits = RecordOfSize(kProbe);
-  const Result<size_t> at = LogRecordExtent(fits.data(), 4096);
+  const Result<LogExtent> at = LogRecordExtent(fits.data(), 4096);
   ASSERT_TRUE(at.ok());
-  EXPECT_EQ(at.value(), kProbe);
+  EXPECT_EQ(at.value().bytes, kProbe);
   LogRecord parsed;
   EXPECT_TRUE(ParseLogRecord(fits.data(), 4096, &parsed).ok());
 
   const std::vector<char> over = RecordOfSize(kProbe + 8);
-  const Result<size_t> beyond = LogRecordExtent(over.data(), 4096);
+  const Result<LogExtent> beyond = LogRecordExtent(over.data(), 4096);
   ASSERT_TRUE(beyond.ok());
-  EXPECT_EQ(beyond.value(), kProbe + 8);
+  EXPECT_EQ(beyond.value().bytes, kProbe + 8);
   // The prefix alone is not the record: its last word is missing.
   std::vector<char> prefix_only(4096, 0);
   std::memcpy(prefix_only.data(), over.data(), kProbe);
   EXPECT_TRUE(
       ParseLogRecord(prefix_only.data(), 4096, &parsed).IsCorruption());
+}
+
+// The span — the slots a record's transaction uses on its server — rides
+// in the high half of the coord_id word: the header stays 40 bytes, and
+// every serializer writes it and every reader returns it.
+TEST(LogRecordSpanTest, RoundTripsThroughEveryWriterAndReader) {
+  EXPECT_EQ(LogRecordHeaderBytes(), 40u);
+  LogRecord rec = MakeTestRecord();
+  rec.coord_id = 0xffff;  // The whole low half: must not bleed into span.
+
+  std::vector<char> spanned;
+  ASSERT_TRUE(SerializeLogRecordSpan(rec, 1, 2, /*span=*/3, 4096, &spanned)
+                  .ok());
+  std::vector<char> streamed;
+  LogRecordWriter writer(rec.txn_id, rec.coord_id, 4096, &streamed);
+  for (size_t i = 1; i < 3; ++i) {
+    const LogEntry& e = rec.entries[i];
+    ASSERT_TRUE(writer.AddEntry(e.table, e.key, e.old_version, e.is_insert,
+                                e.is_delete, e.old_value.data(),
+                                e.old_value.size()));
+  }
+  writer.Finish(3);
+  EXPECT_EQ(streamed, spanned);  // Same wire image, span included.
+
+  for (const uint16_t span : {uint16_t{0}, uint16_t{1}, uint16_t{0xffff}}) {
+    SCOPED_TRACE(span);
+    std::vector<char> buf;
+    ASSERT_TRUE(SerializeLogRecordSpan(rec, 0, rec.entries.size(), span,
+                                       4096, &buf)
+                    .ok());
+    const Result<LogExtent> extent = LogRecordExtent(buf.data(), 4096);
+    ASSERT_TRUE(extent.ok());
+    EXPECT_EQ(extent.value().bytes, buf.size());
+    EXPECT_EQ(extent.value().span, span);
+    ASSERT_TRUE(VerifiedLogRecordExtent(buf.data(), 4096).ok());
+    EXPECT_EQ(VerifiedLogRecordExtent(buf.data(), 4096).value().span, span);
+    LogRecord parsed;
+    ASSERT_TRUE(ParseLogRecord(buf.data(), 4096, &parsed).ok());
+    EXPECT_EQ(parsed.span, span);
+    EXPECT_EQ(parsed.coord_id, 0xffff);
+    EXPECT_EQ(parsed.entries.size(), 3u);
+  }
+
+  // The whole-record serializer writes the baselines' unknown span.
+  std::vector<char> whole;
+  ASSERT_TRUE(SerializeLogRecord(rec, 4096, &whole).ok());
+  LogRecord parsed;
+  ASSERT_TRUE(ParseLogRecord(whole.data(), 4096, &parsed).ok());
+  EXPECT_EQ(parsed.span, 0u);
+  EXPECT_EQ(parsed.coord_id, 0xffff);
+}
+
+// The checksum covers the span: a flipped span bit is a torn record, never
+// a record that claims a different number of slots. The header-only
+// extent cannot tell, which is why a reader verifies before trusting it.
+TEST(LogRecordSpanTest, FlippedSpanBitIsCorruption) {
+  const LogRecord rec = MakeTestRecord();
+  std::vector<char> buf;
+  ASSERT_TRUE(
+      SerializeLogRecordSpan(rec, 0, rec.entries.size(), 2, 4096, &buf).ok());
+  for (const int bit : {0, 5, 15}) {
+    SCOPED_TRACE(bit);
+    std::vector<char> torn = buf;
+    torn[18 + bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    ASSERT_TRUE(LogRecordExtent(torn.data(), 4096).ok());
+    EXPECT_NE(LogRecordExtent(torn.data(), 4096).value().span, 2u);
+    EXPECT_TRUE(
+        VerifiedLogRecordExtent(torn.data(), 4096).status().IsCorruption());
+    LogRecord parsed;
+    EXPECT_TRUE(ParseLogRecord(torn.data(), 4096, &parsed).IsCorruption());
+  }
 }
 
 // ------------------------------------------------------------- LogLayout --

@@ -719,6 +719,91 @@ TEST_F(TxnTest, PlacementCacheInvalidatedByMemoryFailover) {
   EXPECT_EQ(ReadCommitted(reader.get(), victim), Padded("failover"));
 }
 
+// Baseline records take one slot each, counted per transaction from slot 0
+// on every server. The write that would need a slot past a server's area
+// aborts the transaction cleanly, posting nothing: earlier records are
+// invalidated, locks released, and no record is overwritten. The limit is
+// per server, so the failing write is predicted from placement: FORD posts
+// one record per object replica, traditional logging adds a lock intent
+// on each designated log server.
+TEST_F(TxnTest, BaselineWriterAbortsWhenAServerLogAreaIsFull) {
+  const store::LogLayout& layout = cluster_->catalog().log_layout();
+  const uint32_t slots = layout.config().slots_per_coordinator;
+  uint16_t id = 1;
+  for (const ProtocolMode mode :
+       {ProtocolMode::kFordBaseline, ProtocolMode::kTraditionalLogging}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TxnConfig config;
+    config.mode = mode;
+    auto coord = MakeCoordinator(0, ++id, config);
+    const cluster::ReplicaSet log_servers =
+        LogWriter::LogServersFor(*cluster_, id);
+
+    std::vector<uint32_t> used(cluster_->total_memory_nodes(), 0);
+    ASSERT_TRUE(coord->Begin().ok());
+    std::vector<store::Key> keys;
+    Status status;
+    bool expect_full = false;
+    for (store::Key key = 0; key < 100 && status.ok(); ++key) {
+      std::vector<uint32_t> next = used;
+      if (mode == ProtocolMode::kTraditionalLogging) {
+        for (const rdma::NodeId node : log_servers) next[node]++;
+      }
+      for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
+        next[node]++;
+      }
+      expect_full = false;
+      for (const uint32_t n : next) expect_full = expect_full || n > slots;
+      keys.push_back(key);
+      status = coord->Write(table_, key, Padded("full"));
+      used = next;
+    }
+    ASSERT_TRUE(expect_full) << "the write set never filled a server";
+    EXPECT_TRUE(status.IsAborted()) << status.ToString();
+    EXPECT_EQ(coord->stats().aborted, 1u);
+    EXPECT_GT(keys.size(), slots / 2) << "aborted before any area was full";
+
+    // The transaction is over: nothing locked or changed, the coordinator
+    // takes the next one, and no undo record is left valid (lock intents
+    // stay; a stale intent is a no-op for recovery).
+    auto reader = MakeCoordinator(1, 60);
+    for (const store::Key key : keys) {
+      for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
+        EXPECT_FALSE(store::LockHeld(Inspect(key, node).lock))
+            << "key " << key << " on node " << node;
+      }
+      EXPECT_EQ(ReadCommitted(reader.get(), key),
+                Padded("init-" + std::to_string(key)));
+    }
+    for (uint32_t m = 0; m < cluster_->total_memory_nodes(); ++m) {
+      const rdma::NodeId node = cluster_->memory_node_id(m);
+      for (uint32_t slot = 0; slot < slots; ++slot) {
+        std::vector<char> image(layout.config().slot_bytes);
+        ASSERT_TRUE(cluster_->compute(1)
+                        ->qp(node)
+                        ->Read(cluster_->catalog().log_rkey(node),
+                               layout.SlotOffset(id, slot), image.data(),
+                               image.size())
+                        .ok());
+        store::LogRecord record;
+        if (!store::ParseLogRecord(image.data(), image.size(), &record)
+                 .ok()) {
+          continue;
+        }
+        EXPECT_EQ(record.span, 0u);  // Posted one at a time.
+        for (const store::LogEntry& entry : record.entries) {
+          EXPECT_TRUE(entry.is_lock_intent)
+              << "undo record of key " << entry.key << " left in slot "
+              << slot << " on node " << node;
+        }
+      }
+    }
+    ASSERT_TRUE(coord->Begin().ok());
+    ASSERT_TRUE(coord->Write(table_, 0, Padded("init-0")).ok());
+    ASSERT_TRUE(coord->Commit().ok());
+  }
+}
+
 // A warm merged-path commit (validation, log fragments, applies and unlocks
 // in one doorbell group) must not touch the heap: the ordered chains, the
 // validation buffer and the log and apply buffers are all reused.
