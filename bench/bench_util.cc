@@ -1,5 +1,7 @@
 #include "bench/bench_util.h"
 
+#include <sys/resource.h>
+
 #include "common/logging.h"
 
 namespace pandora {
@@ -130,12 +132,26 @@ std::string GitSha() {
   return "unknown";
 }
 
+namespace {
+
+// The process's peak resident set size so far, in MiB.
+double PeakRssMiB() {
+  struct rusage usage;
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux.
+}
+
+}  // namespace
+
 std::string BenchJson::Write() const {
-  // Every artifact is traceable to a commit: emitters that did not set
-  // git_sha themselves get it stamped here.
+  // Every artifact is traceable to a commit and states the memory it
+  // took: emitters that did not set git_sha or peak_rss_mb themselves get
+  // them stamped here.
   bool have_sha = false;
+  bool have_rss = false;
   for (const auto& metric : metrics_) {
     if (metric.key == "git_sha") have_sha = true;
+    if (metric.key == "peak_rss_mb") have_rss = true;
   }
   std::string path;
   const char* dir = std::getenv("PANDORA_BENCH_JSON_DIR");
@@ -151,6 +167,9 @@ std::string BenchJson::Write() const {
   std::fprintf(f, "{\n  \"bench\": \"%s\"", name_.c_str());
   if (!have_sha) {
     std::fprintf(f, ",\n  \"git_sha\": \"%s\"", GitSha().c_str());
+  }
+  if (!have_rss) {
+    std::fprintf(f, ",\n  \"peak_rss_mb\": %.1f", PeakRssMiB());
   }
   for (const auto& metric : metrics_) {
     if (metric.is_text) {

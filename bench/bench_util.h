@@ -75,8 +75,9 @@ void PrintRow(const std::string& label, double value,
 
 /// Machine-readable results: an ordered flat map of metric name -> number
 /// (or string), written as BENCH_<name>.json into PANDORA_BENCH_JSON_DIR
-/// (or the working directory when unset). Keys use dotted prefixes to
-/// group runs, e.g. "pipelined.p50_us".
+/// (or the working directory when unset), stamped with git_sha and
+/// peak_rss_mb. Keys use dotted prefixes to group runs, e.g.
+/// "pipelined.p50_us".
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}

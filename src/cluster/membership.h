@@ -45,18 +45,27 @@ class Membership {
   /// so Begin/End form a counter rather than a flag.
   void BeginReconfiguration() {
     reconfiguring_.fetch_add(1, std::memory_order_acq_rel);
+    barrier_changes_.fetch_add(1, std::memory_order_acq_rel);
   }
   void EndReconfiguration() {
+    barrier_changes_.fetch_add(1, std::memory_order_acq_rel);
     reconfiguring_.fetch_sub(1, std::memory_order_acq_rel);
   }
   bool reconfiguring() const {
     return reconfiguring_.load(std::memory_order_acquire) > 0;
+  }
+  /// Begin/End calls so far. A poller that samples it alongside
+  /// reconfiguring() notices every barrier, even one that rose and fell
+  /// between two of its polls.
+  uint64_t barrier_changes() const {
+    return barrier_changes_.load(std::memory_order_acquire);
   }
 
  private:
   AtomicFixedBitset<rdma::kMaxNodes> dead_memory_;
   std::atomic<uint64_t> epoch_{0};
   std::atomic<int> reconfiguring_{0};
+  std::atomic<uint64_t> barrier_changes_{0};
 };
 
 }  // namespace cluster

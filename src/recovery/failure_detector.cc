@@ -1,5 +1,7 @@
 #include "recovery/failure_detector.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
 #include "common/logging.h"
 #include "store/object_header.h"
@@ -110,20 +112,35 @@ void FailureDetector::ReleaseRecycledIds(const std::vector<uint16_t>& ids) {
                             std::memory_order_acq_rel);
 }
 
-bool FailureDetector::MajoritySeesStale(rdma::NodeId node,
-                                        uint64_t now_us) const {
+bool FailureDetector::MajoritySeesStale(rdma::NodeId node, uint64_t now_us,
+                                        uint64_t lease_start_us) const {
   uint32_t stale = 0;
   for (const auto& replica : heartbeats_) {
-    const uint64_t last = replica[node].load(std::memory_order_acquire);
+    const uint64_t last = std::max(
+        replica[node].load(std::memory_order_acquire), lease_start_us);
     if (now_us > last && now_us - last > config_.timeout_us) ++stale;
   }
   return stale * 2 > config_.replicas;
 }
 
 void FailureDetector::DetectorLoop() {
+  const cluster::Membership& membership = cluster_->membership();
+  uint64_t seen_barrier_changes = membership.barrier_changes();
+  uint64_t lease_start = 0;  // Every lease runs from at least here.
   while (running_.load(std::memory_order_acquire)) {
     SleepForMicros(config_.poll_period_us);
+    // A reconfiguration barrier is up, or rose and fell since the last
+    // poll: its wall time is not compute silence. Re-arm and declare
+    // nothing this round. (The clock is read after the barrier, so a
+    // re-armed lease never starts before the barrier dropped.)
+    const uint64_t barrier_changes = membership.barrier_changes();
+    const bool barrier_up = membership.reconfiguring();
     const uint64_t now = NowMicros();
+    if (barrier_up || barrier_changes != seen_barrier_changes) {
+      seen_barrier_changes = barrier_changes;
+      lease_start = now;
+      continue;
+    }
 
     // Collect verdicts under the lock, fire callbacks outside it.
     std::vector<NodeRecord> newly_failed;
@@ -131,7 +148,7 @@ void FailureDetector::DetectorLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       for (NodeRecord& record : records_) {
         if (record.failed) continue;
-        if (MajoritySeesStale(record.node, now)) {
+        if (MajoritySeesStale(record.node, now, lease_start)) {
           record.failed = true;
           newly_failed.push_back(record);
         }

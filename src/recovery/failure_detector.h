@@ -46,6 +46,12 @@ struct FdConfig {
 /// heartbeat older than the timeout, the failure callback fires (once per
 /// registered incarnation).
 ///
+/// Leases do not age while the memory membership is reconfiguring: a
+/// quiesced reconfiguration (e.g. a stop-the-world ReplaceMemoryNode
+/// rebuild) may outlast the timeout without any compute node having gone
+/// silent. The detector declares nothing while the barrier is up and
+/// re-arms every lease when it drops.
+///
 /// The FD also owns coordinator-id allocation (§3.1.2): ids are handed out
 /// by a strictly serialized counter so no two coordinators ever share an
 /// id, and the master failed-ids bitset lives here.
@@ -112,7 +118,8 @@ class FailureDetector {
   };
 
   void DetectorLoop();
-  bool MajoritySeesStale(rdma::NodeId node, uint64_t now_us) const;
+  bool MajoritySeesStale(rdma::NodeId node, uint64_t now_us,
+                         uint64_t lease_start_us) const;
 
   cluster::Cluster* cluster_;
   FdConfig config_;

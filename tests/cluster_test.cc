@@ -15,6 +15,7 @@
 #include "cluster/reconfig.h"
 #include "common/coding.h"
 #include "common/fixed_bitset.h"
+#include "store/log_layout.h"
 #include "store/object_header.h"
 #include "store/remote_object.h"
 
@@ -440,6 +441,60 @@ TEST(ClusterTest, PlacementEpochAdvancesOnFailoverAndRebuild) {
   ASSERT_TRUE(cluster.RebuildMemoryNode(0).ok());
   const uint64_t e2 = cluster.placement_epoch();
   EXPECT_GT(e2, e1) << "re-admission must invalidate Locator entries";
+}
+
+// A wipe returns a memory node to its freshly attached state: the region
+// Reset() must leave a coordinator's logged slot reading zero through a
+// verb, while every table slot reads free again (a zero key word would
+// collide with legal key 0).
+TEST(ClusterTest, WipeMemoryNodeZeroesLogAndFreesTableSlots) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = LoadKeys(&cluster, 64);
+  const rdma::NodeId node = cluster.memory_node_id(1);
+  rdma::QueuePair* qp = cluster.compute(0)->qp(node);
+  const store::LogLayout& log = cluster.catalog().log_layout();
+  const uint32_t slot_bytes = log.config().slot_bytes;
+  const rdma::RKey log_rkey = cluster.catalog().log_rkey(node);
+  constexpr uint16_t kCoord = 3;
+
+  store::LogRecord record;
+  record.txn_id = 42;
+  record.coord_id = kCoord;
+  store::LogEntry entry;
+  entry.table = t;
+  entry.key = 5;
+  entry.old_version = store::MakeVersion(1, /*tombstone=*/false);
+  entry.old_value.assign(8, 'x');
+  record.entries.push_back(entry);
+  std::vector<char> image;
+  ASSERT_TRUE(store::SerializeLogRecord(record, slot_bytes, &image).ok());
+  ASSERT_TRUE(qp->Write(log_rkey, log.SlotOffset(kCoord, 0), image.data(),
+                        image.size())
+                  .ok());
+  std::vector<char> slot(slot_bytes);
+  ASSERT_TRUE(
+      qp->Read(log_rkey, log.SlotOffset(kCoord, 0), slot.data(), slot_bytes)
+          .ok());
+  auto extent = store::LogRecordExtent(slot.data(), slot_bytes);
+  ASSERT_TRUE(extent.ok());
+  ASSERT_GT(extent.value().bytes, 0u) << "the record must have landed";
+
+  cluster.WipeMemoryNode(node);
+
+  ASSERT_TRUE(
+      qp->Read(log_rkey, log.SlotOffset(kCoord, 0), slot.data(), slot_bytes)
+          .ok());
+  EXPECT_EQ(std::count(slot.begin(), slot.end(), '\0'),
+            static_cast<std::ptrdiff_t>(slot_bytes))
+      << "slot 0 survived the wipe";
+  const TableInfo& info = cluster.catalog().table(t);
+  for (uint64_t s = 0; s < info.layout.capacity(); ++s) {
+    alignas(8) uint64_t key = 0;
+    ASSERT_TRUE(qp->Read(info.region_rkeys[node], info.layout.KeyOffset(s),
+                         &key, 8)
+                    .ok());
+    ASSERT_EQ(key, store::kFreeKey) << "table slot " << s;
+  }
 }
 
 // A rebuilt memory node gets new slot assignments, so every coordinator's

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -9,8 +13,19 @@
 
 #include "common/clock.h"
 #include "rdma/fabric.h"
+#include "rdma/memory_region.h"
 #include "rdma/ordered_batch.h"
 #include "rdma/verb_schedule.h"
+
+// GCC defines __SANITIZE_ADDRESS__; clang exposes __has_feature.
+#if defined(__SANITIZE_ADDRESS__)
+#define PANDORA_TEST_ASAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PANDORA_TEST_ASAN 1
+#endif
+#endif
 
 namespace pandora {
 namespace rdma {
@@ -670,6 +685,131 @@ TEST(VerbHookTest, NoopHookLeavesBatchLatencyUnchanged) {
   ASSERT_TRUE(chain.Execute().ok());
   fabric.set_verb_hook(nullptr);
   EXPECT_EQ(chain.last_wait_ns(), 60000u);
+}
+
+// ------------------------------------------------ Demand-zero regions --
+
+// Resident set size of this process in bytes (/proc/self/statm).
+int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return -1;
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int fields = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  if (fields != 2) return -1;
+  return static_cast<int64_t>(resident_pages) * ::sysconf(_SC_PAGESIZE);
+}
+
+// Pages of `region` that have a page-table entry (mincore): written pages,
+// and untouched pages a read has mapped to the shared zero page.
+uint64_t MappedPages(const MemoryRegion& region) {
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> present((region.size() + page - 1) / page);
+  if (::mincore(const_cast<char*>(region.base()), region.size(),
+                present.data()) != 0) {
+    return UINT64_MAX;
+  }
+  uint64_t mapped = 0;
+  for (const unsigned char p : present) mapped += p & 1;
+  return mapped;
+}
+
+constexpr int64_t kMiB = int64_t{1} << 20;
+
+// A region costs resident memory only for the pages a run writes, and
+// Reset() zeroes it and gives those pages back.
+TEST(MemoryRegionTest, LargeRegionIsDemandZeroAndResetReleasesPages) {
+  NetworkConfig config;
+  config.one_way_ns = 0;
+  config.per_byte_ns = 0;
+  Fabric fabric(config);
+  ProtectionDomain* pd = fabric.AttachMemoryNode(0);
+  auto qp = fabric.CreateQueuePair(1, 0);
+  constexpr uint64_t kRegionBytes = uint64_t{1} << 30;
+  constexpr uint64_t kStride = uint64_t{64} << 20;
+
+  const int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0);
+  const RKey rkey = pd->RegisterRegion(kRegionBytes, "lazy");
+  EXPECT_LT(ResidentBytes() - before, 8 * kMiB)
+      << "registering a 1 GiB region must not make it resident";
+
+  // Untouched pages read as zero through the verb path, at page starts,
+  // mid-page offsets and the region's last word.
+  for (uint64_t offset = 0; offset < kRegionBytes;
+       offset += kRegionBytes / 61 / 8 * 8) {
+    alignas(8) uint64_t word = 0xdead;
+    ASSERT_TRUE(qp->Read(rkey, offset, &word, 8).ok());
+    EXPECT_EQ(word, 0u) << "offset " << offset;
+  }
+  alignas(8) uint64_t last = 0xdead;
+  ASSERT_TRUE(qp->Read(rkey, kRegionBytes - 8, &last, 8).ok());
+  EXPECT_EQ(last, 0u);
+
+  // One word per 64 MiB: each write faults in (at least) one page.
+  for (uint64_t offset = 0; offset < kRegionBytes; offset += kStride) {
+    const uint64_t value = offset + 1;
+    ASSERT_TRUE(qp->Write(rkey, offset, &value, 8).ok());
+  }
+  for (uint64_t offset = 0; offset < kRegionBytes; offset += kStride) {
+    alignas(8) uint64_t word = 0;
+    ASSERT_TRUE(qp->Read(rkey, offset, &word, 8).ok());
+    EXPECT_EQ(word, offset + 1);
+  }
+  MemoryRegion* region = pd->GetRegion(rkey);
+  EXPECT_GE(MappedPages(*region), kRegionBytes / kStride);
+
+  region->Reset();
+  EXPECT_EQ(MappedPages(*region), 0u) << "Reset() must return every page";
+  EXPECT_LT(ResidentBytes() - before, 8 * kMiB);
+  for (uint64_t offset = 0; offset < kRegionBytes; offset += kStride) {
+    alignas(8) uint64_t word = 0xdead;
+    ASSERT_TRUE(qp->Read(rkey, offset, &word, 8).ok());
+    EXPECT_EQ(word, 0u) << "offset " << offset << " survived Reset()";
+  }
+}
+
+TEST(MemoryRegionTest, ZeroSizeRegionRegisters) {
+  NetworkConfig config;
+  config.one_way_ns = 0;
+  config.per_byte_ns = 0;
+  Fabric fabric(config);
+  ProtectionDomain* pd = fabric.AttachMemoryNode(0);
+  const RKey rkey = pd->RegisterRegion(0, "empty");
+  MemoryRegion* region = pd->GetRegion(rkey);
+  ASSERT_NE(region, nullptr);
+  EXPECT_EQ(region->size(), 0u);
+  EXPECT_NE(region->base(), nullptr);
+  region->Reset();
+
+  auto qp = fabric.CreateQueuePair(1, 0);
+  alignas(8) uint64_t word = 0;
+  EXPECT_TRUE(qp->Read(rkey, 0, &word, 8).IsInvalidArgument());
+  // Later regions still register after the empty one.
+  const RKey next = pd->RegisterRegion(64, "next");
+  EXPECT_TRUE(qp->Read(next, 0, &word, 8).ok());
+}
+
+// Heap buffers gave ASan redzones past a region's end; the mapping keeps
+// an equivalent: a guard page, plus poisoned tail bytes under ASan.
+TEST(MemoryRegionDeathTest, ReadPastPageMultipleRegionDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MemoryRegion region(0, 2 * static_cast<size_t>(::sysconf(_SC_PAGESIZE)),
+                      "guarded");
+  const volatile char* base = region.base();
+  EXPECT_DEATH({ (void)base[region.size()]; }, "");
+}
+
+TEST(MemoryRegionDeathTest, ReadPastSubPageRegionDiesUnderAsan) {
+#if !defined(PANDORA_TEST_ASAN)
+  GTEST_SKIP() << "the tail of a sub-page region is poisoned only under ASan";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MemoryRegion region(0, 100, "tail");
+  const volatile char* base = region.base();
+  EXPECT_DEATH({ (void)base[region.size()]; }, "");
+#endif
 }
 
 }  // namespace

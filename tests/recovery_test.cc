@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -868,6 +869,54 @@ TEST_F(RecoveryTest, CoordinatorIdsAreUniqueAcrossNodes) {
     }
   }
   EXPECT_EQ(seen.size(), 60u);
+}
+
+// A quiesced memory reconfiguration (a stop-the-world rebuild, say) may
+// outlast the lease without any compute node going silent: leases must not
+// age while the barrier is up, and must re-arm when it drops. No heartbeat
+// pump runs here, so without the freeze the halted node's lease would
+// expire inside the 20 ms window.
+TEST_F(RecoveryTest, ReconfigurationBarrierFreezesComputeLeases) {
+  FdConfig config;
+  config.timeout_us = 5000;
+  FailureDetector fd(cluster_.get(), config);
+  std::mutex mu;
+  std::map<rdma::NodeId, uint64_t> declared_at_us;
+  fd.set_failure_callback(
+      [&](rdma::NodeId node, const std::vector<uint16_t>&) {
+        std::lock_guard<std::mutex> lock(mu);
+        declared_at_us.emplace(node, NowMicros());
+      });
+  const rdma::NodeId halted = cluster_->compute_node_id(1);
+  std::vector<uint16_t> ids;
+  ASSERT_TRUE(fd.RegisterComputeNode(halted, 1, &ids).ok());
+  cluster::Membership& membership = cluster_->membership();
+
+  membership.BeginReconfiguration();
+  fd.Start();
+  cluster_->CrashComputeNode(halted);
+  SleepForMicros(20'000);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(declared_at_us.empty())
+        << "a lease expired during the reconfiguration barrier";
+  }
+  const uint64_t end_us = NowMicros();
+  membership.EndReconfiguration();
+
+  // The node halted across the window is still declared, one full lease
+  // after the barrier dropped.
+  bool declared = false;
+  for (int i = 0; i < 2000 && !declared; ++i) {
+    SleepForMicros(1000);
+    std::lock_guard<std::mutex> lock(mu);
+    declared = declared_at_us.count(halted) > 0;
+  }
+  fd.Stop();
+  ASSERT_TRUE(declared) << "halted node never declared";
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_GT(declared_at_us[halted] - end_us, config.timeout_us)
+      << "lease not re-armed when the barrier dropped";
 }
 
 TEST_F(RecoveryTest, IdSpaceExhaustionReported) {
