@@ -12,8 +12,14 @@
 // the overlap factor (simulated wait ns hidden per truly-idle wall ns),
 // and the per-transaction round-trip counters — which must stay flat
 // across the sweep: overlap reclaims CPU time, never simulated time.
+// It also reports the simulator's own cost per fiber switch
+// (fiber.switch_ns), so scheduler overhead is never read as protocol cost.
+
+#include <algorithm>
 
 #include "bench/bench_util.h"
+#include "common/clock.h"
+#include "common/fiber.h"
 #include "workloads/micro.h"
 
 namespace pandora {
@@ -42,6 +48,26 @@ workloads::DriverResult RunMicro(uint32_t fibers_per_thread) {
   return driver->Run();
 }
 
+// Wall nanoseconds of one suspend+resume round trip of an already-due
+// wait: a lone fiber yields `kSwitches` times, so every dispatch is the
+// fiber itself and nothing idles. Median of five repetitions.
+double MeasureSwitchNanos() {
+  const uint64_t kSwitches = Scaled(400'000);
+  std::vector<double> reps;
+  for (int rep = 0; rep < 5; ++rep) {
+    FiberScheduler scheduler;
+    scheduler.Spawn([&scheduler, kSwitches] {
+      for (uint64_t i = 0; i < kSwitches; ++i) scheduler.WaitUntilNanos(0);
+    });
+    const uint64_t start = NowNanos();
+    scheduler.Run();
+    reps.push_back(static_cast<double>(NowNanos() - start) /
+                   static_cast<double>(kSwitches));
+  }
+  std::sort(reps.begin(), reps.end());
+  return reps[reps.size() / 2];
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace pandora
@@ -59,6 +85,10 @@ int main() {
   json.SetText("git_sha", GitSha());
   json.Set("threads", 2);
   json.Set("coordinators", 64);
+
+  const double switch_ns = MeasureSwitchNanos();
+  PrintRow("fiber switch (suspend+resume round trip)", switch_ns, "ns");
+  json.Set("fiber.switch_ns", switch_ns);
 
   const uint32_t sweep[] = {1, 2, 4, 8, 16};
   double base_mtps = 0;

@@ -1,6 +1,10 @@
 #include "common/fiber.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <new>
 #include <thread>
 
 #include "common/clock.h"
@@ -26,17 +30,162 @@
 #endif
 
 #if defined(PANDORA_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(PANDORA_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "common/fiber.cc: port pandora_fiber_switch and pandora_fiber_start to this target"
+#endif
+
+// The fiber switch, in the style of boost.context's fcontext for x86-64
+// SysV. It pushes exactly what the ABI makes callee-saved (rbp, rbx,
+// r12-r15, the MXCSR control/status word and the x87 control word), stores
+// rsp to *save_sp, loads next_sp and pops the same set from it. Everything
+// else is caller-saved, so the compiler has already spilled what it needs
+// around the call. Fibers share the thread's signal mask, so a switch
+// makes no syscall; nothing in the program changes the mask. The final
+// ret lands wherever next_sp's context last called in from, or, for a
+// fiber that has never run, in pandora_fiber_start. That ret does not
+// match the call that entered, so user-space CET shadow stacks must stay
+// off.
+//
+// pandora_fiber_start is the outermost frame of every fiber: its seeded
+// stack carries the Fiber* in r12 and the entry function in r13. rbp is
+// seeded 0 and the CFI marks the return address undefined, so
+// frame-pointer walks and unwinders stop here.
+extern "C" {
+void pandora_fiber_switch(void** save_sp, void* next_sp);
+void pandora_fiber_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl pandora_fiber_switch
+  .hidden pandora_fiber_switch
+  .type pandora_fiber_switch, @function
+pandora_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size pandora_fiber_switch, .-pandora_fiber_switch
+
+  .p2align 4
+  .globl pandora_fiber_start
+  .hidden pandora_fiber_start
+  .type pandora_fiber_start, @function
+pandora_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size pandora_fiber_start, .-pandora_fiber_start
+  .popsection
+)");
+
 namespace pandora {
 
 namespace {
 
 thread_local FiberScheduler* tl_active_scheduler = nullptr;
+
+size_t PageSize() {
+  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+// A fiber stack: a private anonymous mapping whose lowest page is
+// PROT_NONE, so an overflow faults at once instead of silently writing
+// over whatever lies below. Pages are demand-zero, so only the depth a
+// fiber reaches becomes resident.
+class GuardedStack {
+ public:
+  explicit GuardedStack(size_t bytes)
+      : size_((bytes + PageSize() - 1) / PageSize() * PageSize()) {
+    void* mapping = ::mmap(nullptr, size_ + PageSize(), PROT_NONE,
+                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    PANDORA_CHECK(mapping != MAP_FAILED);
+    mapping_ = static_cast<char*>(mapping);
+    PANDORA_CHECK(::mprotect(bottom(), size_, PROT_READ | PROT_WRITE) == 0);
+  }
+
+  ~GuardedStack() {
+#if defined(PANDORA_ASAN_FIBERS)
+    // Frames a fiber never returned from stay poisoned in ASan's shadow;
+    // clear them before the range can be mapped again.
+    ASAN_UNPOISON_MEMORY_REGION(bottom(), size_);
+#endif
+    ::munmap(mapping_, size_ + PageSize());
+  }
+
+  GuardedStack(const GuardedStack&) = delete;
+  GuardedStack& operator=(const GuardedStack&) = delete;
+
+  /// Lowest usable byte, just above the guard page.
+  char* bottom() const { return mapping_ + PageSize(); }
+  size_t size() const { return size_; }
+  /// One past the highest usable byte; page-aligned.
+  char* top() const { return bottom() + size_; }
+
+ private:
+  const size_t size_;
+  char* mapping_ = nullptr;
+};
+
+// What pandora_fiber_switch pops, lowest address first.
+struct SwitchFrame {
+  uint32_t mxcsr;
+  uint16_t x87_control;
+  uint16_t padding[5];
+  void* r15;
+  void* r14;
+  void* r13;
+  void* r12;
+  void* rbx;
+  void* rbp;
+  void (*return_address)();
+};
+static_assert(sizeof(SwitchFrame) == 72);
+
+// Seeds a new fiber's stack so that the first switch into it pops the
+// spawning thread's floating-point control state and returns into
+// pandora_fiber_start, which calls entry(fiber). Returns the fiber's
+// initial saved stack pointer.
+void* SeedStack(char* top, void (*entry)(void*), void* fiber) {
+  // After the final ret, rsp = top - 16: 16-byte aligned, as the call in
+  // pandora_fiber_start requires.
+  auto* frame = new (top - 16 - sizeof(SwitchFrame)) SwitchFrame{};
+  asm volatile("stmxcsr %0\n\tfnstcw %1"
+               : "=m"(frame->mxcsr), "=m"(frame->x87_control));
+  frame->r13 = reinterpret_cast<void*>(entry);
+  frame->r12 = fiber;
+  frame->return_address = &pandora_fiber_start;
+  return frame;
+}
 
 // Raw spin used by the scheduler itself when no fiber is runnable. Must
 // bypass the fiber wait hook in clock.cc (the scheduler is not a fiber);
@@ -57,8 +206,8 @@ void IdleSpinUntilNanos(uint64_t deadline_ns) {
 struct FiberScheduler::Fiber {
   std::function<void()> body;
   FiberScheduler* scheduler = nullptr;
-  ucontext_t context;
-  std::unique_ptr<char[]> stack;
+  std::unique_ptr<GuardedStack> stack;
+  void* sp = nullptr;  // Saved stack pointer while not running.
   uint64_t ready_at_ns = 0;  // Runnable once NowNanos() >= this.
   uint64_t seq = 0;          // FIFO tie-break among equal deadlines.
   /// Wall instant the fiber last became runnable: max(deadline, yield
@@ -90,9 +239,8 @@ FiberScheduler::~FiberScheduler() {
 
 FiberScheduler* FiberScheduler::Active() { return tl_active_scheduler; }
 
-void FiberScheduler::Trampoline(unsigned int hi, unsigned int lo) {
-  auto* fiber = reinterpret_cast<Fiber*>(
-      (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo));
+void FiberScheduler::Trampoline(void* arg) {
+  auto* fiber = static_cast<Fiber*>(arg);
   FiberScheduler* scheduler = fiber->scheduler;
   scheduler->FinishSwitchIntoFiber(fiber);
   fiber->body();
@@ -106,16 +254,9 @@ void FiberScheduler::Spawn(std::function<void()> body) {
   auto fiber = std::make_unique<Fiber>();
   fiber->body = std::move(body);
   fiber->scheduler = this;
-  fiber->stack = std::make_unique<char[]>(options_.stack_bytes);
+  fiber->stack = std::make_unique<GuardedStack>(options_.stack_bytes);
   fiber->seq = ++next_seq_;
-  PANDORA_CHECK(getcontext(&fiber->context) == 0);
-  fiber->context.uc_stack.ss_sp = fiber->stack.get();
-  fiber->context.uc_stack.ss_size = options_.stack_bytes;
-  fiber->context.uc_link = nullptr;  // Fibers exit via SwitchOut, never fall off.
-  const uintptr_t addr = reinterpret_cast<uintptr_t>(fiber.get());
-  makecontext(&fiber->context, reinterpret_cast<void (*)()>(&Trampoline), 2,
-              static_cast<unsigned int>(addr >> 32),
-              static_cast<unsigned int>(addr & 0xffffffffu));
+  fiber->sp = SeedStack(fiber->stack->top(), &Trampoline, fiber.get());
 #if defined(PANDORA_TSAN_FIBERS)
   fiber->tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -192,7 +333,7 @@ void FiberScheduler::WaitUntilNanos(uint64_t deadline_ns) {
   stats_.yields++;
   const uint64_t now = NowNanos();
   if (deadline_ns > now) stats_.wait_ns += deadline_ns - now;
-  SuspendCurrent(deadline_ns);
+  SuspendCurrent(deadline_ns, now);
   // The scheduler resumes a fiber only once its deadline has passed, so
   // NowNanos() >= deadline_ns here — the simulated wait fully elapsed.
 }
@@ -215,15 +356,15 @@ bool FiberScheduler::PaceAdmission() {
   // behind a short quantum.
   stats_.paced_admissions++;
   const uint64_t quantum = std::max<uint64_t>(options_.lag_budget_ns / 2, 1000);
-  SuspendCurrent(now + quantum);
+  SuspendCurrent(now + quantum, now);
   return true;
 }
 
-void FiberScheduler::SuspendCurrent(uint64_t deadline_ns) {
+void FiberScheduler::SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns) {
   Fiber* fiber = current_;
   PANDORA_CHECK(fiber != nullptr);
   fiber->ready_at_ns = deadline_ns;
-  fiber->runnable_from_ns = std::max(deadline_ns, NowNanos());
+  fiber->runnable_from_ns = std::max(deadline_ns, now_ns);
   fiber->seq = ++next_seq_;
   PushReady(fiber);
   SwitchOut(fiber);
@@ -231,14 +372,14 @@ void FiberScheduler::SuspendCurrent(uint64_t deadline_ns) {
 
 void FiberScheduler::SwitchIn(Fiber* fiber) {
 #if defined(PANDORA_ASAN_FIBERS)
-  __sanitizer_start_switch_fiber(&main_fake_stack_, fiber->stack.get(),
-                                 options_.stack_bytes);
+  __sanitizer_start_switch_fiber(&main_fake_stack_, fiber->stack->bottom(),
+                                 fiber->stack->size());
 #endif
 #if defined(PANDORA_TSAN_FIBERS)
   __tsan_switch_to_fiber(fiber->tsan_fiber, 0);
 #endif
   current_ = fiber;
-  PANDORA_CHECK(swapcontext(&main_context_, &fiber->context) == 0);
+  pandora_fiber_switch(&main_sp_, fiber->sp);
   current_ = nullptr;
 #if defined(PANDORA_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(main_fake_stack_, nullptr, nullptr);
@@ -254,7 +395,7 @@ void FiberScheduler::SwitchOut(Fiber* fiber) {
 #if defined(PANDORA_TSAN_FIBERS)
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
-  PANDORA_CHECK(swapcontext(&fiber->context, &main_context_) == 0);
+  pandora_fiber_switch(&fiber->sp, main_sp_);
   // Resumed by a later SwitchIn.
   FinishSwitchIntoFiber(fiber);
 }

@@ -1,8 +1,6 @@
 #ifndef PANDORA_COMMON_FIBER_H_
 #define PANDORA_COMMON_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -80,6 +78,8 @@ class FiberScheduler {
   static constexpr size_t kDefaultStackBytes = 256 * 1024;
 
   struct Options {
+    /// Usable stack per fiber, rounded up to whole pages. A PROT_NONE
+    /// guard page below it turns an overflow into a fault.
     size_t stack_bytes = kDefaultStackBytes;
     /// Resume lag past which PaceAdmission() defers new admissions (and
     /// past which a dispatch counts as a lag_budget_overrun). 0 disables
@@ -136,7 +136,9 @@ class FiberScheduler {
  private:
   struct Fiber;
 
-  static void Trampoline(unsigned int hi, unsigned int lo);
+  /// First code a new fiber (passed as `arg`) runs, reached through the
+  /// entry stub its seeded stack returns into. Never returns.
+  static void Trampoline(void* arg);
   void SwitchIn(Fiber* fiber);         // Scheduler context -> fiber.
   void SwitchOut(Fiber* fiber);        // Fiber -> scheduler context.
   void FinishSwitchIntoFiber(Fiber* fiber);  // Sanitizer arrival hook.
@@ -145,8 +147,9 @@ class FiberScheduler {
   Fiber* PickNext();
   static bool ResumesAfter(const Fiber* a, const Fiber* b);
   /// Re-queues the current fiber with the given deadline and switches to
-  /// the scheduler. Wait/pacing accounting is done by the callers.
-  void SuspendCurrent(uint64_t deadline_ns);
+  /// the scheduler; now_ns is the caller's clock reading. Wait/pacing
+  /// accounting is done by the callers.
+  void SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns);
   void PushReady(Fiber* fiber);
   void MaybeYieldOsThread(uint64_t now_ns);
 
@@ -155,7 +158,8 @@ class FiberScheduler {
   /// Min-heap of runnable/suspended fibers on (ready_at_ns, seq).
   std::vector<Fiber*> ready_;
   Fiber* current_ = nullptr;
-  ucontext_t main_context_;
+  /// The scheduler context's saved stack pointer while a fiber runs.
+  void* main_sp_ = nullptr;
   uint64_t next_seq_ = 0;
   uint64_t last_os_yield_ns_ = 0;
   Stats stats_;

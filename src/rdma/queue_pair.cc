@@ -11,10 +11,12 @@ namespace {
 // the slot's active count (so Fabric::set_verb_hook(nullptr) can wait out
 // in-flight callbacks), OnVerbIssue may hold or drop the verb, and
 // Applied() notifies the hook once the operation landed at remote memory.
+// Only a hooked verb draws a qp_seq, since the hook is its only reader.
 class HookedVerb {
  public:
   HookedVerb(VerbHookSlot* slot, NodeId src, NodeId dst, VerbKind kind,
-             RKey rkey, uint64_t offset, size_t len, uint64_t qp_seq) {
+             RKey rkey, uint64_t offset, size_t len,
+             std::atomic<uint64_t>* qp_seq) {
     if (slot == nullptr ||
         slot->hook.load(std::memory_order_relaxed) == nullptr) {
       return;
@@ -29,7 +31,7 @@ class HookedVerb {
     desc_.rkey = rkey;
     desc_.offset = offset;
     desc_.len = len;
-    desc_.qp_seq = qp_seq;
+    desc_.qp_seq = qp_seq->fetch_add(1, std::memory_order_relaxed);
     desc_.phase = CurrentVerbPhase();
     dropped_ = !hook_->OnVerbIssue(desc_);
   }
@@ -107,7 +109,7 @@ Status QueuePair::FetchAdd(RKey rkey, uint64_t offset, uint64_t delta,
                            uint64_t* old_value) {
   PANDORA_RETURN_NOT_OK(CheckHalted());
   HookedVerb hook(hook_slot_, src_, remote_->owner(), VerbKind::kFetchAdd,
-                  rkey, offset, sizeof(uint64_t), seq_++);
+                  rkey, offset, sizeof(uint64_t), &seq_);
   if (hook.dropped()) return DroppedVerbStatus();
   PANDORA_RETURN_NOT_OK(CheckHalted());  // The hook may have killed src.
   PANDORA_RETURN_NOT_OK(
@@ -121,7 +123,7 @@ Status QueuePair::PostRead(RKey rkey, uint64_t offset, void* dst, size_t len,
                            uint64_t* rtt_ns) {
   PANDORA_RETURN_NOT_OK(CheckHalted());
   HookedVerb hook(hook_slot_, src_, remote_->owner(), VerbKind::kRead, rkey,
-                  offset, len, seq_++);
+                  offset, len, &seq_);
   if (hook.dropped()) return DroppedVerbStatus();
   PANDORA_RETURN_NOT_OK(CheckHalted());
   PANDORA_RETURN_NOT_OK(remote_->ExecuteRead(src_, rkey, offset, dst, len));
@@ -134,7 +136,7 @@ Status QueuePair::PostWrite(RKey rkey, uint64_t offset, const void* src,
                             size_t len, uint64_t* rtt_ns) {
   PANDORA_RETURN_NOT_OK(CheckHalted());
   HookedVerb hook(hook_slot_, src_, remote_->owner(), VerbKind::kWrite,
-                  rkey, offset, len, seq_++);
+                  rkey, offset, len, &seq_);
   if (hook.dropped()) return DroppedVerbStatus();
   PANDORA_RETURN_NOT_OK(CheckHalted());
   PANDORA_RETURN_NOT_OK(remote_->ExecuteWrite(src_, rkey, offset, src, len));
@@ -149,7 +151,7 @@ Status QueuePair::PostCompareSwap(RKey rkey, uint64_t offset,
   PANDORA_RETURN_NOT_OK(CheckHalted());
   HookedVerb hook(hook_slot_, src_, remote_->owner(),
                   VerbKind::kCompareSwap, rkey, offset, sizeof(uint64_t),
-                  seq_++);
+                  &seq_);
   if (hook.dropped()) return DroppedVerbStatus();
   PANDORA_RETURN_NOT_OK(CheckHalted());
   PANDORA_RETURN_NOT_OK(remote_->ExecuteCompareSwap(src_, rkey, offset,

@@ -85,8 +85,9 @@ class QueuePair {
   /// The Fabric's verb-schedule hook slot (nullptr for QPs built outside a
   /// fabric). One relaxed load per verb when no hook is installed.
   VerbHookSlot* hook_slot_;
-  /// Per-QP verb issue index, tagged into VerbDesc::qp_seq.
-  uint64_t seq_ = 0;
+  /// Per-QP issue index of hooked verbs, tagged into VerbDesc::qp_seq.
+  /// Every coordinator of a compute node shares its QPs, hence atomic.
+  std::atomic<uint64_t> seq_{0};
 };
 
 /// Simulated completion time of the verbs posted in one doorbell: the

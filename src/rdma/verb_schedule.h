@@ -27,7 +27,8 @@ struct VerbDesc {
   RKey rkey = kInvalidRKey;
   uint64_t offset = 0;
   size_t len = 0;
-  /// Per-queue-pair issue index (0-based, monotonic over the QP's life).
+  /// Per-queue-pair issue index among hooked verbs (0-based, monotonic
+  /// over the QP's life; verbs issued with no hook installed draw none).
   uint64_t qp_seq = 0;
   /// The issuing thread's protocol phase: the ordinal of the most recent
   /// txn::CrashPoint the thread visited (-1 outside a crash-hooked

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cfenv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "common/fiber.h"
 #include "common/fixed_bitset.h"
 #include "common/histogram.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -513,23 +518,161 @@ TEST(FiberTest, NoRunnableFiberFallsBackToIdleSpin) {
   EXPECT_GT(scheduler.stats().idle_ns, 0u);
 }
 
+// Keeps eight seed-derived values live across a call `depth` frames deep
+// that suspends the fiber (when `scheduler` is set), then folds each one
+// into the result in turn. That needs more values than there are
+// callee-saved registers, so a switch that loses any of them changes the
+// result; with a null scheduler the same call yields the expected value.
+[[gnu::noinline]] uint64_t MixAcrossSuspension(FiberScheduler* scheduler,
+                                               uint64_t seed, int depth) {
+  const uint64_t a = seed * 3 + 1;
+  const uint64_t b = seed ^ 0x9e3779b97f4a7c15ull;
+  const uint64_t c = seed + 11;
+  const uint64_t d = seed * seed + 5;
+  const uint64_t e = seed >> 1;
+  const uint64_t g = ~seed;
+  const uint64_t h = seed * 7 + 13;
+  const uint64_t k = seed << 3;
+  uint64_t r = 0;
+  if (depth > 0) {
+    r = MixAcrossSuspension(scheduler, seed + 1, depth - 1);
+  } else if (scheduler != nullptr) {
+    scheduler->WaitUntilNanos(0);  // Immediately ready: pure yield.
+  }
+  r = r * a + b;
+  r = (r ^ c) * d;
+  r = (r + e) ^ g;
+  return r * h + k;
+}
+
 TEST(FiberTest, ManySwitchesAreStable) {
   // Ping-pong two fibers through thousands of switches to shake out
   // stack/context corruption (and give the sanitizer annotations a real
-  // workout under ASan/TSan CI).
+  // workout under ASan/TSan CI). Each switch happens four frames deep,
+  // with different live values on each fiber.
   FiberScheduler scheduler;
   uint64_t counter = 0;
-  for (int f = 0; f < 2; ++f) {
-    scheduler.Spawn([&] {
-      for (int i = 0; i < 2000; ++i) {
+  int mismatches = 0;
+  for (uint64_t f = 0; f < 2; ++f) {
+    scheduler.Spawn([&, f] {
+      for (uint64_t i = 0; i < 2000; ++i) {
         ++counter;
-        scheduler.WaitUntilNanos(0);  // Immediately ready: pure yield.
+        const uint64_t seed = f * 1'000'003 + i;
+        if (MixAcrossSuspension(&scheduler, seed, 3) !=
+            MixAcrossSuspension(nullptr, seed, 3)) {
+          ++mismatches;
+        }
       }
     });
   }
   scheduler.Run();
   EXPECT_EQ(counter, 4000u);
+  EXPECT_EQ(mismatches, 0);
   EXPECT_EQ(scheduler.stats().yields, 4000u);
+}
+
+// 1/3 under the thread's current SSE rounding mode; volatile operands keep
+// the division from being folded at compile time.
+double OneThird() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(FiberTest, FloatingPointControlStaysWithItsFiber) {
+  // The SysV ABI makes the x87 control word and MXCSR's control bits
+  // callee-saved, so each fiber keeps its own rounding mode across
+  // switches: fegetround reads the x87 word, OneThird uses MXCSR.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = OneThird();
+  FiberScheduler scheduler;
+  int sibling_mode = -1;
+  double sibling_third = 0;
+  int resumed_mode = -1;
+  double resumed_third = 0;
+  scheduler.Spawn([&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    scheduler.WaitUntilNanos(0);  // The sibling runs before this resumes.
+    resumed_mode = std::fegetround();
+    resumed_third = OneThird();
+  });
+  scheduler.Spawn([&] {
+    sibling_mode = std::fegetround();
+    sibling_third = OneThird();
+  });
+  scheduler.Run();
+  EXPECT_EQ(sibling_mode, FE_TONEAREST);
+  EXPECT_EQ(sibling_third, nearest);
+  EXPECT_EQ(resumed_mode, FE_UPWARD);
+  EXPECT_GT(resumed_third, nearest);
+  // The first fiber finished in FE_UPWARD; the scheduler's own context
+  // kept its mode.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(OneThird(), nearest);
+}
+
+// Stack overflow: the fiber recurses until its stack runs out. Frames are
+// smaller than a page and each touches its own bytes, so the first access
+// past the stack's low end is a permission fault (SEGV_ACCERR) on the
+// guard page. The handler runs on an alternate stack and exits with
+// kGuardPageHit only for such a fault within a page of where the stack
+// must end; any other fault exits with kOtherFault.
+constexpr size_t kOverflowStackBytes = 64 * 1024;
+constexpr int kGuardPageHit = 3;
+constexpr int kOtherFault = 4;
+uintptr_t g_overflow_stack_end = 0;  // Expected lowest stack address.
+
+void OnOverflowFault(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<uintptr_t>(info->si_addr);
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const bool at_end =
+      addr + page >= g_overflow_stack_end && addr < g_overflow_stack_end + page;
+  if (info->si_code == SEGV_ACCERR && at_end) {
+    constexpr char kMsg[] = "stack overflow hit the guard page\n";
+    [[maybe_unused]] const ssize_t n = ::write(2, kMsg, sizeof(kMsg) - 1);
+    ::_exit(kGuardPageHit);
+  }
+  ::_exit(kOtherFault);
+}
+
+[[gnu::noinline]] uint64_t RecurseUntilOverflow(uint64_t depth,
+                                                uint64_t limit) {
+  volatile char frame[512];
+  frame[depth % sizeof(frame)] = static_cast<char>(depth);
+  if (depth == limit) return 0;
+  return RecurseUntilOverflow(depth + 1, limit) + frame[0];
+}
+
+void OverflowFiberStack() {
+  static char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof(alt_stack);
+  PANDORA_CHECK(::sigaltstack(&ss, nullptr) == 0);
+  struct sigaction action {};
+  action.sa_sigaction = &OnOverflowFault;
+  action.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  PANDORA_CHECK(::sigaction(SIGSEGV, &action, nullptr) == 0);
+
+  FiberScheduler::Options options;
+  options.stack_bytes = kOverflowStackBytes;
+  FiberScheduler scheduler(options);
+  scheduler.Spawn([] {
+    // The fiber starts within a page of its stack's page-aligned top.
+    char probe = 0;
+    const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const uintptr_t top =
+        (reinterpret_cast<uintptr_t>(&probe) + page - 1) / page * page;
+    g_overflow_stack_end = top - kOverflowStackBytes;
+    RecurseUntilOverflow(0, std::numeric_limits<uint64_t>::max());
+  });
+  scheduler.Run();
+}
+
+TEST(FiberTest, StackOverflowHitsGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(OverflowFiberStack(), testing::ExitedWithCode(kGuardPageHit),
+              "stack overflow hit the guard page");
 }
 
 TEST(FiberTest, HookInertOutsideFibers) {
