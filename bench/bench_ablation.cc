@@ -1,13 +1,16 @@
 // Ablations of Pandora's design choices (DESIGN.md §5), beyond the
 // paper's headline experiments:
 //
-//  1. Doorbell batching: Pandora groups the log write + validation reads
-//     into one doorbell and the commit applies into another (§3.1.4 "we
-//     can log all writes with the same single RDMA Write"). Disabling the
-//     batching pays one round trip per verb instead of one per group.
+//  1. Doorbell batching: Pandora's commit posts the validation reads in
+//     one doorbell and the log record, applies and unlocks in another
+//     (§3.1.4 "we can log all writes with the same single RDMA Write").
+//     The OFF row runs the same protocol on a fabric in
+//     NetworkConfig::sequential_verbs mode, where every verb pays its own
+//     round trip instead of one per group.
 //  2. Persistence mode (§7): plain DRAM (replication-only durability) vs
 //     battery-backed DRAM (free persistence) vs NVM with FORD's selective
-//     one-sided flush (extra read per touched server per durable group).
+//     one-sided flush (an extra read per touched server behind the log
+//     fragments and again behind the applies).
 //  3. PILL failed-ids density: the per-conflict bitset check must stay
 //     O(1) even with thousands of failed coordinator ids (§3.1.2).
 
@@ -64,9 +67,10 @@ int main() {
     txn::TxnConfig txn_cfg;
     const workloads::DriverResult batched =
         RunMicro(PaperTestbed(), txn_cfg);
-    txn_cfg.sequential_verbs = true;
+    cluster::ClusterConfig sequential_cfg = PaperTestbed();
+    sequential_cfg.net.sequential_verbs = true;
     const workloads::DriverResult sequential =
-        RunMicro(PaperTestbed(), txn_cfg);
+        RunMicro(sequential_cfg, txn_cfg);
     PrintRow("doorbell batching ON", batched.mtps, "MTps");
     PrintRow("doorbell batching OFF (verb-per-RTT)", sequential.mtps,
              "MTps");

@@ -4,8 +4,8 @@
 // deterministically, in one pass: four via exhaustive crash-schedule
 // enumeration, two via verb-order exploration (kVerbExhaustive, for the
 // intra-phase races the lockstep rendezvous cannot order). With the
-// fixes in place (all switches off), every litmus test passes under
-// randomized crash injection.
+// fixes in place (all switches off), every litmus test passes with a
+// crash at every reachable crash point (kExhaustive).
 
 #include <cstdio>
 
@@ -38,7 +38,6 @@ struct BugCase {
   txn::ProtocolMode mode;
   txn::BugFlags flags;
   litmus::LitmusSpec spec;
-  uint32_t crash_percent;
   uint64_t seed;
   /// kExhaustive hunts via crash-point enumeration; kVerbExhaustive adds
   /// verb-order exploration for intra-phase races. Both are one
@@ -52,7 +51,6 @@ void RunBugCase(const BugCase& bug_case) {
   config.txn.mode = bug_case.mode;
   config.txn.bugs = bug_case.flags;
   config.iterations = 120;
-  config.crash_percent = bug_case.crash_percent;
   config.seed = bug_case.seed;
   config.schedule = bug_case.policy;
   config.runs_per_txn = bug_case.runs_per_txn;
@@ -85,31 +83,39 @@ int main() {
               "(C1), online-recovery (C2) — each caught by the framework "
               "when re-enabled, absent with the fixes");
 
-  // --- The fixed protocols pass every litmus test.
-  std::printf("--- fixed protocols under randomized crash injection ---\n");
+  // --- The fixed protocols pass every litmus test, crashed at every
+  // reachable crash point of one run per transaction (the budget covers
+  // the whole enumeration; skipped schedules are reported).
+  std::printf("--- fixed protocols, exhaustive crash points ---\n");
   for (const txn::ProtocolMode mode :
        {txn::ProtocolMode::kPandora, txn::ProtocolMode::kFordBaseline}) {
     litmus::HarnessConfig config = BaseConfig();
     config.txn.mode = mode;
-    config.iterations = FastMode() ? 20 : 40;
+    config.schedule = litmus::SchedulePolicy::kExhaustive;
+    config.runs_per_txn = 1;
+    config.iterations = 400;
     litmus::LitmusHarness harness(config);
     int total_violations = 0;
     int total_crashes = 0;
     int total_inconclusive = 0;
+    int total_skipped = 0;
     for (const LitmusSpec& spec : litmus::AllLitmusSpecs()) {
       const litmus::LitmusReport report = harness.Run(spec);
       total_violations += report.violations;
       total_crashes += report.crashes_injected;
       total_inconclusive += report.inconclusive;
+      total_skipped += report.schedules_skipped;
       if (report.violations > 0) {
         std::printf("  VIOLATION in %s: %s\n", spec.name.c_str(),
                     report.failures[0].c_str());
       }
     }
     std::printf("%-10s all litmus specs: %d violations over %d injected "
-                "crashes (%d iterations inconclusive)\n",
+                "crashes (%d iterations inconclusive, %d schedules "
+                "skipped)\n",
                 mode == txn::ProtocolMode::kPandora ? "Pandora" : "Baseline",
-                total_violations, total_crashes, total_inconclusive);
+                total_violations, total_crashes, total_inconclusive,
+                total_skipped);
   }
 
   // --- Each Table-1 bug, re-enabled, is caught.
@@ -124,7 +130,7 @@ int main() {
   // lockstep rendezvous cannot order it — see DESIGN.md).
   RunBugCase({"litmus-1", "Complicit Aborts", "C1",
               txn::ProtocolMode::kPandora, flags,
-              litmus::Litmus1LockRelease(), 0, 7,
+              litmus::Litmus1LockRelease(), 7,
               litmus::SchedulePolicy::kVerbExhaustive,
               /*runs_per_txn=*/3});
 
@@ -132,26 +138,26 @@ int main() {
   flags.missing_insert_logging = true;
   RunBugCase({"litmus-1", "Missing Actions (inserts)", "C2",
               txn::ProtocolMode::kFordBaseline, flags,
-              litmus::Litmus1Inserts(), 100, 17,
+              litmus::Litmus1Inserts(), 17,
               litmus::SchedulePolicy::kVerbExhaustive});
 
   flags = {};
   flags.covert_locks = true;
   RunBugCase({"litmus-2", "Covert Locks", "C1",
-              txn::ProtocolMode::kPandora, flags, litmus::Litmus2(), 0, 11,
+              txn::ProtocolMode::kPandora, flags, litmus::Litmus2(), 11,
               litmus::SchedulePolicy::kExhaustive});
 
   flags = {};
   flags.relaxed_locks = true;
   RunBugCase({"litmus-2", "Relaxed Locks", "C1",
-              txn::ProtocolMode::kPandora, flags, litmus::Litmus2(), 0, 13,
+              txn::ProtocolMode::kPandora, flags, litmus::Litmus2(), 13,
               litmus::SchedulePolicy::kExhaustive});
 
   flags = {};
   flags.lost_decision = true;
   RunBugCase({"litmus-3", "Lost Decision", "C2",
               txn::ProtocolMode::kFordBaseline, flags,
-              litmus::Litmus3AbortLogging(), 100, 19,
+              litmus::Litmus3AbortLogging(), 19,
               litmus::SchedulePolicy::kExhaustive});
 
   flags = {};
@@ -162,7 +168,7 @@ int main() {
   // manual runs_per_txn knob (see tests/litmus_test.cc).
   RunBugCase({"litmus-3", "Logging without locking", "C2",
               txn::ProtocolMode::kFordBaseline, flags,
-              litmus::Litmus1PartialOverlap(), 100, 23,
+              litmus::Litmus1PartialOverlap(), 23,
               litmus::SchedulePolicy::kVerbExhaustive});
 
   return 0;

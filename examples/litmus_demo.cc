@@ -1,6 +1,7 @@
-// Litmus-framework walkthrough: validate Pandora under randomized crash
-// injection, then re-enable one of FORD's original bugs (Covert Locks) and
-// watch the framework catch the strict-serializability violation.
+// Litmus-framework walkthrough: validate Pandora with a crash at every
+// reachable crash point, then re-enable one of FORD's original bugs
+// (Covert Locks) and watch the framework catch the strict-serializability
+// violation.
 //
 //   $ ./examples/litmus_demo
 
@@ -15,7 +16,10 @@ namespace {
 
 litmus::HarnessConfig DemoConfig() {
   litmus::HarnessConfig config;
-  config.iterations = 60;
+  // Exhaustive crash points (the default policy), one run per
+  // transaction; the budget covers every spec's enumeration.
+  config.runs_per_txn = 1;
+  config.iterations = 400;
   config.net.one_way_ns = 1500;
   // Generous detection timing: the demo saturates both host cores, and
   // starved heartbeats would otherwise flood the run with (safe but
@@ -28,10 +32,10 @@ litmus::HarnessConfig DemoConfig() {
 
 void PrintReport(const litmus::LitmusReport& report) {
   std::printf("  %-26s %3d iterations, %3d crashes injected, "
-              "%d violations%s\n",
+              "%d schedules skipped, %d violations%s\n",
               report.spec_name.c_str(), report.iterations,
-              report.crashes_injected, report.violations,
-              report.passed() ? "" : "  <-- BUG CAUGHT");
+              report.crashes_injected, report.schedules_skipped,
+              report.violations, report.passed() ? "" : "  <-- BUG CAUGHT");
   for (const std::string& failure : report.failures) {
     std::printf("      %s\n", failure.c_str());
   }
@@ -59,14 +63,11 @@ int main() {
     litmus::HarnessConfig config = DemoConfig();
     config.txn.mode = txn::ProtocolMode::kPandora;
     config.txn.bugs.covert_locks = true;
-    config.crash_percent = 0;  // A pure concurrency bug: no crashes needed.
-    config.iterations = 300;
+    // A pure concurrency bug: the lockstep profiling iteration, which
+    // crashes nothing, already exposes it.
+    config.stop_after_violations = 1;
     litmus::LitmusHarness harness(config);
-    const litmus::LitmusReport report = harness.Run(litmus::Litmus2());
-    PrintReport(report);
-    if (report.passed()) {
-      std::printf("  (racy bug did not manifest this run — try again)\n");
-    }
+    PrintReport(harness.Run(litmus::Litmus2()));
   }
   return 0;
 }

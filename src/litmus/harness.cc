@@ -12,7 +12,6 @@
 #include "common/checksum.h"
 #include "common/coding.h"
 #include "common/logging.h"
-#include "common/random.h"
 #include "txn/coordinator.h"
 
 namespace pandora {
@@ -412,10 +411,11 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   }
 
   // Fresh coordinators (fresh ids) per iteration; txn t runs on compute
-  // node t, the observer on the last node. Installing a (never-firing
-  // unless armed) recorder hook on every coordinator also forces the
-  // litmus-grade sequential (per-replica) apply/unlock paths, maximizing
-  // the interleavings a litmus test can observe.
+  // node t, the observer on the last node. Every coordinator gets a
+  // (never-firing unless armed) recorder hook; the hook changes no verb
+  // the protocol posts, so the iteration runs the benches' commit path,
+  // and the crash points between a doorbell group's verbs make every
+  // partial group a reachable schedule.
   // Reconfig schedules shorten the lockstep fallback: during the cutover
   // quiesce a participant blocked at the gate cannot arrive, and every
   // phase of its peers would otherwise stall for the full 250ms timeout.
@@ -444,13 +444,7 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     if (crash.slot < 0 || crash.slot >= static_cast<int>(num_txns)) {
       continue;
     }
-    if (crash.any_point) {
-      hooks[crash.slot]->ArmCrashAtGlobalOccurrence(
-          crash.global_occurrence);
-    } else {
-      hooks[crash.slot]->ArmCrashAt(crash.run, crash.point,
-                                    crash.occurrence);
-    }
+    hooks[crash.slot]->ArmCrashAt(crash.run, crash.point, crash.occurrence);
   }
 
   // Verb-level scheduling: install a fabric hook that records the
@@ -1284,33 +1278,6 @@ LitmusReport LitmusHarness::Run(const LitmusSpec& spec) {
   };
 
   switch (config_.schedule) {
-    case SchedulePolicy::kRandom: {
-      SpecRun run(config_, spec);
-      Random rng(config_.seed);
-      for (int i = 0; i < config_.iterations && !should_stop(); ++i) {
-        CrashSchedule schedule;  // free-running, maybe one random crash
-        if (config_.reconfig != ReconfigKind::kNone) {
-          // Every iteration races the migration; some also crash the
-          // migration driver at a random point.
-          schedule.reconfig = config_.reconfig;
-          if (rng.PercentTrue(40)) {
-            schedule.reconfig_crash = static_cast<int>(
-                rng.Uniform(cluster::kNumReconfigCrashPoints));
-          }
-        }
-        if (config_.crash_percent > 0 &&
-            rng.PercentTrue(config_.crash_percent)) {
-          CrashDirective crash;
-          crash.slot = static_cast<int>(rng.Uniform(run.num_txns));
-          crash.any_point = true;
-          crash.global_occurrence = static_cast<int>(1 + rng.Uniform(14));
-          schedule.crashes.push_back(crash);
-        }
-        report.schedules_planned++;
-        execute(run, schedule);
-      }
-      break;
-    }
     case SchedulePolicy::kExhaustive: {
       SpecRun run(config_, spec);
       crash_point_exhaustive(run);

@@ -24,15 +24,12 @@ struct HarnessConfig {
   /// Iteration budget per litmus spec. Each iteration runs the spec's
   /// transactions concurrently on separate compute servers against fresh
   /// keys. Under kExhaustive this caps the number of enumerated schedules
-  /// (profiling iteration included). Under kVerbExhaustive it is a
-  /// per-phase budget: the crash-point enumeration and the verb-order
+  /// (profiling iteration included); a report whose schedules_skipped is
+  /// non-zero did not finish the enumeration. Under kVerbExhaustive it is
+  /// a per-phase budget: the crash-point enumeration and the verb-order
   /// exploration each get this many iterations, per explored run count.
   int iterations = 100;
   uint64_t seed = 1;
-  /// kRandom only: probability (percent) that an iteration crashes one
-  /// transaction's compute server at a random protocol point (§5 "we
-  /// randomly inject crashes after any operation").
-  uint32_t crash_percent = 60;
   /// Each transaction slot executes its program this many times in
   /// sequence per iteration. Repeat runs widen the window for bugs whose
   /// manifestation needs a *completed* earlier transaction of the same
@@ -46,7 +43,7 @@ struct HarnessConfig {
   recovery::FdConfig fd;
 
   /// How crash schedules are chosen (see SchedulePolicy).
-  SchedulePolicy schedule = SchedulePolicy::kRandom;
+  SchedulePolicy schedule = SchedulePolicy::kExhaustive;
   /// kReplay: the schedule to re-execute, exactly once.
   CrashSchedule replay;
   /// Stop the run once this many violations were found (0 = never stop
@@ -92,7 +89,7 @@ struct LitmusReport {
   /// diagnosis.
   std::vector<std::string> failures;
 
-  /// Schedules the exploration planned (kExhaustive) or sampled (kRandom).
+  /// Schedules the exploration planned.
   int schedules_planned = 0;
   /// Planned schedules whose enumeration overflowed the iteration budget.
   int schedules_skipped = 0;
@@ -166,7 +163,7 @@ struct LitmusReport {
 
 /// End-to-end litmus executor: deploys a fresh simulated DKVS per spec,
 /// runs the spec's transactions concurrently under a crash-schedule policy
-/// (randomized sampling, exhaustive lockstep enumeration, or replay of a
+/// (exhaustive lockstep enumeration, verb-order exploration, or replay of a
 /// recorded trace), drives detection + recovery, reads the application-
 /// observable final state, and validates it with the subset-serializability
 /// checker. Violating iterations are shrunk to minimal reproducers.

@@ -59,12 +59,8 @@ std::string CrashSchedule::ToString() const {
   out << "sync=" << SyncModeName(sync);
   if (runs > 0) out << " runs=" << runs;
   for (const CrashDirective& crash : crashes) {
-    out << " crash=" << crash.slot << ":" << crash.run << ":";
-    if (crash.any_point) {
-      out << "any:" << crash.global_occurrence;
-    } else {
-      out << txn::CrashPointName(crash.point) << ":" << crash.occurrence;
-    }
+    out << " crash=" << crash.slot << ":" << crash.run << ":"
+        << txn::CrashPointName(crash.point) << ":" << crash.occurrence;
   }
   if (rc_fault) out << " rc_fault=1";
   if (kill_memory_node >= 0) out << " kill_mem=" << kill_memory_node;
@@ -118,15 +114,10 @@ bool CrashSchedule::Parse(const std::string& text, CrashSchedule* out) {
         return false;
       }
       CrashDirective crash;
-      if (!ParseInt(slot_s, &crash.slot) || !ParseInt(run_s, &crash.run)) {
+      if (!ParseInt(slot_s, &crash.slot) || !ParseInt(run_s, &crash.run) ||
+          !txn::CrashPointFromName(point_s, &crash.point) ||
+          !ParseInt(occ_s, &crash.occurrence)) {
         return false;
-      }
-      if (point_s == "any") {
-        crash.any_point = true;
-        if (!ParseInt(occ_s, &crash.global_occurrence)) return false;
-      } else {
-        if (!txn::CrashPointFromName(point_s, &crash.point)) return false;
-        if (!ParseInt(occ_s, &crash.occurrence)) return false;
       }
       parsed.crashes.push_back(crash);
     } else if (key == "runs") {

@@ -19,9 +19,6 @@ namespace litmus {
 
 /// How the harness chooses crash schedules.
 enum class SchedulePolicy {
-  /// Legacy sampler: each iteration crashes one random transaction at a
-  /// random global crash-point occurrence with probability crash_percent.
-  kRandom,
   /// Bounded model checking: a lockstep profiling iteration records every
   /// reachable (slot, run, point, occurrence) tuple, then one schedule per
   /// tuple is executed — optionally chained with a recovery-coordinator
@@ -59,11 +56,6 @@ struct CrashDirective {
   int run = 0;   // which repeat of the slot's program
   txn::CrashPoint point = txn::CrashPoint::kBeforeLock;
   int occurrence = 1;  // 1-based visit count of `point` within `run`
-  /// Random-policy arming: fire at the Nth point hit overall instead of a
-  /// precise (run, point, occurrence). Resolved to a precise directive in
-  /// the executed trace.
-  bool any_point = false;
-  int global_occurrence = 0;
 };
 
 /// Names one one-sided verb in a litmus iteration, independent of wall

@@ -1,6 +1,7 @@
 #ifndef PANDORA_RDMA_NETWORK_MODEL_H_
 #define PANDORA_RDMA_NETWORK_MODEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -18,6 +19,12 @@ struct NetworkConfig {
   uint64_t one_way_ns = 1500;
   /// Serialization cost per payload byte. 100 Gbps = 12.5 GB/s = 0.08 ns/B.
   double per_byte_ns = 0.08;
+  /// Ablation mode without doorbell batching: every verb of a doorbell
+  /// group waits out its own round trip (DoorbellWait sums the verbs'
+  /// RTTs instead of overlapping them). Only the simulated wait changes;
+  /// the protocols post the same verbs in the same groups, and their RTT
+  /// and doorbell counters still count groups.
+  bool sequential_verbs = false;
 
   bool latency_enabled() const { return one_way_ns != 0 || per_byte_ns != 0; }
 };
@@ -43,6 +50,13 @@ class NetworkModel {
            static_cast<uint64_t>(
                config_.per_byte_ns *
                static_cast<double>(request_bytes + response_bytes));
+  }
+
+  /// Simulated wait of two verb groups that share one doorbell wait: the
+  /// longer of the two, or their sum when every verb pays its own round
+  /// trip (sequential_verbs).
+  uint64_t SharedWaitNanos(uint64_t a, uint64_t b) const {
+    return config_.sequential_verbs ? a + b : std::max(a, b);
   }
 
  private:

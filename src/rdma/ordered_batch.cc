@@ -43,8 +43,7 @@ size_t OrderedBatch::CompareSwap(RKey rkey, uint64_t offset,
 }
 
 Status OrderedBatch::Execute(uint64_t extra_rtt_ns) {
-  const uint64_t own_ns = wait_.ns();
-  last_wait_ns_ = own_ns > extra_rtt_ns ? own_ns : extra_rtt_ns;
+  last_wait_ns_ = qp_->net().SharedWaitNanos(wait_.ns(), extra_rtt_ns);
   if (last_wait_ns_ > 0) SpinForNanos(last_wait_ns_);
   return Collect();
 }

@@ -44,8 +44,9 @@ class OrderedBatch {
 
   /// Waits out one doorbell wait for the whole chain, or `extra_rtt_ns` if
   /// that is longer — the pending wait of a VerbBatch or of sibling chains
-  /// to other servers riding the same doorbell group — and returns the
-  /// first verb error, if any. Resets the chain for reuse.
+  /// to other servers riding the same doorbell group (their sum under
+  /// NetworkConfig::sequential_verbs) — and returns the first verb error,
+  /// if any. Resets the chain for reuse.
   Status Execute(uint64_t extra_rtt_ns = 0);
 
   /// Doorbell wait of the verbs posted so far (DoorbellWait). Lets this

@@ -94,12 +94,18 @@ class QueuePair {
 /// slowest verb's round trip plus the serialization time (per_byte_ns x
 /// payload bytes) of every *other* verb. Latencies overlap, but payloads
 /// share the issuing NIC's link, so batching saves round trips and never
-/// bandwidth. With per_byte_ns = 0 this is exactly the slowest RTT.
+/// bandwidth. With per_byte_ns = 0 this is exactly the slowest RTT. Under
+/// NetworkConfig::sequential_verbs nothing overlaps: the wait is the sum
+/// of the verbs' round trips.
 class DoorbellWait {
  public:
   /// Accounts one verb that reached the fabric, given its RTT and the
   /// network model it was issued under.
   void Add(uint64_t rtt_ns, const NetworkModel& net) {
+    if (net.config().sequential_verbs) {
+      serialization_ns_ += rtt_ns;  // Its own round trip, in full.
+      return;
+    }
     const uint64_t serialization_ns = rtt_ns - net.BaseRttNanos();
     serialization_ns_ += serialization_ns;
     if (rtt_ns > max_rtt_ns_) {

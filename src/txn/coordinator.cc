@@ -19,6 +19,11 @@ namespace {
 // Stable-address source for unlock writes (the lock word's unlocked value).
 const uint64_t kUnlockedWord = store::kUnlocked;
 
+// Landing buffer of the NVM selective-flush reads (§7): reading any byte
+// of a server's log region drains the RNIC cache for the writes posted
+// before it on the same connection (FORD's selective flush).
+alignas(8) thread_local uint64_t flush_sink = 0;
+
 // How long to wait for the failure detector's verdict about an unreachable
 // memory server before giving up.
 constexpr uint64_t kMemoryVerdictTimeoutUs = 100'000;
@@ -52,6 +57,15 @@ Status Coordinator::MaybeCrash(CrashPoint point) {
     return Status::Unavailable("injected crash");
   }
   return Status::OK();
+}
+
+Status Coordinator::CrashBetweenVerbs(rdma::VerbBatch* batch,
+                                      CrashPoint point) {
+  if (batch->size() == 0) return Status::OK();
+  const Status status = MaybeCrash(point);
+  // Crashed: the verbs posted so far have landed; drain the rest.
+  if (!status.ok()) batch->Collect();
+  return status;
 }
 
 Status Coordinator::FinalizeIfCrashed(Status status) {
@@ -107,7 +121,6 @@ Status Coordinator::Begin() {
   write_set_.clear();
   write_index_.clear();
   read_set_.clear();
-  coord_log_fragments_ = 0;
   log_writer_.ResetForNewTxn();
   return Status::OK();
 }
@@ -117,7 +130,6 @@ void Coordinator::FinishTxn() {
   write_set_.clear();
   write_index_.clear();
   read_set_.clear();
-  coord_log_fragments_ = 0;
   if (gate_ != nullptr) gate_->ExitTxn();
 }
 
@@ -316,7 +328,7 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
     uint64_t observed = 0;
     bool fetched = false;
     Status status;
-    if (pipelining_enabled()) {
+    if (config_.pipeline_execution) {
       // §3.1.1: lock CAS + speculative undo-image read, one doorbell, one
       // round trip. If the CAS loses, the read result is discarded and the
       // conflict path below runs exactly as in the unpipelined protocol.
@@ -358,7 +370,7 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
         // doorbell just like the fast path.
         uint64_t steal_observed = 0;
         bool steal_fetched = false;
-        if (pipelining_enabled()) {
+        if (config_.pipeline_execution) {
           PANDORA_RETURN_NOT_OK(PostLockAndFetchChain(
               op, observed, &steal_observed, nullptr, &steal_fetched));
         } else {
@@ -488,7 +500,7 @@ Status Coordinator::StageWrite(WriteOp op) {
     // pre-lock value image.
     stats_.bug_injections++;
     PANDORA_RETURN_NOT_OK(FetchUndoImageUnlocked(&op));
-    if (pipelining_enabled() && !config_.disable_recovery_logging &&
+    if (config_.pipeline_execution && !config_.disable_recovery_logging &&
         !(op.is_insert && config_.bugs.missing_insert_logging)) {
       // The record's content is already known here (pre-lock image), so
       // its writes can ride the lock CAS + read doorbell group instead of
@@ -625,7 +637,7 @@ Status Coordinator::ReadRange(
   if (hi < lo || hi - lo > 4096) {
     return Status::InvalidArgument("range too large (cap 4096 keys)");
   }
-  if (pipelining_enabled()) {
+  if (config_.pipeline_execution) {
     return FinalizeIfCrashed(ReadRangeBatched(table, lo, hi, out));
   }
   for (store::Key key = lo;; ++key) {
@@ -976,36 +988,15 @@ Status Coordinator::Commit() {
   if (!in_txn_) return Status::InvalidArgument("no open transaction");
   const Status status = FinalizeIfCrashed(
       server_->halted() ? Status::Unavailable("compute node halted")
-                        : CommitInternal());
+      : config_.mode == ProtocolMode::kPandora ? CommitMergedInternal()
+                                               : CommitInternal());
   if (status.ok()) reconfig_backoff_level_ = 0;
   return status;
 }
 
-Status Coordinator::CommitInternal() {
-  if (merged_commit_enabled()) return CommitMergedInternal();
-
-  // ---- Logging + validation, overlapped in one doorbell (§3.1.4-3.1.5:
-  // logging costs no extra round trip on the commit path).
-  rdma::VerbBatch batch;
-
+Status Coordinator::Validate() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLogWrite));
-  if (config_.mode == ProtocolMode::kPandora && !write_set_.empty() &&
-      !config_.disable_recovery_logging) {
-    size_t num_fragments = 0;
-    // Write-set larger than the coordinator's log area: abort cleanly.
-    PANDORA_RETURN_NOT_OK(
-        AbortIfLogFull(PrepareCoordinatorRecord(&num_fragments)));
-    log_writer_.PostCoordinatorRecord(num_fragments, &batch);
-    coord_log_fragments_ = num_fragments;
-    stats_.log_records_written++;
-    if (!batching_enabled()) {
-      // Ablation: without doorbell batching the log write is its own
-      // round trip instead of overlapping the validation reads.
-      CountRtts(&stats_.commit_rtts, 1);
-      const Status status = batch.Execute();
-      if (status.IsUnavailable() && server_->halted()) return status;
-    }
-  }
+  rdma::VerbBatch batch;
   PANDORA_RETURN_NOT_OK(PostValidationReads(&batch));
 
   if (config_.bugs.relaxed_locks) {
@@ -1032,15 +1023,8 @@ Status Coordinator::CommitInternal() {
   if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
   Status status = batch.Execute();
   if (status.IsUnavailable() && server_->halted()) return status;
-  // A dead memory server inside the batch is tolerated: log writes to dead
-  // log servers are skipped, validation falls back per entry below.
-
-  if (config_.mode == ProtocolMode::kPandora && coord_log_fragments_ > 0) {
-    // NVM deployments: the record is durable only after the flush.
-    PANDORA_RETURN_NOT_OK(
-        FlushForPersistence(log_writer_.log_servers()));
-  }
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLogWrite));
+  // A dead memory server inside the batch is tolerated: validation falls
+  // back per entry below.
 
   if (config_.bugs.relaxed_locks) {
     for (WriteOp& op : write_set_) {
@@ -1064,13 +1048,14 @@ Status Coordinator::CommitInternal() {
     if (abort_status.IsUnavailable()) return abort_status;
     return Status::Aborted(status.message());
   }
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
 
   // Reconfiguration epoch fence at the validation point: the versions just
   // checked (and the locks held) live on the *old* placement. If the ring
   // was cut over since Begin, committing here could land updates on
   // replicas a migrated range no longer reads — abort instead and let the
-  // retry run against the new placement.
+  // retry run against the new placement. Covers read-only transactions
+  // too: their validated versions came from the pre-cutover primaries,
+  // which a post-cutover writer no longer updates.
   if (config_.reconfig_fence && RingEpochChanged(/*refresh=*/false)) {
     stats_.reconfig_aborts++;
     if (reconfig_backoff_level_ < 16) reconfig_backoff_level_++;
@@ -1078,6 +1063,12 @@ Status Coordinator::CommitInternal() {
     if (abort_status.IsUnavailable()) return abort_status;
     return Status::Aborted("placement epoch changed at validation");
   }
+  return Status::OK();
+}
+
+Status Coordinator::CommitInternal() {
+  PANDORA_RETURN_NOT_OK(Validate());
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
 
   // ---- Decision reached: commit. Apply to every live replica.
   PANDORA_RETURN_NOT_OK(ApplyWrites());
@@ -1088,7 +1079,7 @@ Status Coordinator::CommitInternal() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterClientAck));
 
   // ---- Unlock.
-  PANDORA_RETURN_NOT_OK(UnlockWriteSet(/*crash_points=*/true));
+  PANDORA_RETURN_NOT_OK(UnlockWriteSet());
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterUnlock));
 
   stats_.committed++;
@@ -1098,38 +1089,13 @@ Status Coordinator::CommitInternal() {
 
 Status Coordinator::CommitMergedInternal() {
   // ---- Validation first. Because the commit decision is reached before
-  // any log write below, an abort here needs no truncation round trip:
-  // coord_log_fragments_ stays 0 and AbortInternal only releases locks.
-  if (!read_set_.empty()) {
-    rdma::VerbBatch vbatch;
-    PANDORA_RETURN_NOT_OK(PostValidationReads(&vbatch));
-    if (vbatch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-    Status status = vbatch.Execute();
-    if (status.IsUnavailable() && server_->halted()) return status;
-    status = CheckValidation();
-    if (status.IsUnavailable() && server_->halted()) return status;
-    if (!status.ok()) {
-      stats_.validation_failures++;
-      Status abort_status = AbortInternal();
-      if (abort_status.IsUnavailable()) return abort_status;
-      return Status::Aborted(status.message());
-    }
-  }
-
-  // Reconfiguration epoch fence at the validation point (see
-  // CommitInternal): covers read-only transactions too — their validated
-  // versions came from the pre-cutover primaries, which a post-cutover
-  // writer no longer updates.
-  if (config_.reconfig_fence && RingEpochChanged(/*refresh=*/false)) {
-    stats_.reconfig_aborts++;
-    if (reconfig_backoff_level_ < 16) reconfig_backoff_level_++;
-    Status abort_status = AbortInternal();
-    if (abort_status.IsUnavailable()) return abort_status;
-    return Status::Aborted("placement epoch changed at validation");
-  }
+  // any log write below, an abort needs no truncation: AbortInternal only
+  // releases locks.
+  PANDORA_RETURN_NOT_OK(Validate());
 
   if (write_set_.empty()) {
     // Read-only transaction: validation was the whole commit.
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
     if (ack_callback_) ack_callback_(txn_id_, true);
     stats_.committed++;
     FinishTxn();
@@ -1139,86 +1105,46 @@ Status Coordinator::CommitMergedInternal() {
   // ---- Decision reached: commit. The undo-log record, every replica
   // apply, and the unlocks merge into ONE doorbell group — an ordered
   // chain per touched memory server (whose union covers ≥ f+1 replicas of
-  // every write-set object, so the record survives f failures without the
-  // designated-server rider). RC in-order delivery makes a server's
-  // unlock apply only after its log fragments and its applies; the
-  // cross-server post order (all fragments, then all applies, then all
-  // unlocks) means a coordinator crash mid-group leaves either a
-  // not-yet-applied state recovery rolls back, or a fully-applied state
-  // (any unlock posted implies every apply was posted) recovery rolls
-  // forward. See DESIGN.md "Merged commit doorbell".
-  const bool log_record = !config_.disable_recovery_logging;
+  // every write-set object, so the record survives f failures). RC
+  // in-order delivery makes a server's unlock apply only after its log
+  // fragments and its applies; the cross-server post order (all
+  // fragments, then all applies, then all unlocks) means a coordinator
+  // crash mid-group leaves either a not-yet-applied state recovery rolls
+  // back, or a fully-applied state (any unlock posted implies every apply
+  // was posted) recovery rolls forward. See DESIGN.md "Merged commit
+  // doorbell".
   size_t num_fragments = 0;
-  if (log_record) {
+  if (!config_.disable_recovery_logging) {
     // Write-set larger than the coordinator's log area: abort cleanly.
     PANDORA_RETURN_NOT_OK(
         AbortIfLogFull(PrepareCoordinatorRecord(&num_fragments)));
-  }
-
-  BuildApplyBufs();
-
-  // Every chain posted to below is drained by the shared wait at the end;
-  // nothing in between returns, so no verb leaks into the next commit.
-  const std::vector<rdma::NodeId>& touched = TouchedReplicaServers();
-
-  // 1) Log fragments, on every touched server.
-  if (log_record) {
-    const store::LogLayout& log_layout = cluster_->catalog().log_layout();
-    for (const rdma::NodeId node : touched) {
-      if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      // Fragments take slots [0, num_fragments) every commit (the dense
-      // log, DESIGN.md): at most one in-flight record exists per
-      // coordinator, so the previous txn's (already applied,
-      // benign-stale) record is safe to overwrite. Fragment 0 goes first
-      // in the chain, so a later fragment never lands without it. The
-      // small fixed window also keeps these writes in warm cache lines
-      // rather than strobing the 128 KB slot area on every commit.
-      for (size_t f = 0; f < num_fragments; ++f) {
-        const std::vector<char>& buf = log_writer_.PreparedFragment(f);
-        chains_[node]->Write(
-            cluster_->catalog().log_rkey(node),
-            log_layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
-            buf.data(), buf.size());
-      }
-    }
     stats_.log_records_written++;
   }
+  BuildApplyBufs();
 
-  // 2) Replica applies.
-  for (size_t i = 0; i < write_set_.size(); ++i) {
-    WriteOp& op = write_set_[i];
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    for (size_t r = 0; r < op.replicas.size(); ++r) {
-      const rdma::NodeId node = op.replicas[r];
-      if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      chains_[node]->Write(info.region_rkeys[node],
-                           info.layout.VersionOffset(op.slots[r]),
-                           apply_bufs_[i].data(), apply_bufs_[i].size());
-    }
+  const std::vector<rdma::NodeId>& touched = TouchedReplicaServers();
+  const Status posted = PostCommitGroup(touched, num_fragments);
+  if (!posted.ok()) {
+    // Crashed mid-group: the verbs posted so far have landed. Drain every
+    // chain without waiting, so none leaks into this node's next commit.
+    for (const rdma::NodeId node : touched) chains_[node]->Collect();
+    return posted;
   }
 
-  // 3) Unlocks.
-  for (WriteOp& op : write_set_) {
-    if (!op.locked) continue;
-    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
-                                 info.layout.LockOffset(op.lock_slot),
-                                 &kUnlockedWord, sizeof(kUnlockedWord));
-  }
-
-  // One shared max-RTT wait covers the whole group: the first non-empty
-  // chain pays the max of the sibling chains as extra, the rest drain with
+  // One shared wait covers the whole group: the first non-empty chain
+  // pays the sibling chains' waits as extra, the rest drain with
   // Collect().
   rdma::OrderedBatch* first = nullptr;
   uint64_t extra_rtt_ns = 0;
+  const rdma::NetworkModel& net = cluster_->fabric().network();
   for (const rdma::NodeId node : touched) {
     const rdma::OrderedBatch& chain = *chains_[node];
     if (chain.size() == 0) continue;
     if (first == nullptr) {
       first = chains_[node].get();
     } else {
-      extra_rtt_ns = std::max(extra_rtt_ns, chain.pending_max_rtt_ns());
+      extra_rtt_ns =
+          net.SharedWaitNanos(extra_rtt_ns, chain.pending_max_rtt_ns());
     }
   }
   if (first != nullptr) CountRtts(&stats_.commit_rtts, 1);
@@ -1240,26 +1166,99 @@ Status Coordinator::CommitMergedInternal() {
 
   // ---- Client ack (Cor3: all live replicas are updated).
   if (ack_callback_) ack_callback_(txn_id_, true);
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterClientAck));
 
   stats_.committed++;
   FinishTxn();
   return Status::OK();
 }
 
+Status Coordinator::PostCommitGroup(const std::vector<rdma::NodeId>& touched,
+                                    size_t num_fragments) {
+  // §7 NVM: each chain flushes its fragments before its applies and its
+  // applies before its unlock.
+  const auto post_flushes = [&] {
+    if (!nvm_flush()) return;
+    for (const rdma::NodeId node : touched) {
+      if (chains_[node]->size() == 0) continue;
+      chains_[node]->Read(cluster_->catalog().log_rkey(node), 0, &flush_sink,
+                          sizeof(flush_sink));
+      stats_.nvm_flushes++;
+    }
+  };
+  // Each part's crash point sits between two of its verbs, as in
+  // CrashBetweenVerbs; `posted` counts the current part's verbs.
+  size_t posted = 0;
+  const auto between = [&](CrashPoint point) {
+    return posted++ > 0 ? MaybeCrash(point) : Status::OK();
+  };
+
+  // 1) Log fragments, on every touched server. They take slots
+  // [0, num_fragments) every commit (the dense log, DESIGN.md): at most
+  // one in-flight record exists per coordinator, so the previous txn's
+  // (already applied, benign-stale) record is safe to overwrite. Fragment
+  // 0 goes first in the chain, so a later fragment never lands without
+  // it. The small fixed window also keeps these writes in warm cache
+  // lines rather than strobing the 128 KB slot area on every commit.
+  const store::LogLayout& log_layout = cluster_->catalog().log_layout();
+  for (const rdma::NodeId node : touched) {
+    if (!cluster_->membership().IsMemoryAlive(node)) continue;
+    for (size_t f = 0; f < num_fragments; ++f) {
+      PANDORA_RETURN_NOT_OK(between(CrashPoint::kAfterLogWrite));
+      const std::vector<char>& buf = log_writer_.PreparedFragment(f);
+      chains_[node]->Write(
+          cluster_->catalog().log_rkey(node),
+          log_layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
+          buf.data(), buf.size());
+    }
+  }
+  post_flushes();
+  // The record is logged on every touched server, every lock is held and
+  // nothing is applied.
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeCommitApply));
+
+  // 2) Replica applies.
+  posted = 0;
+  for (size_t i = 0; i < write_set_.size(); ++i) {
+    const WriteOp& op = write_set_[i];
+    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
+    for (size_t r = 0; r < op.replicas.size(); ++r) {
+      const rdma::NodeId node = op.replicas[r];
+      if (!cluster_->membership().IsMemoryAlive(node)) continue;
+      PANDORA_RETURN_NOT_OK(between(CrashPoint::kMidCommitApply));
+      chains_[node]->Write(info.region_rkeys[node],
+                           info.layout.VersionOffset(op.slots[r]),
+                           apply_bufs_[i].data(), apply_bufs_[i].size());
+    }
+  }
+  post_flushes();
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterCommitApply));
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
+
+  // 3) Unlocks. The full group is named by kAfterClientAck, visited once
+  // the group has completed.
+  posted = 0;
+  for (const WriteOp& op : write_set_) {
+    if (!op.locked) continue;
+    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
+    PANDORA_RETURN_NOT_OK(between(CrashPoint::kMidUnlock));
+    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
+    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
+                                 info.layout.LockOffset(op.lock_slot),
+                                 &kUnlockedWord, sizeof(kUnlockedWord));
+  }
+  return Status::OK();
+}
+
 Status Coordinator::FlushForPersistence(
     std::span<const rdma::NodeId> servers) {
-  if (cluster_->config().persistence !=
-      cluster::PersistenceMode::kNvmWithFlush) {
-    return Status::OK();
-  }
+  if (!nvm_flush()) return Status::OK();
   rdma::VerbBatch batch;
-  alignas(8) static thread_local uint64_t sink = 0;
   for (const rdma::NodeId server : servers) {
     if (!cluster_->membership().IsMemoryAlive(server)) continue;
-    // Reading any byte of the region drains the RNIC cache for the
-    // preceding writes on this connection (FORD's selective flush).
     batch.Read(server_->qp(server), cluster_->catalog().log_rkey(server),
-               0, &sink, sizeof(sink));
+               0, &flush_sink, sizeof(flush_sink));
     stats_.nvm_flushes++;
   }
   if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
@@ -1294,33 +1293,6 @@ Status Coordinator::ApplyWrites() {
 
   BuildApplyBufs();
 
-  bool need_repair = false;
-  if (!batching_enabled()) {
-    // Litmus / ablation mode: apply replica-by-replica (with crash points
-    // in between when a hook is set), so partial-commit states are
-    // reachable and per-verb round trips are visible.
-    for (size_t i = 0; i < write_set_.size(); ++i) {
-      WriteOp& op = write_set_[i];
-      const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-      for (size_t r = 0; r < op.replicas.size(); ++r) {
-        const rdma::NodeId node = op.replicas[r];
-        if (!cluster_->membership().IsMemoryAlive(node)) continue;
-        CountRtts(&stats_.commit_rtts, 1);
-        const Status status = server_->qp(node)->Write(
-            info.region_rkeys[node], info.layout.VersionOffset(op.slots[r]),
-            apply_bufs_[i].data(), apply_bufs_[i].size());
-        if (status.IsUnavailable()) {
-          if (server_->halted()) return status;
-          PANDORA_RETURN_NOT_OK(ResolveApplyFailure(node));
-          continue;  // Dead replica: skip (§3.2.5 rule).
-        }
-        PANDORA_RETURN_NOT_OK(status);
-        PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kMidCommitApply));
-      }
-    }
-    return FlushForPersistence(TouchedReplicaServers());
-  }
-
   rdma::VerbBatch batch;
   for (size_t i = 0; i < write_set_.size(); ++i) {
     WriteOp& op = write_set_[i];
@@ -1328,6 +1300,8 @@ Status Coordinator::ApplyWrites() {
     for (size_t r = 0; r < op.replicas.size(); ++r) {
       const rdma::NodeId node = op.replicas[r];
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
+      PANDORA_RETURN_NOT_OK(
+          CrashBetweenVerbs(&batch, CrashPoint::kMidCommitApply));
       batch.Write(server_->qp(node), info.region_rkeys[node],
                   info.layout.VersionOffset(op.slots[r]),
                   apply_bufs_[i].data(), apply_bufs_[i].size());
@@ -1335,6 +1309,7 @@ Status Coordinator::ApplyWrites() {
   }
   if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
   const Status status = batch.Execute();
+  bool need_repair = false;
   if (!status.ok()) {
     if (server_->halted()) return Status::Unavailable("compute node halted");
     need_repair = true;
@@ -1398,35 +1373,13 @@ const std::vector<rdma::NodeId>& Coordinator::TouchedReplicaServers() {
   return touched_servers_;
 }
 
-Status Coordinator::UnlockWriteSet(bool crash_points) {
-  if (crash_points) {
-    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
-  }
-  if (!batching_enabled()) {
-    for (WriteOp& op : write_set_) {
-      if (!op.locked) continue;
-      if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
-      const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-      CountRtts(&stats_.commit_rtts, 1);
-      const Status status = server_->qp(op.lock_node)
-                                ->Write(info.region_rkeys[op.lock_node],
-                                        info.layout.LockOffset(op.lock_slot),
-                                        &kUnlockedWord,
-                                        sizeof(kUnlockedWord));
-      if (status.IsUnavailable() && !server_->halted()) continue;
-      PANDORA_RETURN_NOT_OK(status);
-      op.locked = false;
-      if (crash_points) {
-        PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kMidUnlock));
-      }
-    }
-    return Status::OK();
-  }
-
+Status Coordinator::UnlockWriteSet() {
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
   rdma::VerbBatch batch;
   for (WriteOp& op : write_set_) {
     if (!op.locked) continue;
     if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
+    PANDORA_RETURN_NOT_OK(CrashBetweenVerbs(&batch, CrashPoint::kMidUnlock));
     const cluster::TableInfo& info = cluster_->catalog().table(op.table);
     batch.Write(server_->qp(op.lock_node), info.region_rkeys[op.lock_node],
                 info.layout.LockOffset(op.lock_slot), &kUnlockedWord,
@@ -1445,14 +1398,11 @@ Status Coordinator::Abort() {
 
 Status Coordinator::AbortInternal() {
   // §3.1.5 abort path: first log the decision by truncating logs, then
-  // release the locks acquired during execution.
+  // release the locks acquired during execution. Pandora decides before it
+  // logs anything, so it has nothing to truncate.
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeAbortTruncate));
-  rdma::VerbBatch batch;
-  if (config_.mode == ProtocolMode::kPandora) {
-    log_writer_.PostInvalidateCoordinatorRecord(coord_log_fragments_,
-                                                &batch);
-  }
   if (config_.mode != ProtocolMode::kPandora) {
+    rdma::VerbBatch batch;
     if (config_.bugs.lost_decision) {
       // FORD bug: the abort decision is never logged. Exercised whenever
       // valid-looking undo records survive this abort.
@@ -1472,11 +1422,11 @@ Status Coordinator::AbortInternal() {
         }
       }
     }
-  }
-  if (batch.size() > 0) {
-    CountRtts(&stats_.commit_rtts, 1);
-    const Status status = batch.Execute();
-    if (status.IsUnavailable() && server_->halted()) return status;
+    if (batch.size() > 0) {
+      CountRtts(&stats_.commit_rtts, 1);
+      const Status status = batch.Execute();
+      if (status.IsUnavailable() && server_->halted()) return status;
+    }
   }
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterAbortTruncate));
 
@@ -1490,6 +1440,8 @@ Status Coordinator::AbortInternal() {
     if (op.lock_node == rdma::kInvalidNodeId) continue;
     if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
     if (!op.locked) stats_.bug_injections++;  // Complicit release fired.
+    PANDORA_RETURN_NOT_OK(
+        CrashBetweenVerbs(&unlock_batch, CrashPoint::kMidAbortUnlock));
     const cluster::TableInfo& info = cluster_->catalog().table(op.table);
     unlock_batch.Write(server_->qp(op.lock_node),
                        info.region_rkeys[op.lock_node],

@@ -140,6 +140,13 @@ class Coordinator {
   // the hook fires.
   Status MaybeCrash(CrashPoint point);
 
+  // Visits `point` between two verbs of a doorbell group: before every
+  // verb posted into `batch` but its first (a no-op while it is empty).
+  // With the group's before and after points, every prefix of the group a
+  // crash can leave landed is named by exactly one (point, occurrence). A
+  // crash drains the batch.
+  Status CrashBetweenVerbs(rdma::VerbBatch* batch, CrashPoint point);
+
   // Tears down local transaction bookkeeping when `status` reports that
   // this node crashed mid-operation (memory state is left untouched).
   Status FinalizeIfCrashed(Status status);
@@ -225,42 +232,52 @@ class Coordinator {
     alignas(8) char buf[16];
   };
 
-  // Commit sub-steps.
+  // The baselines' commit: validation, then the apply group, the client
+  // ack and the unlock group (their undo records were written during
+  // execution).
   Status CommitInternal();
+  // The commit decision, shared by both commit paths: one doorbell of
+  // read-set lock+version reads (plus, under the relaxed-locks bug, the
+  // deferred lock CASes behind them), then the checks and the
+  // reconfiguration fence. A transaction that cannot commit is aborted
+  // here and Aborted is returned.
+  Status Validate();
   // Posts one lock+version read per read-set entry into `batch`, landing
   // in vreads_; CheckValidation decodes them.
   Status PostValidationReads(rdma::VerbBatch* batch);
   Status CheckValidation();
+  // The baselines' apply and unlock groups, each with its crash point
+  // (kMidCommitApply / kMidUnlock) between every two verbs.
   Status ApplyWrites();
-  Status UnlockWriteSet(bool crash_points);
+  Status UnlockWriteSet();
 
   // Fills apply_bufs_ (one [version][key][value] image per write op).
   void BuildApplyBufs();
 
-  // Merged commit path (§3.1.4 taken to its conclusion): validate first,
+  // Pandora's commit (§3.1.4 taken to its conclusion): validate first,
   // then ride the undo-log record, every replica apply, AND the unlocks in
-  // ONE doorbell group — an ordered chain per touched server. Saves one
-  // full round trip per update transaction over the legacy
-  // log+validate / apply / unlock sequence. See DESIGN.md for the
-  // recovery-invariant argument.
+  // ONE doorbell group — an ordered chain per touched server. See
+  // DESIGN.md "Merged commit doorbell" for the recovery-invariant
+  // argument.
   Status CommitMergedInternal();
 
-  // The merged path requires doorbell batching, the stock protocol (any
-  // injected FORD bug reorders commit sub-steps the merge would hide), and
-  // a persistence mode whose log writes are durable at completion (NVM
-  // selective flushes must happen between apply and unlock, which the
-  // merge eliminates).
-  bool merged_commit_enabled() const {
-    return batching_enabled() && config_.mode == ProtocolMode::kPandora &&
-           !config_.bugs.AnySet() &&
-           cluster_->config().persistence !=
-               cluster::PersistenceMode::kNvmWithFlush;
+  // Posts the merged group into chains_, visiting a crash point between
+  // every two of its verbs (as CrashBetweenVerbs does) and at the
+  // boundaries of its fragments, applies and unlocks. Returns the crash's
+  // status; the caller drains the chains.
+  Status PostCommitGroup(const std::vector<rdma::NodeId>& touched,
+                         size_t num_fragments);
+
+  // True when the deployment runs NVM behind an RNIC cache (§7): durable
+  // writes need FORD's selective one-sided flush, a small read behind them
+  // on the same queue pair. DRAM and battery-backed deployments never
+  // flush.
+  bool nvm_flush() const {
+    return cluster_->config().persistence ==
+           cluster::PersistenceMode::kNvmWithFlush;
   }
 
-  // §7 NVM support: after durable writes landed on `servers`, issue
-  // FORD's selective one-sided flush (one small read per server, batched)
-  // when the deployment runs NVM behind an RNIC cache. No-op for DRAM and
-  // battery-backed deployments.
+  // The baselines' flush: one read per live server of `servers`, batched.
   Status FlushForPersistence(std::span<const rdma::NodeId> servers);
 
   // Distinct memory servers holding replicas of the current write-set, in
@@ -269,17 +286,6 @@ class Coordinator {
   // returned reference is valid until the next call.
   const std::vector<rdma::NodeId>& TouchedReplicaServers();
 
-  // True when the protocols may group verbs into one doorbell batch.
-  bool batching_enabled() const {
-    return crash_hook_ == nullptr && !config_.sequential_verbs;
-  }
-
-  // True when the execution phase may pipeline dependent verbs (lock CAS +
-  // speculative read, batched range reads) into single doorbells.
-  bool pipelining_enabled() const {
-    return batching_enabled() && config_.pipeline_execution;
-  }
-
   // Charges `n` round trips to the given TxnStats counter (execution_rtts
   // or commit_rtts) and rings `n` doorbells.
   void CountRtts(uint64_t* counter, uint64_t n) {
@@ -287,8 +293,8 @@ class Coordinator {
     stats_.doorbells += n;
   }
 
-  // Abort path. `validated_log_slot` >= 0 means a Pandora coordinator-log
-  // record was written and must be truncated.
+  // Abort path: invalidates the baselines' undo records, then releases
+  // the locks in one group with kMidAbortUnlock between every two verbs.
   Status AbortInternal();
 
   // Handles Unavailable statuses from commit-apply verbs: distinguishes
@@ -351,9 +357,6 @@ class Coordinator {
   std::vector<char> fetch_buf_;
   std::vector<char> read_buf_;
   std::vector<char> range_buf_;
-  // Pandora legacy path: fragments of the in-flight transaction's record
-  // in slots [0, n) of the designated log servers (0 = none written yet).
-  size_t coord_log_fragments_ = 0;
   // Reusable commit-apply buffers, one per write op.
   std::vector<std::vector<char>> apply_bufs_;
   // Reusable touched-server collection (TouchedReplicaServers): dedup via

@@ -77,11 +77,6 @@ void ScheduleRecorderHook::ArmCrashAt(int run, CrashPoint point,
   arm_occurrence_ = occurrence;
 }
 
-void ScheduleRecorderHook::ArmCrashAtGlobalOccurrence(int occurrence) {
-  any_point_ = true;
-  global_remaining_ = occurrence;
-}
-
 bool ScheduleRecorderHook::MaybeCrash(CrashPoint point) {
   if (run_ < 0) BeginRun(0);
   // Tag the issuing thread: every verb until the next crash point carries
@@ -94,13 +89,8 @@ bool ScheduleRecorderHook::MaybeCrash(CrashPoint point) {
   if (observer_) observer_(point, run_, occurrence);
   if (fired_) return false;
 
-  bool fire = false;
-  if (any_point_) {
-    fire = (--global_remaining_ == 0);
-  } else if (armed_ && run_ == arm_run_ && point == arm_point_ &&
-             occurrence == arm_occurrence_) {
-    fire = true;
-  }
+  const bool fire = armed_ && run_ == arm_run_ && point == arm_point_ &&
+                    occurrence == arm_occurrence_;
   if (fire) {
     fired_ = true;
     fired_point_ = point;

@@ -11,7 +11,12 @@ namespace txn {
 /// Named points in the transaction protocols where a compute-server crash
 /// can be injected. Each point sits between two RDMA verbs, so injecting a
 /// crash there reproduces exactly the partial states a real process death
-/// can leave in disaggregated memory (§3.1.1 "failure atomicity").
+/// can leave in disaggregated memory (§3.1.1 "failure atomicity"). A
+/// doorbell group visits its "Mid" point (Pandora's merged commit group:
+/// kAfterLogWrite, kMidCommitApply, kMidUnlock) between every two verbs it
+/// posts, so with the points before and after it every prefix of the group
+/// is one (point, occurrence): the protocols the benches measure are the
+/// protocols a crash schedule interrupts.
 enum class CrashPoint {
   kBeforeLock,
   kAfterLock,          // lock taken, undo image not yet read
@@ -57,12 +62,9 @@ class CrashHook {
 /// Schedule-aware crash hook used by the litmus schedule explorer. It
 /// records every crash point a coordinator actually visits (per program
 /// run), so the explorer can enumerate exactly the reachable schedules and
-/// flag directives that never fired (injection no-ops). A crash can be
-/// armed two ways:
-///  * precisely — fire at the Nth visit of one point in one run
-///    (deterministic schedule exploration / replay);
-///  * globally — fire at the Nth crash point hit overall, whatever it is
-///    (the legacy randomized sampler).
+/// flag directives that never fired (injection no-ops). A crash is armed
+/// at the Nth visit of one point in one run (deterministic schedule
+/// exploration / replay).
 ///
 /// The optional point observer runs at *every* visited point before the
 /// crash decision; the litmus lockstep scheduler uses it as a rendezvous
@@ -86,13 +88,9 @@ class ScheduleRecorderHook : public CrashHook {
   /// during run `run`.
   void ArmCrashAt(int run, CrashPoint point, int occurrence);
 
-  /// Arms a global-occurrence crash: the `occurrence`-th (1-based) crash
-  /// point hit across all points and runs.
-  void ArmCrashAtGlobalOccurrence(int occurrence);
-
   bool MaybeCrash(CrashPoint point) override;
 
-  bool armed() const { return armed_ || any_point_; }
+  bool armed() const { return armed_; }
   bool fired() const { return fired_; }
   CrashPoint fired_point() const { return fired_point_; }
   int fired_run() const { return fired_run_; }
@@ -113,9 +111,6 @@ class ScheduleRecorderHook : public CrashHook {
   int arm_run_ = 0;
   CrashPoint arm_point_ = CrashPoint::kBeforeLock;
   int arm_occurrence_ = 1;
-
-  bool any_point_ = false;
-  int global_remaining_ = 0;
 
   bool fired_ = false;
   CrashPoint fired_point_ = CrashPoint::kBeforeLock;

@@ -82,20 +82,6 @@ Status LogWriter::FinishFragments(size_t* num_fragments) {
   return Status::OK();
 }
 
-void LogWriter::PostCoordinatorRecord(size_t num_fragments,
-                                      rdma::VerbBatch* batch) {
-  const store::LogLayout& layout = cluster_->catalog().log_layout();
-  for (size_t f = 0; f < num_fragments; ++f) {
-    const std::vector<char>& buf = PreparedFragment(f);
-    for (const rdma::NodeId server : log_servers_) {
-      if (!cluster_->membership().IsMemoryAlive(server)) continue;
-      batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
-                   layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
-                   buf.data(), buf.size());
-    }
-  }
-}
-
 Status LogWriter::PostIncrementalRecord(
     const store::LogRecord& record, const cluster::ReplicaSet& servers,
     rdma::VerbBatch* batch,
@@ -129,15 +115,6 @@ void LogWriter::PostInvalidate(rdma::NodeId server, uint32_t slot,
   batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
                layout.SlotOffset(coord_id_, slot), &invalid_marker_,
                sizeof(invalid_marker_));
-}
-
-void LogWriter::PostInvalidateCoordinatorRecord(size_t num_fragments,
-                                                rdma::VerbBatch* batch) {
-  for (size_t f = num_fragments; f-- > 0;) {
-    for (const rdma::NodeId server : log_servers_) {
-      PostInvalidate(server, static_cast<uint32_t>(f), batch);
-    }
-  }
 }
 
 }  // namespace txn

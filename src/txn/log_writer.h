@@ -20,19 +20,19 @@ namespace txn {
 ///
 ///  * Coordinator log (Pandora, §3.1.4): one record covers the whole
 ///    write-set, split into slot-sized fragments when it is larger. The
-///    merged commit doorbell (Coordinator::CommitMergedInternal) takes the
-///    fragments from BeginFragments / AddFragmentEntry / FinishFragments
-///    and writes them itself to every replica server the transaction
-///    touches, ahead of the applies and unlocks in the same per-server
-///    chains; the legacy sequential path (PostCoordinatorRecord) writes
-///    the same fragments to the coordinator's f+1 *designated log
-///    servers*, chosen from
-///    the coordinator-id on the placement ring (the Stamos/Cristian
-///    coordinator-log technique).
+///    writer only serializes it (BeginFragments / AddFragmentEntry /
+///    FinishFragments); the merged commit doorbell
+///    (Coordinator::CommitMergedInternal) writes the fragments itself to
+///    every replica server the transaction touches, ahead of the applies
+///    and unlocks in the same per-server chains. Those servers hold f+1
+///    replicas of every write-set object, so the record survives f
+///    failures.
 ///
 ///  * Incremental records (the baselines): FORD's per-object undo records
 ///    go to the object's replica servers, and traditional logging's lock
-///    intents to the designated log servers, one record per post while the
+///    intents to the coordinator's f+1 *designated log servers* (chosen
+///    from the coordinator-id on the placement ring, the Stamos/Cristian
+///    coordinator-log technique), one record per post while the
 ///    transaction executes (PostIncrementalRecord).
 ///
 /// Dense log: every transaction starts at slot 0 on each server. A whole
@@ -51,7 +51,7 @@ class LogWriter {
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  /// The f+1 designated log servers of a coordinator.
+  /// The f+1 designated log servers of a coordinator (lock intents).
   static cluster::ReplicaSet LogServersFor(const cluster::Cluster& cluster,
                                           uint16_t coord_id);
 
@@ -76,14 +76,6 @@ class LogWriter {
     return buffers_[prepared_first_ + i];
   }
 
-  /// Posts the n finished fragments to slots [0, n) of every live
-  /// designated log server so the caller can overlap them with validation
-  /// reads: fragment f goes to slot f, after fragment f - 1 on the same
-  /// queue pair. Recovery merges fragments by txn_id, so the
-  /// failure-atomicity argument is unchanged (all fragments land in the
-  /// same doorbell and validation completes only after all of them).
-  void PostCoordinatorRecord(size_t num_fragments, rdma::VerbBatch* batch);
-
   /// Posts `record` (one slot, span 0) at the next free slot of the
   /// current transaction on each live server of `servers`. Returns
   /// ResourceExhausted, posting nothing, when one of them has no slot
@@ -97,13 +89,6 @@ class LogWriter {
   /// Posts an invalidation (8-byte magic overwrite) of `slot` on `server`.
   void PostInvalidate(rdma::NodeId server, uint32_t slot,
                       rdma::VerbBatch* batch);
-
-  /// Posts invalidation of a PostCoordinatorRecord record's slots
-  /// [0, num_fragments) on every designated log server, slot 0 last: on
-  /// one queue pair the writes land in post order, so slot 0 is never
-  /// empty while a later fragment of the record is still valid.
-  void PostInvalidateCoordinatorRecord(size_t num_fragments,
-                                       rdma::VerbBatch* batch);
 
   /// Starts a transaction: slot cursors back to 0, serialization buffers
   /// recycled.

@@ -9,13 +9,12 @@ namespace txn {
 /// Which transactional protocol a coordinator runs.
 enum class ProtocolMode {
   /// Pandora (§3): PILL lock words, one coordinator-log record per
-  /// transaction, lock stealing. Commit runs the merged doorbell
+  /// transaction, lock stealing. Every commit runs the merged doorbell
   /// (Coordinator::CommitMergedInternal): validation, then the record's
   /// fragments, the replica applies and the unlocks in one group of
-  /// per-server ordered chains. Under a crash hook or `sequential_verbs`
-  /// (and with injected bugs or kNvmWithFlush) the legacy path runs: the
-  /// record on f+1 designated log servers overlapped with validation,
-  /// then applies, then unlocks, with abort-truncation.
+  /// per-server ordered chains — with or without a crash hook, injected
+  /// bugs or NVM flushes. An abort is decided before anything is logged,
+  /// so it only releases locks.
   kPandora,
   /// The paper's Baseline (§4.1): FORD's online protocol — per-object undo
   /// logs written eagerly to the object's replicas during execution — with
@@ -74,19 +73,13 @@ struct TxnConfig {
   uint64_t stall_timeout_us = 1'000'000;
   uint64_t stall_retry_interval_us = 5;
 
-  /// Forces every verb group (logging, commit apply, unlock) to issue
-  /// sequentially instead of in one doorbell batch — the ablation knob for
-  /// measuring what doorbell batching buys (each group then costs one
-  /// round trip per verb instead of one per group).
-  bool sequential_verbs = false;
-
   /// Execution-phase doorbell pipelining (§3.1.1): post the lock CAS and a
   /// speculative undo-image read on the same QP in one doorbell (RC
   /// in-order delivery makes the read observe the post-CAS state), so a
   /// write op's lock+fetch costs 1 round trip instead of 2; range reads
   /// batch their per-key verbs into max-RTT rounds likewise. The ablation
-  /// knob for the paper's round-trip accounting. Ignored (off) when
-  /// `sequential_verbs` is set or a crash hook is installed.
+  /// knob for the paper's round-trip accounting. (Doorbell batching
+  /// itself is ablated in the fabric: rdma::NetworkConfig::sequential_verbs.)
   bool pipeline_execution = true;
 
   /// Disables the online-recovery component (C2) entirely: no undo

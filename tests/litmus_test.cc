@@ -143,7 +143,6 @@ TEST(CheckerTest, FormatVarState) {
 HarnessConfig FastConfig() {
   HarnessConfig config;
   config.iterations = 40;
-  config.crash_percent = 60;
   // A little simulated fabric latency stretches each transaction to
   // realistic tens of microseconds so concurrent programs genuinely
   // overlap.
@@ -158,13 +157,6 @@ HarnessConfig FastConfig() {
   config.fd.heartbeat_period_us = 2000;
   config.fd.poll_period_us = 2000;
   return config;
-}
-
-// CI sets PANDORA_SEQUENTIAL_VERBS=1 to re-run the litmus suite with every
-// verb group issued sequentially instead of doorbell-batched.
-bool SequentialVerbsFromEnv() {
-  const char* env = std::getenv("PANDORA_SEQUENTIAL_VERBS");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
 // When PANDORA_TRACE_DIR is set (CI does), write a report's minimized
@@ -196,7 +188,31 @@ void DumpReproducerTraces(const LitmusReport& report,
   out << "\n";
 }
 
-// Pandora must pass every litmus test under randomized crash injection.
+// A fixed protocol must pass `spec` with a crash at every reachable crash
+// point (kExhaustive), within a budget that covers the whole enumeration.
+// The specs plan at most ~90 schedules at two runs per transaction.
+constexpr int kExhaustiveBudget = 200;
+
+LitmusReport ExpectExhaustivePass(HarnessConfig config,
+                                  const LitmusSpec& spec) {
+  config.schedule = SchedulePolicy::kExhaustive;
+  LitmusHarness harness(config);
+  const LitmusReport report = harness.Run(spec);
+  if (report.violations > 0) {
+    DumpReproducerTraces(report, "exhaustive-" + spec.name);
+  }
+  EXPECT_EQ(report.violations, 0)
+      << spec.name << ": "
+      << (report.failures.empty() ? "" : report.failures[0]);
+  EXPECT_EQ(report.schedules_skipped, 0)
+      << spec.name << ": budget of " << config.iterations
+      << " too small for " << report.schedules_planned << " schedules";
+  EXPECT_EQ(report.iterations, report.schedules_planned) << spec.name;
+  return report;
+}
+
+// Pandora must pass every litmus test with a crash at every reachable
+// crash point — the merged commit group crashed at every verb position.
 class PandoraLitmusSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PandoraLitmusSweep, NoViolations) {
@@ -204,17 +220,9 @@ TEST_P(PandoraLitmusSweep, NoViolations) {
   const LitmusSpec& spec = specs[GetParam()];
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
+  config.iterations = kExhaustiveBudget;
   config.seed = 1000 + GetParam();
-  LitmusHarness harness(config);
-  const LitmusReport report = harness.Run(spec);
-  if (report.violations > 0) {
-    DumpReproducerTraces(report, "sweep-" + spec.name);
-  }
-  EXPECT_EQ(report.violations, 0)
-      << spec.name << ": " <<
-      (report.failures.empty() ? "" : report.failures[0]);
-  EXPECT_EQ(report.iterations, config.iterations);
+  const LitmusReport report = ExpectExhaustivePass(config, spec);
   EXPECT_GT(report.committed, 0);
 }
 
@@ -225,46 +233,34 @@ INSTANTIATE_TEST_SUITE_P(AllSpecs, PandoraLitmusSweep,
 TEST(LitmusHarnessTest, FixedBaselinePassesCoreSpecs) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kFordBaseline;
-  config.iterations = 25;
-  LitmusHarness harness(config);
+  config.iterations = kExhaustiveBudget;
   for (const auto& spec :
        {Litmus1(), Litmus2(), Litmus3AbortLogging()}) {
-    const LitmusReport report = harness.Run(spec);
-    EXPECT_EQ(report.violations, 0)
-        << spec.name << ": "
-        << (report.failures.empty() ? "" : report.failures[0]);
+    ExpectExhaustivePass(config, spec);
   }
 }
 
 TEST(LitmusHarnessTest, TraditionalLoggingPassesCoreSpecs) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kTraditionalLogging;
-  config.iterations = 25;
-  LitmusHarness harness(config);
+  config.iterations = kExhaustiveBudget;
   for (const auto& spec : {Litmus1(), Litmus2()}) {
-    const LitmusReport report = harness.Run(spec);
-    EXPECT_EQ(report.violations, 0)
-        << spec.name << ": "
-        << (report.failures.empty() ? "" : report.failures[0]);
+    ExpectExhaustivePass(config, spec);
   }
 }
 
 
-// Randomized compound litmus fuzzing: Pandora must stay serializable on
-// machine-generated transaction mixes too, crashes included.
+// Compound litmus fuzzing: Pandora must stay serializable on
+// machine-generated transaction mixes too, crashed at every reachable
+// crash point.
 class LitmusFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LitmusFuzz, PandoraSerializable) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.iterations = 20;
+  config.iterations = kExhaustiveBudget;
   config.seed = 5000 + GetParam();
-  LitmusHarness harness(config);
-  const LitmusSpec spec = RandomLitmusSpec(GetParam());
-  const LitmusReport report = harness.Run(spec);
-  EXPECT_EQ(report.violations, 0)
-      << spec.name << ": "
-      << (report.failures.empty() ? "" : report.failures[0]);
+  ExpectExhaustivePass(config, RandomLitmusSpec(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LitmusFuzz,
@@ -311,13 +307,14 @@ TEST(LitmusFuzzSpec, GeneratorIsDeterministicAndWellFormed) {
 // The whole suite runs twice — execution-phase pipelining on and off —
 // because the bugs must be caught under either verb-issue discipline.
 //
-// Note on execution-phase pipelining: it was NOT what hid these bugs.
-// The harness installs a crash hook on every litmus coordinator, and a
-// hook disables doorbell batching/pipelining entirely (crash points must
-// interleave per verb), so the litmus runs that missed the four bugs
-// were already on the sequential paths. The misses were pure schedule
-// starvation: random sampling almost never hits the one (point,
-// occurrence) a bug needs, which is what the exhaustive policies fix.
+// Note on execution-phase pipelining: a crash hook changes no verb the
+// protocol posts (TxnTest.CrashHookDoesNotChangeTheProtocol), so the
+// Pipelined leg runs the single-doorbell lock+fetch chain, the batched
+// range reads and the merged commit group the benches measure, and the
+// Unpipelined leg the two-round-trip lock+fetch: the two legs run
+// different code. The hunts enumerate schedules instead of sampling them
+// because random sampling almost never hits the one (point, occurrence)
+// a bug needs.
 
 // The pipelining matrix: every hunt runs with execution-phase doorbell
 // pipelining on and off.
@@ -338,7 +335,6 @@ void ExpectBugCaught(SchedulePolicy policy, txn::ProtocolMode mode,
   config.txn.mode = mode;
   config.txn.bugs = bugs;
   config.txn.pipeline_execution = pipeline;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = policy;
   config.iterations = 120;
   config.runs_per_txn = runs_per_txn;
@@ -529,7 +525,6 @@ TEST(LitmusScheduleTest, VerbExhaustiveExploresAndReportsCoverage) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
   config.txn.bugs = bugs;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = SchedulePolicy::kVerbExhaustive;
   config.iterations = 120;
   config.runs_per_txn = 3;
@@ -660,6 +655,61 @@ TEST(LitmusScheduleTest, ExhaustiveCoversAllReachablePointsSingleTxn) {
   EXPECT_EQ(report.schedule_noops, 0);
 }
 
+// Pandora's merged commit group must be crashed at every verb it posts:
+// a solo transaction writing two objects at replication 2 posts one log
+// fragment per touched server, two applies per object and one unlock per
+// object, and every prefix of that group is one crashed schedule —
+// between two verbs at kAfterLogWrite / kMidCommitApply / kMidUnlock, and
+// after each part's last verb at kAfterValidation / kAfterCommitApply /
+// kAfterClientAck. Each recovers with no violation.
+TEST(LitmusScheduleTest, ExhaustiveCrashesEveryVerbOfTheMergedGroup) {
+  LitmusSpec spec;
+  spec.name = "litmus-single-two-writes";
+  spec.initial = {0, 0, 0};
+  constexpr Var kX = 0, kY = 1, kZ = 2;
+  spec.txns = {LitmusTxn{"T1",
+                         {LitmusOp::Load(0, kZ), LitmusOp::StoreConst(kX, 1),
+                          LitmusOp::StoreConst(kY, 1)}}};
+  HarnessConfig config = FastConfig();
+  config.txn.mode = txn::ProtocolMode::kPandora;
+  config.schedule = SchedulePolicy::kExhaustive;
+  // Two memory servers at replication 2: every object has a replica on
+  // both, so the group touches exactly two servers.
+  config.memory_nodes = 2;
+  config.replication = 2;
+  config.runs_per_txn = 1;
+  config.iterations = 60;
+  LitmusHarness harness(config);
+  const LitmusReport report = harness.Run(spec);
+  EXPECT_EQ(report.violations, 0)
+      << (report.failures.empty() ? "" : report.failures[0]);
+  EXPECT_EQ(report.schedules_skipped, 0);
+  EXPECT_EQ(report.schedule_noops, 0);
+
+  constexpr int kWrites = 2;
+  constexpr int kServers = 2;
+  constexpr int kFragmentVerbs = 1 * kServers;   // One fragment each.
+  constexpr int kApplyVerbs = kWrites * 2;       // Two replicas each.
+  constexpr int kUnlockVerbs = kWrites;
+  const auto crashes = [&](txn::CrashPoint point) {
+    return report.point_crashes[static_cast<int>(point)];
+  };
+  EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite), kFragmentVerbs - 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kAfterValidation), 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kMidCommitApply), kApplyVerbs - 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kAfterCommitApply), 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kMidUnlock), kUnlockVerbs - 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kAfterClientAck), 1);
+  EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite) +
+                crashes(txn::CrashPoint::kAfterValidation) +
+                crashes(txn::CrashPoint::kMidCommitApply) +
+                crashes(txn::CrashPoint::kAfterCommitApply) +
+                crashes(txn::CrashPoint::kMidUnlock) +
+                crashes(txn::CrashPoint::kAfterClientAck),
+            kFragmentVerbs + kApplyVerbs + kUnlockVerbs)
+      << report.CoverageSummary();
+}
+
 // Compound schedules: every coordinator crash chained with an RC death
 // and with a memory-node failure must still recover to a serializable
 // state.
@@ -760,7 +810,6 @@ TEST(LitmusScheduleTest, ReconfigTraceRoundTrips) {
 TEST(LitmusReconfigTest, JoinCoversEveryMigrationCrashPoint) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = SchedulePolicy::kExhaustive;
   config.reconfig = ReconfigKind::kJoin;
   config.iterations = 64;
@@ -797,7 +846,6 @@ TEST(LitmusReconfigTest, JoinCoversEveryMigrationCrashPoint) {
 TEST(LitmusReconfigTest, DrainCoversEveryMigrationCrashPoint) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = SchedulePolicy::kExhaustive;
   config.reconfig = ReconfigKind::kDrain;
   config.iterations = 64;
@@ -834,7 +882,6 @@ TEST(LitmusReconfigTest, DrainCoversEveryMigrationCrashPoint) {
 TEST(LitmusReconfigTest, NaiveCutoverIsCaught) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = SchedulePolicy::kReplay;
   config.replay.sync = SyncMode::kLockstep;
   config.replay.runs = 4;
@@ -884,7 +931,6 @@ TEST(LitmusReconfigTest, NaiveCutoverIsCaught) {
 TEST(LitmusScheduleTest, CoordinatorCrashPairsStaySerializable) {
   HarnessConfig config = FastConfig();
   config.txn.mode = txn::ProtocolMode::kPandora;
-  config.txn.sequential_verbs = SequentialVerbsFromEnv();
   config.schedule = SchedulePolicy::kExhaustive;
   config.iterations = 260;
   config.runs_per_txn = 1;

@@ -47,7 +47,7 @@ class RecoveryTest : public ::testing::Test {
     cluster_.reset();
 
     cluster::ClusterConfig config;
-    config.memory_nodes = 3;
+    config.memory_nodes = memory_nodes_;
     config.compute_nodes = 2;
     config.replication = 2;
     config.net.one_way_ns = 0;
@@ -380,15 +380,33 @@ class RecoveryTest : public ::testing::Test {
     return keys;
   }
 
-  // A cluster with 256-byte log slots, the failure detector stopped, and
-  // coordinators on the sequential commit path, whose records go to slots
-  // [0, n) of the coordinator's two designated log servers.
+  // A two-memory-node cluster with 256-byte log slots and the failure
+  // detector stopped. With replication 2 every transaction touches both
+  // servers, so its merged commit writes the record to slots [0, n) of
+  // exactly these two (RecordServers()).
   void RebuildWithSmallSlots() {
     log_config_ = {.slots_per_coordinator = 8, .slot_bytes = 256,
                    .max_coordinators = 512};
+    RebuildWithTwoRecordServers();
+  }
+
+  void RebuildWithTwoRecordServers() {
+    memory_nodes_ = 2;
     Rebuild(txn::ProtocolMode::kPandora);
     manager_->Stop();
-    txn_config_.sequential_verbs = true;
+  }
+
+  // The memory servers holding a Pandora record of a transaction that
+  // wrote `keys`: every replica server the merged commit touched.
+  std::vector<rdma::NodeId> RecordServers(
+      const std::vector<store::Key>& keys) {
+    std::set<rdma::NodeId> servers;
+    for (const store::Key key : keys) {
+      for (const rdma::NodeId node : cluster_->ReplicaSetFor(table_, key)) {
+        servers.insert(node);
+      }
+    }
+    return {servers.begin(), servers.end()};
   }
 
   // Runs one transaction on `coord` writing `keys` that crashes at
@@ -429,6 +447,7 @@ class RecoveryTest : public ::testing::Test {
   }
 
   // Shape of the cluster the next Rebuild() builds.
+  uint32_t memory_nodes_ = 3;
   uint32_t value_size_ = 16;
   store::LogConfig log_config_ = {.max_coordinators = 512};
 
@@ -502,14 +521,17 @@ TEST_F(RecoveryTest, CrashMidApplyRollsBackPartialUpdate) {
 
 TEST_F(RecoveryTest, CrashAfterFullApplyRollsForward) {
   auto c0 = MakeCoordinator(0);
-  // All replicas updated, client possibly acked, locks still held.
-  CrashDuringTxn(c0.get(), txn::CrashPoint::kAfterClientAck, {5, 6},
+  // All replicas updated, locks still held: the merged commit group's
+  // last apply posted, no unlock yet (the client ack comes only after the
+  // whole group, unlocks included, has completed).
+  CrashDuringTxn(c0.get(), txn::CrashPoint::kAfterCommitApply, {5, 6},
                  "durable");
   const RecoveryStats stats = manager_->last_recovery_stats();
   EXPECT_EQ(stats.rolled_forward, 1u);
   EXPECT_EQ(stats.rolled_back, 0u);
   EXPECT_GE(stats.locks_released, 2u);
-  // Cor3: the ack was (possibly) delivered, so the update must survive.
+  // Every replica carries the update, so recovery's decision rule rolls
+  // it forward.
   EXPECT_EQ(ReadCommitted(5), Padded("durable"));
   EXPECT_EQ(ReadCommitted(6), Padded("durable"));
   ExpectConsistentAndUnlocked(5);
@@ -1221,7 +1243,8 @@ TEST_F(RecoveryTest, TornTailOfLongRecordIsDetectedAndTruncated) {
       StageCrashes(/*seed=*/9, /*n=*/1, {txn::CrashPoint::kMidCommitApply},
                    /*long_txns=*/{0});
   const auto long_slots = LongRecordSlots(staged[0].id);
-  ASSERT_EQ(long_slots.size(), 2u);  // One copy per designated log server.
+  // One copy per server the merged commit touched.
+  ASSERT_EQ(long_slots.size(), RecordServers(staged[0].keys).size());
   const auto [node, slot] = long_slots[0];
   const store::LogLayout& layout = cluster_->catalog().log_layout();
   const uint64_t garbage = 0x5eed'5eed'5eed'5eedULL;
@@ -1282,8 +1305,8 @@ TEST_F(RecoveryTest, StaleFragmentsBeyondTheSpanAreNotRead) {
   RebuildWithSmallSlots();
   auto c0 = MakeCoordinator(0);
   const uint16_t id = c0->coord_id();
-  const cluster::ReplicaSet log_servers =
-      txn::LogWriter::LogServersFor(*cluster_, id);
+  const std::vector<rdma::NodeId> log_servers = RecordServers(WideKeys());
+  ASSERT_EQ(log_servers, RecordServers({120, 121}));
   ASSERT_TRUE(c0->Begin().ok());
   for (const store::Key key : WideKeys()) {
     ASSERT_TRUE(c0->Write(table_, key, Padded("wide")).ok());
@@ -1339,15 +1362,14 @@ TEST_F(RecoveryTest, MultiFragmentSpanIsReadInTheConditionalDoorbell) {
   EXPECT_EQ(stats.log_bytes_read,
             cluster_->total_memory_nodes() *
                     RecoveryCoordinator::kLogProbeBytes +
-                2 /*log servers*/ * 2 /*slots 1-2*/ * slot_bytes);
+                2 /*record servers*/ * 2 /*slots 1-2*/ * slot_bytes);
   EXPECT_EQ(stats.doorbells, RecoveryCoordinator::kRoundsPerWindow + 1);
   EXPECT_EQ(stats.logged_txns, 1u);
   EXPECT_EQ(stats.rolled_back, 1u);
   EXPECT_GT(stats.objects_restored, 0u);
   EXPECT_EQ(stats.locks_released, WideKeys().size());
   EXPECT_EQ(stats.torn_records, 0u);
-  for (const rdma::NodeId node :
-       txn::LogWriter::LogServersFor(*cluster_, id)) {
+  for (const rdma::NodeId node : RecordServers(WideKeys())) {
     for (uint32_t slot = 0; slot < 3; ++slot) {
       EXPECT_EQ(SlotHeader(node, id, slot).value().bytes, 0u)
           << "slot " << slot << " on node " << node << " not truncated";
@@ -1367,9 +1389,8 @@ TEST_F(RecoveryTest, TornSlotZeroFallsBackToTheWholeArea) {
   RebuildWithSmallSlots();
   auto c0 = MakeCoordinator(0);
   const uint16_t id = c0->coord_id();
-  const cluster::ReplicaSet log_servers =
-      txn::LogWriter::LogServersFor(*cluster_, id);
   const std::vector<store::Key> keys = WideKeys();
+  const std::vector<rdma::NodeId> log_servers = RecordServers(keys);
   CrashTxn(c0.get(), txn::CrashPoint::kAfterValidation, keys);
   const store::LogLayout& layout = cluster_->catalog().log_layout();
   const uint64_t garbage = 0x5eed'5eed'5eed'5eedULL;
@@ -1390,7 +1411,7 @@ TEST_F(RecoveryTest, TornSlotZeroFallsBackToTheWholeArea) {
   EXPECT_EQ(stats.log_bytes_read,
             cluster_->total_memory_nodes() *
                     RecoveryCoordinator::kLogProbeBytes +
-                2 /*log servers*/ * rest_of_area);
+                2 /*record servers*/ * rest_of_area);
   EXPECT_EQ(stats.torn_records, 2u);
   EXPECT_EQ(stats.logged_txns, 1u);
   EXPECT_EQ(stats.rolled_back, 1u);
@@ -1430,14 +1451,11 @@ TEST_F(RecoveryTest, TornSlotZeroFallsBackToTheWholeArea) {
 TEST_F(RecoveryTest, TornLongSlotZeroFallsBackToTheWholeArea) {
   log_config_ = {.slots_per_coordinator = 8, .slot_bytes = 512,
                  .max_coordinators = 512};
-  Rebuild(txn::ProtocolMode::kPandora);
-  manager_->Stop();
-  txn_config_.sequential_verbs = true;
+  RebuildWithTwoRecordServers();
   auto c0 = MakeCoordinator(0);
   const uint16_t id = c0->coord_id();
-  const cluster::ReplicaSet log_servers =
-      txn::LogWriter::LogServersFor(*cluster_, id);
   const std::vector<store::Key> keys = WideKeys();
+  const std::vector<rdma::NodeId> log_servers = RecordServers(keys);
   CrashTxn(c0.get(), txn::CrashPoint::kAfterValidation, keys);
   const store::LogLayout& layout = cluster_->catalog().log_layout();
   const uint32_t probe = RecoveryCoordinator::kLogProbeBytes;
@@ -1484,7 +1502,8 @@ TEST_F(RecoveryTest, TornLongSlotZeroFallsBackToTheWholeArea) {
       uint64_t{log_config_.slots_per_coordinator - 1} * probe;
   EXPECT_EQ(stats.log_bytes_read,
             cluster_->total_memory_nodes() * probe +
-                2 /*log servers*/ * (slot0_bytes - probe + rest_of_area));
+                2 /*record servers*/ *
+                    (slot0_bytes - probe + rest_of_area));
   // The tail and the rest of the area add two log doorbells; nothing was
   // applied, so the restore round is empty and rings none.
   EXPECT_EQ(stats.objects_restored, 0u);

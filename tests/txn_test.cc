@@ -516,17 +516,68 @@ TEST_F(TxnTest, NvmFlushIssuedOnlyInNvmMode) {
   EXPECT_EQ(plain->stats().nvm_flushes, 0u);
 }
 
+// The doorbell-batching ablation lives in the fabric: every verb waits out
+// its own round trip, while the protocol posts the same groups and its
+// RTT and doorbell counters still count groups.
 TEST_F(TxnTest, SequentialVerbsModeStillCorrect) {
-  TxnConfig config;
-  config.sequential_verbs = true;
-  auto coord = MakeCoordinator(0, 1, config);
-  ASSERT_TRUE(coord->Begin().ok());
-  ASSERT_TRUE(coord->Write(table_, 5, Padded("seq")).ok());
-  ASSERT_TRUE(coord->Write(table_, 6, Padded("seq")).ok());
-  ASSERT_TRUE(coord->Commit().ok());
-  auto reader = MakeCoordinator(1, 2);
-  EXPECT_EQ(ReadCommitted(reader.get(), 5), Padded("seq"));
-  EXPECT_EQ(ReadCommitted(reader.get(), 6), Padded("seq"));
+  cluster::ClusterConfig config;
+  config.memory_nodes = 3;
+  config.compute_nodes = 2;
+  config.replication = 2;
+  config.net.one_way_ns = 0;
+  config.net.per_byte_ns = 0;
+  config.net.sequential_verbs = true;
+  config.log.max_coordinators = 64;
+  cluster::Cluster seq_cluster(config);
+  const store::TableId table = seq_cluster.CreateTable("t", 16, 64);
+  for (store::Key k = 0; k < 10; ++k) {
+    ASSERT_TRUE(seq_cluster.LoadRow(table, k, Padded("init")).ok());
+  }
+
+  Coordinator coord(&seq_cluster, seq_cluster.compute(0), 1, TxnConfig());
+  ASSERT_TRUE(coord.Begin().ok());
+  ASSERT_TRUE(coord.Write(table, 5, Padded("seq")).ok());
+  ASSERT_TRUE(coord.Write(table, 6, Padded("seq")).ok());
+  ASSERT_TRUE(coord.Commit().ok());
+  EXPECT_EQ(coord.stats().commit_rtts, 1u);  // One merged commit group.
+
+  Coordinator reader(&seq_cluster, seq_cluster.compute(1), 2, TxnConfig());
+  for (const store::Key key : {5, 6}) {
+    ASSERT_TRUE(reader.Begin().ok());
+    std::string value;
+    ASSERT_TRUE(reader.Read(table, key, &value).ok());
+    ASSERT_TRUE(reader.Commit().ok());
+    EXPECT_EQ(value, Padded("seq"));
+  }
+}
+
+// A crash hook changes no verb the protocol posts: a coordinator with a
+// hook that never fires pays exactly the round trips, doorbells and log
+// records of an unhooked one, on the same transaction.
+TEST_F(TxnTest, CrashHookDoesNotChangeTheProtocol) {
+  class NeverCrash : public CrashHook {
+   public:
+    bool MaybeCrash(CrashPoint) override { return false; }
+  };
+  NeverCrash hook;
+  auto hooked = MakeCoordinator(0, 1);
+  hooked->set_crash_hook(&hook);
+  auto plain = MakeCoordinator(0, 2);
+  for (Coordinator* coord : {hooked.get(), plain.get()}) {
+    ASSERT_TRUE(coord->Begin().ok());
+    std::string value;
+    ASSERT_TRUE(coord->Read(table_, 40, &value).ok());
+    ASSERT_TRUE(coord->Write(table_, 10, Padded("a")).ok());
+    ASSERT_TRUE(coord->Write(table_, 20, Padded("b")).ok());
+    ASSERT_TRUE(coord->Commit().ok());
+  }
+  const TxnStats& a = hooked->stats();
+  const TxnStats& b = plain->stats();
+  EXPECT_EQ(a.execution_rtts, b.execution_rtts);
+  EXPECT_EQ(a.commit_rtts, b.commit_rtts);
+  EXPECT_EQ(a.doorbells, b.doorbells);
+  EXPECT_EQ(a.log_records_written, b.log_records_written);
+  EXPECT_EQ(a.committed, 1u);
 }
 
 // Protocol-mode sweep: the three protocols must agree on basic
