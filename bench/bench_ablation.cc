@@ -7,10 +7,10 @@
 //     The OFF row runs the same protocol on a fabric in
 //     NetworkConfig::sequential_verbs mode, where every verb pays its own
 //     round trip instead of one per group.
-//  2. Persistence mode (§7): plain DRAM (replication-only durability) vs
-//     battery-backed DRAM (free persistence) vs NVM with FORD's selective
-//     one-sided flush (an extra read per touched server behind the log
-//     fragments and again behind the applies).
+//  2. Persistence mode (§7): DRAM (volatile with replication-only
+//     durability, or battery-backed: either way nothing is flushed) vs NVM
+//     with FORD's selective one-sided flush (an extra read per touched
+//     server behind the log fragments and again behind the applies).
 //  3. PILL failed-ids density: the per-conflict bitset check must stay
 //     O(1) even with thousands of failed coordinator ids (§3.1.2).
 
@@ -100,18 +100,12 @@ int main() {
   // --- 2. Persistence modes.
   {
     txn::TxnConfig txn_cfg;
-    cluster::ClusterConfig dram = PaperTestbed();
-    const workloads::DriverResult volatile_dram = RunMicro(dram, txn_cfg);
-    cluster::ClusterConfig battery = PaperTestbed();
-    battery.persistence = cluster::PersistenceMode::kBatteryBackedDram;
-    const workloads::DriverResult battery_dram =
-        RunMicro(battery, txn_cfg);
+    const workloads::DriverResult dram = RunMicro(PaperTestbed(), txn_cfg);
     cluster::ClusterConfig nvm = PaperTestbed();
     nvm.persistence = cluster::PersistenceMode::kNvmWithFlush;
     const workloads::DriverResult nvm_flush = RunMicro(nvm, txn_cfg);
-    PrintRow("volatile DRAM (replication only)", volatile_dram.mtps,
+    PrintRow("DRAM (volatile or battery-backed: no flush)", dram.mtps,
              "MTps");
-    PrintRow("battery-backed DRAM (no flush)", battery_dram.mtps, "MTps");
     PrintRow("NVM + selective flush", nvm_flush.mtps, "MTps");
     PrintRow("NVM flushes issued",
              static_cast<double>(nvm_flush.totals.nvm_flushes), "flushes");

@@ -23,12 +23,11 @@ namespace cluster {
 /// Memory technology of the memory servers (§7). The protocols are
 /// identical; only the durability mechanism differs.
 enum class PersistenceMode {
-  /// Plain DRAM: durability comes from f+1 in-memory replication (the
-  /// paper's default deployment).
+  /// DRAM: durability comes from f+1 in-memory replication (the paper's
+  /// default deployment). Battery-backed DRAM behaves the same: every
+  /// landed write is durable and "no flushing is required on the critical
+  /// path".
   kVolatileDram,
-  /// Battery-backed DRAM: every landed write is durable; "no flushing is
-  /// required on the critical path".
-  kBatteryBackedDram,
   /// NVM behind an RNIC cache: durable writes need FORD's selective
   /// one-sided flush (a small RDMA read to the same region forces the
   /// preceding writes out of the RNIC cache into the NVM).

@@ -59,15 +59,6 @@ Status Coordinator::MaybeCrash(CrashPoint point) {
   return Status::OK();
 }
 
-Status Coordinator::CrashBetweenVerbs(rdma::VerbBatch* batch,
-                                      CrashPoint point) {
-  if (batch->size() == 0) return Status::OK();
-  const Status status = MaybeCrash(point);
-  // Crashed: the verbs posted so far have landed; drain the rest.
-  if (!status.ok()) batch->Collect();
-  return status;
-}
-
 Status Coordinator::FinalizeIfCrashed(Status status) {
   // A coordinator whose node died mid-operation abandons the transaction
   // exactly as a real process death would: memory keeps the partial state
@@ -265,46 +256,57 @@ Status Coordinator::FetchUndoImage(WriteOp* op) {
   return Status::OK();
 }
 
-Status Coordinator::PostLockAndFetchChain(WriteOp* op, uint64_t expected,
-                                          uint64_t* observed,
-                                          rdma::VerbBatch* rider,
-                                          bool* fetched) {
+Status Coordinator::TryLock(WriteOp* op, uint64_t expected,
+                            rdma::VerbBatch* rider, uint64_t* observed,
+                            bool* won) {
   const cluster::TableInfo& info = cluster_->catalog().table(op->table);
   const store::TableLayout& layout = info.layout;
+  const rdma::RKey rkey = info.region_rkeys[op->lock_node];
+  const uint64_t lock_offset = layout.LockOffset(op->lock_slot);
   const store::LockWord mine = store::MakeLock(coord_id_);
-  const size_t len = 16 + layout.padded_value_size();
-  fetch_buf_.resize(len);
-  *fetched = false;
-
-  rdma::OrderedBatch& chain = *chains_[op->lock_node];
-  chain.CompareSwap(info.region_rkeys[op->lock_node],
-                    layout.LockOffset(op->lock_slot), expected, mine,
-                    observed);
-  chain.Read(info.region_rkeys[op->lock_node],
-             layout.VersionOffset(op->lock_slot), fetch_buf_.data(), len);
+  *won = false;
+  bool fetched = false;
   CountRtts(&stats_.execution_rtts, 1);
-  const Status status =
-      chain.Execute(rider != nullptr ? rider->pending_max_rtt_ns() : 0);
-  if (rider != nullptr) {
-    // The rider's round trip was covered by the chain's wait; surface its
-    // first error after the chain's own.
-    const Status rider_status = rider->Collect();
+  if (config_.pipeline_execution) {
+    // §3.1.1: lock CAS + speculative undo-image read, one doorbell, one
+    // round trip. RC in-order delivery makes the read observe the post-CAS
+    // state; if the CAS loses, the read is discarded. The rider's round
+    // trip is covered by the chain's wait; its first error surfaces after
+    // the chain's own.
+    const size_t len = 16 + layout.padded_value_size();
+    fetch_buf_.resize(len);
+    rdma::OrderedBatch& chain = *chains_[op->lock_node];
+    chain.CompareSwap(rkey, lock_offset, expected, mine, observed);
+    chain.Read(rkey, layout.VersionOffset(op->lock_slot), fetch_buf_.data(),
+               len);
+    const Status status =
+        chain.Execute(rider != nullptr ? rider->pending_max_rtt_ns() : 0);
+    const Status rider_status =
+        rider != nullptr ? rider->Collect() : Status::OK();
     PANDORA_RETURN_NOT_OK(status);
     PANDORA_RETURN_NOT_OK(rider_status);
+    fetched = *observed == expected;
+    if (fetched) {
+      op->old_version = DecodeFixed64(fetch_buf_.data());
+      op->old_value.assign(fetch_buf_.begin() + 16, fetch_buf_.begin() + len);
+    }
+  } else {
+    PANDORA_RETURN_NOT_OK(server_->qp(op->lock_node)
+                              ->CompareSwap(rkey, lock_offset, expected,
+                                            mine, observed));
   }
-  PANDORA_RETURN_NOT_OK(status);
-  if (*observed != expected) return Status::OK();  // CAS lost: discard read.
-  op->old_version = DecodeFixed64(fetch_buf_.data());
-  op->old_value.assign(fetch_buf_.begin() + 16, fetch_buf_.begin() + len);
-  *fetched = true;
-  return Status::OK();
+  if (*observed != expected) return Status::OK();
+  *won = true;
+  if (expected != store::kUnlocked) stats_.locks_stolen++;
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLock));
+  op->locked = true;
+  if (!fetched) PANDORA_RETURN_NOT_OK(FetchUndoImage(op));
+  return MaybeCrash(CrashPoint::kAfterLockFetch);
 }
 
 Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLock));
-  const store::LockWord mine = store::MakeLock(coord_id_);
-  const uint64_t deadline =
-      NowMicros() + config_.stall_timeout_us;
+  const uint64_t deadline = NowMicros() + config_.stall_timeout_us;
 
   while (true) {
     // Reconfiguration epoch fence: a ring cutover since Begin means this
@@ -324,27 +326,13 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
       RingEpochChanged(/*refresh=*/true);
       PANDORA_RETURN_NOT_OK(ResolvePlacement(op));
     }
-    const cluster::TableInfo& info = cluster_->catalog().table(op->table);
     uint64_t observed = 0;
-    bool fetched = false;
-    Status status;
-    if (config_.pipeline_execution) {
-      // §3.1.1: lock CAS + speculative undo-image read, one doorbell, one
-      // round trip. If the CAS loses, the read result is discarded and the
-      // conflict path below runs exactly as in the unpipelined protocol.
-      status = PostLockAndFetchChain(op, store::kUnlocked, &observed,
-                                     rider, &fetched);
-    } else {
-      status =
-          server_->qp(op->lock_node)
-              ->CompareSwap(info.region_rkeys[op->lock_node],
-                            info.layout.LockOffset(op->lock_slot),
-                            store::kUnlocked, mine, &observed);
-      CountRtts(&stats_.execution_rtts, 1);
-    }
+    bool won = false;
+    const Status status =
+        TryLock(op, store::kUnlocked, rider, &observed, &won);
     rider = nullptr;  // A rider batch is drained by the first attempt.
-    if (status.IsUnavailable()) {
-      if (server_->halted()) return status;
+    if (won) return status;
+    if (status.IsUnavailable() && !server_->halted()) {
       // Primary died under us: fail over to the next alive replica.
       PANDORA_RETURN_NOT_OK(ResolveApplyFailure(op->lock_node));
       PANDORA_RETURN_NOT_OK(ResolvePlacement(op));
@@ -352,43 +340,16 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
     }
     PANDORA_RETURN_NOT_OK(status);
 
-    if (observed == store::kUnlocked) {
-      PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLock));
-      op->locked = true;
-      if (!fetched) PANDORA_RETURN_NOT_OK(FetchUndoImage(op));
-      PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLockFetch));
-      return Status::OK();
-    }
-
     const uint16_t owner = store::LockOwner(observed);
     if (server_->failed_ids().Test(owner)) {
       if (config_.pill_enabled()) {
         // PILL (§3.1.2): the lock is stray — its owner has failed and its
         // transaction was never logged (stray-lock notification is sent
-        // only after log recovery). Steal it with one more CAS; under
-        // pipelining the steal CAS and the undo-image read share one
-        // doorbell just like the fast path.
+        // only after log recovery). Steal it with one more attempt.
         uint64_t steal_observed = 0;
-        bool steal_fetched = false;
-        if (config_.pipeline_execution) {
-          PANDORA_RETURN_NOT_OK(PostLockAndFetchChain(
-              op, observed, &steal_observed, nullptr, &steal_fetched));
-        } else {
-          PANDORA_RETURN_NOT_OK(
-              server_->qp(op->lock_node)
-                  ->CompareSwap(info.region_rkeys[op->lock_node],
-                                info.layout.LockOffset(op->lock_slot),
-                                observed, mine, &steal_observed));
-          CountRtts(&stats_.execution_rtts, 1);
-        }
-        if (steal_observed == observed) {
-          stats_.locks_stolen++;
-          PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLock));
-          op->locked = true;
-          if (!steal_fetched) PANDORA_RETURN_NOT_OK(FetchUndoImage(op));
-          PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLockFetch));
-          return Status::OK();
-        }
+        const Status steal =
+            TryLock(op, observed, nullptr, &steal_observed, &won);
+        if (won || !steal.ok()) return steal;
         continue;  // Someone else stole or released it first; retry.
       }
       // No PILL: the object needs recovery. §6.4's stalling path waits
@@ -673,6 +634,17 @@ Status Coordinator::ReadRangeBatched(
   std::vector<Target> targets;
   std::vector<store::ProbeRequest> probes;
   std::vector<Target> probe_targets;  // Aligned with `probes` (slot unset).
+  // Reads one key through the sequential path, which carries the
+  // fail-over, retry and stall machinery; an absent key is not an error.
+  const auto read_sequentially = [&](store::Key key) {
+    std::string value;
+    const Status status = ReadInternal(table, key, &value);
+    if (status.ok()) {
+      values[key - lo] = std::move(value);
+      present[key - lo] = true;
+    }
+    return status.IsNotFound() ? Status::OK() : status;
+  };
 
   for (store::Key key = lo;; ++key) {
     if (const WriteOp* op = FindWriteOp(table, key)) {
@@ -711,19 +683,10 @@ Status Coordinator::ReadRangeBatched(
     CountRtts(&stats_.execution_rtts, probe_rounds);
     if (!probe_status.ok()) {
       // A verb failed (dead server / our own halt): fall back to the
-      // sequential path for the unresolved keys — it carries the
-      // fail-over and retry machinery.
+      // sequential path for the unresolved keys.
       for (const Target& target : probe_targets) {
-        std::string value;
-        const Status status = ReadInternal(table, target.key, &value);
-        if (status.ok()) {
-          values[target.key - lo] = std::move(value);
-          present[target.key - lo] = true;
-        } else if (!status.IsNotFound()) {
-          return status;
-        }
+        PANDORA_RETURN_NOT_OK(read_sequentially(target.key));
       }
-      probe_targets.clear();
     } else {
       for (size_t i = 0; i < outcomes.size(); ++i) {
         if (outcomes[i].status.IsNotFound()) continue;  // Key absent.
@@ -755,14 +718,7 @@ Status Coordinator::ReadRangeBatched(
       // A replica died mid-round: re-read the affected keys through the
       // sequential path, which fails over to the new primary.
       for (const Target& target : targets) {
-        std::string value;
-        const Status read_status = ReadInternal(table, target.key, &value);
-        if (read_status.ok()) {
-          values[target.key - lo] = std::move(value);
-          present[target.key - lo] = true;
-        } else if (!read_status.IsNotFound()) {
-          return read_status;
-        }
+        PANDORA_RETURN_NOT_OK(read_sequentially(target.key));
       }
       targets.clear();
     }
@@ -782,14 +738,7 @@ Status Coordinator::ReadRangeBatched(
                  config_.stall_on_conflict) {
         // Object awaiting recovery: take the sequential path for this key
         // so its stall/retry loop applies.
-        std::string value;
-        const Status status = ReadInternal(table, target.key, &value);
-        if (status.ok()) {
-          values[target.key - lo] = std::move(value);
-          present[target.key - lo] = true;
-        } else if (!status.IsNotFound()) {
-          return status;
-        }
+        PANDORA_RETURN_NOT_OK(read_sequentially(target.key));
         continue;
       } else {
         stats_.lock_conflicts++;
@@ -1071,7 +1020,8 @@ Status Coordinator::CommitInternal() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
 
   // ---- Decision reached: commit. Apply to every live replica.
-  PANDORA_RETURN_NOT_OK(ApplyWrites());
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeCommitApply));
+  PANDORA_RETURN_NOT_OK(RunGroup(PostApplies(), /*carries_applies=*/true));
 
   // ---- Client ack (Cor3: only after all replicas are updated).
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterCommitApply));
@@ -1079,7 +1029,9 @@ Status Coordinator::CommitInternal() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterClientAck));
 
   // ---- Unlock.
-  PANDORA_RETURN_NOT_OK(UnlockWriteSet());
+  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
+  PANDORA_RETURN_NOT_OK(RunGroup(PostUnlocks(CrashPoint::kMidUnlock),
+                                 /*carries_applies=*/false));
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterUnlock));
 
   stats_.committed++;
@@ -1120,49 +1072,20 @@ Status Coordinator::CommitMergedInternal() {
         AbortIfLogFull(PrepareCoordinatorRecord(&num_fragments)));
     stats_.log_records_written++;
   }
-  BuildApplyBufs();
-
-  const std::vector<rdma::NodeId>& touched = TouchedReplicaServers();
-  const Status posted = PostCommitGroup(touched, num_fragments);
-  if (!posted.ok()) {
-    // Crashed mid-group: the verbs posted so far have landed. Drain every
-    // chain without waiting, so none leaks into this node's next commit.
-    for (const rdma::NodeId node : touched) chains_[node]->Collect();
-    return posted;
-  }
-
-  // One shared wait covers the whole group: the first non-empty chain
-  // pays the sibling chains' waits as extra, the rest drain with
-  // Collect().
-  rdma::OrderedBatch* first = nullptr;
-  uint64_t extra_rtt_ns = 0;
-  const rdma::NetworkModel& net = cluster_->fabric().network();
-  for (const rdma::NodeId node : touched) {
-    const rdma::OrderedBatch& chain = *chains_[node];
-    if (chain.size() == 0) continue;
-    if (first == nullptr) {
-      first = chains_[node].get();
-    } else {
-      extra_rtt_ns =
-          net.SharedWaitNanos(extra_rtt_ns, chain.pending_max_rtt_ns());
-    }
-  }
-  if (first != nullptr) CountRtts(&stats_.commit_rtts, 1);
-  // Drain every chain before acting on a failure.
-  Status failure;
-  for (const rdma::NodeId node : touched) {
-    rdma::OrderedBatch& chain = *chains_[node];
-    if (chain.size() == 0) continue;
-    const Status status =
-        &chain == first ? chain.Execute(extra_rtt_ns) : chain.Collect();
-    if (status.ok() || !failure.ok()) continue;
-    // The fabric fails verbs only against dead servers; wait for the
-    // membership verdict and skip (§3.2.5: every *live* replica carries
-    // the update — chains to live servers completed in full).
-    failure = server_->halted() ? Status::Unavailable("compute node halted")
-                                : ResolveApplyFailure(node);
-  }
-  PANDORA_RETURN_NOT_OK(failure);
+  const auto post_group = [&] {
+    PANDORA_RETURN_NOT_OK(PostFragments(num_fragments));
+    // The record is logged on every touched server, every lock is held
+    // and nothing is applied.
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeCommitApply));
+    PANDORA_RETURN_NOT_OK(PostApplies());
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterCommitApply));
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
+    // The full group is named by kAfterClientAck, visited once it has
+    // completed.
+    return PostUnlocks(CrashPoint::kMidUnlock);
+  };
+  PANDORA_RETURN_NOT_OK(RunGroup(post_group(), /*carries_applies=*/true));
 
   // ---- Client ack (Cor3: all live replicas are updated).
   if (ack_callback_) ack_callback_(txn_id_, true);
@@ -1173,38 +1096,22 @@ Status Coordinator::CommitMergedInternal() {
   return Status::OK();
 }
 
-Status Coordinator::PostCommitGroup(const std::vector<rdma::NodeId>& touched,
-                                    size_t num_fragments) {
-  // §7 NVM: each chain flushes its fragments before its applies and its
-  // applies before its unlock.
-  const auto post_flushes = [&] {
-    if (!nvm_flush()) return;
-    for (const rdma::NodeId node : touched) {
-      if (chains_[node]->size() == 0) continue;
-      chains_[node]->Read(cluster_->catalog().log_rkey(node), 0, &flush_sink,
-                          sizeof(flush_sink));
-      stats_.nvm_flushes++;
-    }
-  };
-  // Each part's crash point sits between two of its verbs, as in
-  // CrashBetweenVerbs; `posted` counts the current part's verbs.
-  size_t posted = 0;
-  const auto between = [&](CrashPoint point) {
-    return posted++ > 0 ? MaybeCrash(point) : Status::OK();
-  };
-
-  // 1) Log fragments, on every touched server. They take slots
-  // [0, num_fragments) every commit (the dense log, DESIGN.md): at most
-  // one in-flight record exists per coordinator, so the previous txn's
-  // (already applied, benign-stale) record is safe to overwrite. Fragment
-  // 0 goes first in the chain, so a later fragment never lands without
-  // it. The small fixed window also keeps these writes in warm cache
-  // lines rather than strobing the 128 KB slot area on every commit.
+Status Coordinator::PostFragments(size_t num_fragments) {
+  // The fragments take slots [0, num_fragments) every commit (the dense
+  // log, DESIGN.md): at most one in-flight record exists per coordinator,
+  // so the previous txn's (already applied, benign-stale) record is safe
+  // to overwrite. Fragment 0 goes first in the chain, so a later fragment
+  // never lands without it. The small fixed window also keeps these
+  // writes in warm cache lines rather than strobing the 128 KB slot area
+  // on every commit.
   const store::LogLayout& log_layout = cluster_->catalog().log_layout();
-  for (const rdma::NodeId node : touched) {
+  size_t posted = 0;
+  for (const rdma::NodeId node : TouchedReplicaServers()) {
     if (!cluster_->membership().IsMemoryAlive(node)) continue;
     for (size_t f = 0; f < num_fragments; ++f) {
-      PANDORA_RETURN_NOT_OK(between(CrashPoint::kAfterLogWrite));
+      if (posted++ > 0) {
+        PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLogWrite));
+      }
       const std::vector<char>& buf = log_writer_.PreparedFragment(f);
       chains_[node]->Write(
           cluster_->catalog().log_rkey(node),
@@ -1212,68 +1119,18 @@ Status Coordinator::PostCommitGroup(const std::vector<rdma::NodeId>& touched,
           buf.data(), buf.size());
     }
   }
-  post_flushes();
-  // The record is logged on every touched server, every lock is held and
-  // nothing is applied.
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterValidation));
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeCommitApply));
-
-  // 2) Replica applies.
-  posted = 0;
-  for (size_t i = 0; i < write_set_.size(); ++i) {
-    const WriteOp& op = write_set_[i];
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    for (size_t r = 0; r < op.replicas.size(); ++r) {
-      const rdma::NodeId node = op.replicas[r];
-      if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      PANDORA_RETURN_NOT_OK(between(CrashPoint::kMidCommitApply));
-      chains_[node]->Write(info.region_rkeys[node],
-                           info.layout.VersionOffset(op.slots[r]),
-                           apply_bufs_[i].data(), apply_bufs_[i].size());
-    }
-  }
-  post_flushes();
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterCommitApply));
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
-
-  // 3) Unlocks. The full group is named by kAfterClientAck, visited once
-  // the group has completed.
-  posted = 0;
-  for (const WriteOp& op : write_set_) {
-    if (!op.locked) continue;
-    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
-    PANDORA_RETURN_NOT_OK(between(CrashPoint::kMidUnlock));
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
-                                 info.layout.LockOffset(op.lock_slot),
-                                 &kUnlockedWord, sizeof(kUnlockedWord));
-  }
+  PostFlushes();
   return Status::OK();
 }
 
-Status Coordinator::FlushForPersistence(
-    std::span<const rdma::NodeId> servers) {
-  if (!nvm_flush()) return Status::OK();
-  rdma::VerbBatch batch;
-  for (const rdma::NodeId server : servers) {
-    if (!cluster_->membership().IsMemoryAlive(server)) continue;
-    batch.Read(server_->qp(server), cluster_->catalog().log_rkey(server),
-               0, &flush_sink, sizeof(flush_sink));
-    stats_.nvm_flushes++;
-  }
-  if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-  const Status status = batch.Execute();
-  if (status.IsUnavailable() && server_->halted()) return status;
-  return Status::OK();
-}
-
-void Coordinator::BuildApplyBufs() {
-  // One buffer per op: [version_word][key][value]; identical bytes for the
+Status Coordinator::PostApplies() {
+  // One image per op: [version_word][key][value]; identical bytes for the
   // primary and every backup (the lock word is not part of this span, so
   // the primary stays locked until the unlock step).
   apply_bufs_.resize(write_set_.size());
+  size_t posted = 0;
   for (size_t i = 0; i < write_set_.size(); ++i) {
-    WriteOp& op = write_set_[i];
+    const WriteOp& op = write_set_[i];
     const cluster::TableInfo& info = cluster_->catalog().table(op.table);
     std::vector<char>& buf = apply_bufs_[i];
     buf.assign(16 + info.layout.padded_value_size(), 0);
@@ -1284,78 +1141,97 @@ void Coordinator::BuildApplyBufs() {
         op.is_delete ? op.old_value : op.new_value;
     std::memcpy(buf.data() + 16, value.data(),
                 std::min(value.size(), buf.size() - 16));
-  }
-}
-
-Status Coordinator::ApplyWrites() {
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeCommitApply));
-  if (write_set_.empty()) return Status::OK();
-
-  BuildApplyBufs();
-
-  rdma::VerbBatch batch;
-  for (size_t i = 0; i < write_set_.size(); ++i) {
-    WriteOp& op = write_set_[i];
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
     for (size_t r = 0; r < op.replicas.size(); ++r) {
       const rdma::NodeId node = op.replicas[r];
       if (!cluster_->membership().IsMemoryAlive(node)) continue;
-      PANDORA_RETURN_NOT_OK(
-          CrashBetweenVerbs(&batch, CrashPoint::kMidCommitApply));
-      batch.Write(server_->qp(node), info.region_rkeys[node],
-                  info.layout.VersionOffset(op.slots[r]),
-                  apply_bufs_[i].data(), apply_bufs_[i].size());
-    }
-  }
-  if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-  const Status status = batch.Execute();
-  bool need_repair = false;
-  if (!status.ok()) {
-    if (server_->halted()) return Status::Unavailable("compute node halted");
-    need_repair = true;
-  }
-
-  if (need_repair) {
-    // A memory server died mid-apply. Re-verify per replica: every replica
-    // alive *now* must carry the new version (§3.2.5: "committing
-    // transactions that have updated all live replicas").
-    for (size_t i = 0; i < write_set_.size(); ++i) {
-      WriteOp& op = write_set_[i];
-      const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-      const uint64_t new_version = DecodeFixed64(apply_bufs_[i].data());
-      for (size_t r = 0; r < op.replicas.size(); ++r) {
-        const rdma::NodeId node = op.replicas[r];
-        for (int attempt = 0; attempt < 2; ++attempt) {
-          if (!cluster_->membership().IsMemoryAlive(node)) break;
-          alignas(8) uint64_t version = 0;
-          CountRtts(&stats_.commit_rtts, 1);
-          Status read_status = server_->qp(node)->Read(
-              info.region_rkeys[node],
-              info.layout.VersionOffset(op.slots[r]), &version, 8);
-          if (read_status.IsUnavailable()) {
-            if (server_->halted()) return read_status;
-            PANDORA_RETURN_NOT_OK(ResolveApplyFailure(node));
-            continue;  // Re-check membership.
-          }
-          PANDORA_RETURN_NOT_OK(read_status);
-          if (version == new_version) break;
-          CountRtts(&stats_.commit_rtts, 1);
-          Status write_status = server_->qp(node)->Write(
-              info.region_rkeys[node],
-              info.layout.VersionOffset(op.slots[r]), apply_bufs_[i].data(),
-              apply_bufs_[i].size());
-          if (write_status.IsUnavailable()) {
-            if (server_->halted()) return write_status;
-            PANDORA_RETURN_NOT_OK(ResolveApplyFailure(node));
-            continue;
-          }
-          PANDORA_RETURN_NOT_OK(write_status);
-          break;
-        }
+      if (posted++ > 0) {
+        PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kMidCommitApply));
       }
+      chains_[node]->Write(info.region_rkeys[node],
+                           info.layout.VersionOffset(op.slots[r]),
+                           buf.data(), buf.size());
     }
   }
-  return FlushForPersistence(TouchedReplicaServers());
+  PostFlushes();
+  return Status::OK();
+}
+
+Status Coordinator::PostUnlocks(CrashPoint mid) {
+  // The Complicit Aborts bug releases *every* write-set lock on abort,
+  // including ones this transaction never acquired — which can free a
+  // lock held by a different, live transaction.
+  const bool complicit = mid == CrashPoint::kMidAbortUnlock &&
+                         config_.bugs.complicit_abort;
+  size_t posted = 0;
+  for (const WriteOp& op : write_set_) {
+    if (!op.locked && !complicit) continue;
+    if (op.lock_node == rdma::kInvalidNodeId) continue;
+    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
+    if (!op.locked) stats_.bug_injections++;  // Complicit release fired.
+    if (posted++ > 0) PANDORA_RETURN_NOT_OK(MaybeCrash(mid));
+    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
+    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
+                                 info.layout.LockOffset(op.lock_slot),
+                                 &kUnlockedWord, sizeof(kUnlockedWord));
+  }
+  return Status::OK();
+}
+
+void Coordinator::PostFlushes() {
+  if (!nvm_flush()) return;
+  for (size_t node = 0; node < chains_.size(); ++node) {
+    if (chains_[node]->size() == 0) continue;
+    chains_[node]->Read(
+        cluster_->catalog().log_rkey(static_cast<rdma::NodeId>(node)), 0,
+        &flush_sink, sizeof(flush_sink));
+    stats_.nvm_flushes++;
+  }
+}
+
+Status Coordinator::RunGroup(Status posted, bool carries_applies) {
+  if (!posted.ok()) {
+    // Crashed mid-group: the verbs posted so far have landed. Drain every
+    // chain without waiting, so none leaks into this node's next group.
+    for (const auto& chain : chains_) chain->Collect();
+    return posted;
+  }
+  // One shared wait covers the whole group: the first non-empty chain
+  // pays the sibling chains' waits as extra, the rest drain with
+  // Collect().
+  rdma::OrderedBatch* first = nullptr;
+  uint64_t extra_rtt_ns = 0;
+  const rdma::NetworkModel& net = cluster_->fabric().network();
+  for (const auto& chain : chains_) {
+    if (chain->size() == 0) continue;
+    if (first == nullptr) {
+      first = chain.get();
+    } else {
+      extra_rtt_ns =
+          net.SharedWaitNanos(extra_rtt_ns, chain->pending_max_rtt_ns());
+    }
+  }
+  if (first == nullptr) return Status::OK();
+  CountRtts(&stats_.commit_rtts, 1);
+  // Drain every chain before acting on a failure.
+  Status failure;
+  for (size_t node = 0; node < chains_.size(); ++node) {
+    rdma::OrderedBatch& chain = *chains_[node];
+    if (chain.size() == 0) continue;
+    const Status status =
+        &chain == first ? chain.Execute(extra_rtt_ns) : chain.Collect();
+    if (status.ok() || !failure.ok()) continue;
+    if (server_->halted()) {
+      failure = Status::Unavailable("compute node halted");
+    } else if (carries_applies && status.IsPermissionDenied()) {
+      failure = status;  // Fenced: logically dead (FinalizeIfCrashed).
+    } else if (carries_applies) {
+      // The fabric fails verbs only against dead servers; wait for the
+      // membership verdict and skip (§3.2.5: every *live* replica carries
+      // the update — chains to live servers completed in full).
+      failure = ResolveApplyFailure(static_cast<rdma::NodeId>(node));
+    }
+  }
+  return failure;
 }
 
 const std::vector<rdma::NodeId>& Coordinator::TouchedReplicaServers() {
@@ -1371,24 +1247,6 @@ const std::vector<rdma::NodeId>& Coordinator::TouchedReplicaServers() {
     touched_servers_.push_back(static_cast<rdma::NodeId>(bit));
   });
   return touched_servers_;
-}
-
-Status Coordinator::UnlockWriteSet() {
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeUnlock));
-  rdma::VerbBatch batch;
-  for (WriteOp& op : write_set_) {
-    if (!op.locked) continue;
-    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
-    PANDORA_RETURN_NOT_OK(CrashBetweenVerbs(&batch, CrashPoint::kMidUnlock));
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    batch.Write(server_->qp(op.lock_node), info.region_rkeys[op.lock_node],
-                info.layout.LockOffset(op.lock_slot), &kUnlockedWord,
-                sizeof(kUnlockedWord));
-  }
-  if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-  const Status status = batch.Execute();
-  if (status.IsUnavailable() && server_->halted()) return status;
-  return Status::OK();
 }
 
 Status Coordinator::Abort() {
@@ -1430,29 +1288,8 @@ Status Coordinator::AbortInternal() {
   }
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterAbortTruncate));
 
-  // Release locks. The Complicit Aborts bug releases *every* write-set
-  // lock, including ones this transaction never acquired — which can free
-  // a lock held by a different, live transaction.
-  rdma::VerbBatch unlock_batch;
-  for (WriteOp& op : write_set_) {
-    const bool release = op.locked || config_.bugs.complicit_abort;
-    if (!release) continue;
-    if (op.lock_node == rdma::kInvalidNodeId) continue;
-    if (!cluster_->membership().IsMemoryAlive(op.lock_node)) continue;
-    if (!op.locked) stats_.bug_injections++;  // Complicit release fired.
-    PANDORA_RETURN_NOT_OK(
-        CrashBetweenVerbs(&unlock_batch, CrashPoint::kMidAbortUnlock));
-    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    unlock_batch.Write(server_->qp(op.lock_node),
-                       info.region_rkeys[op.lock_node],
-                       info.layout.LockOffset(op.lock_slot), &kUnlockedWord,
-                       sizeof(kUnlockedWord));
-  }
-  if (unlock_batch.size() > 0) {
-    CountRtts(&stats_.commit_rtts, 1);
-    const Status status = unlock_batch.Execute();
-    if (status.IsUnavailable() && server_->halted()) return status;
-  }
+  PANDORA_RETURN_NOT_OK(RunGroup(PostUnlocks(CrashPoint::kMidAbortUnlock),
+                                 /*carries_applies=*/false));
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterAbort));
 
   if (ack_callback_) ack_callback_(txn_id_, false);

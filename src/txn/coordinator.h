@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -140,13 +139,6 @@ class Coordinator {
   // the hook fires.
   Status MaybeCrash(CrashPoint point);
 
-  // Visits `point` between two verbs of a doorbell group: before every
-  // verb posted into `batch` but its first (a no-op while it is empty).
-  // With the group's before and after points, every prefix of the group a
-  // crash can leave landed is named by exactly one (point, occurrence). A
-  // crash drains the batch.
-  Status CrashBetweenVerbs(rdma::VerbBatch* batch, CrashPoint point);
-
   // Tears down local transaction bookkeeping when `status` reports that
   // this node crashed mid-operation (memory state is left untouched).
   Status FinalizeIfCrashed(Status status);
@@ -187,15 +179,14 @@ class Coordinator {
   // whole step still costs a single round trip.
   Status LockAndFetch(WriteOp* op, rdma::VerbBatch* rider = nullptr);
 
-  // Pipelined lock-then-read chain (§3.1.1): posts the lock CAS
-  // (`expected` -> mine) and the undo-image read on the lock node's QP in
-  // one doorbell. RC in-order delivery makes the read observe the
-  // post-CAS state, so when the CAS wins (*observed == expected) the image
-  // is already decoded into op->old_version / old_value and *fetched is
-  // set; when it loses, the speculative read is discarded.
-  Status PostLockAndFetchChain(WriteOp* op, uint64_t expected,
-                               uint64_t* observed, rdma::VerbBatch* rider,
-                               bool* fetched);
+  // One lock attempt: CASes op's lock word from `expected` to ours (a
+  // steal when `expected` is a stray lock). Under pipelining the CAS, the
+  // speculative undo-image read and `rider` share one doorbell. When the
+  // CAS wins, *won is set, op is locked and its undo image fetched (with
+  // kAfterLock / kAfterLockFetch around them) and the status is theirs;
+  // otherwise the status is the CAS's and *observed the word it found.
+  Status TryLock(WriteOp* op, uint64_t expected, rdma::VerbBatch* rider,
+                 uint64_t* observed, bool* won);
 
   // Reads version word + value of op's primary slot (post-lock).
   Status FetchUndoImage(WriteOp* op);
@@ -233,8 +224,8 @@ class Coordinator {
   };
 
   // The baselines' commit: validation, then the apply group, the client
-  // ack and the unlock group (their undo records were written during
-  // execution).
+  // ack and the unlock group, each group run on its own (their undo
+  // records were written during execution).
   Status CommitInternal();
   // The commit decision, shared by both commit paths: one doorbell of
   // read-set lock+version reads (plus, under the relaxed-locks bug, the
@@ -246,13 +237,6 @@ class Coordinator {
   // in vreads_; CheckValidation decodes them.
   Status PostValidationReads(rdma::VerbBatch* batch);
   Status CheckValidation();
-  // The baselines' apply and unlock groups, each with its crash point
-  // (kMidCommitApply / kMidUnlock) between every two verbs.
-  Status ApplyWrites();
-  Status UnlockWriteSet();
-
-  // Fills apply_bufs_ (one [version][key][value] image per write op).
-  void BuildApplyBufs();
 
   // Pandora's commit (§3.1.4 taken to its conclusion): validate first,
   // then ride the undo-log record, every replica apply, AND the unlocks in
@@ -261,24 +245,43 @@ class Coordinator {
   // argument.
   Status CommitMergedInternal();
 
-  // Posts the merged group into chains_, visiting a crash point between
-  // every two of its verbs (as CrashBetweenVerbs does) and at the
-  // boundaries of its fragments, applies and unlocks. Returns the crash's
-  // status; the caller drains the chains.
-  Status PostCommitGroup(const std::vector<rdma::NodeId>& touched,
-                         size_t num_fragments);
+  // The posting steps of the commit and abort doorbell groups. Each posts
+  // into chains_ and visits its crash point between every two verbs it
+  // posts (never before the first), so with the before and after points
+  // around the step every prefix a crash can leave landed is named by
+  // exactly one (point, occurrence). A crash's status is returned and
+  // RunGroup drains the chains.
+  //
+  // The coordinator's log record, one copy per live touched server
+  // (kAfterLogWrite between fragments), each chain's fragments flushed.
+  Status PostFragments(size_t num_fragments);
+  // Fills apply_bufs_ and posts every live replica's apply
+  // (kMidCommitApply), each chain flushed behind its applies.
+  Status PostApplies();
+  // Releases the write-set's locks (`mid` = kMidUnlock or
+  // kMidAbortUnlock). On the abort path the Complicit Aborts bug also
+  // releases locks this transaction never acquired.
+  Status PostUnlocks(CrashPoint mid);
+  // §7 NVM: a selective-flush read behind the verbs of every non-empty
+  // chain.
+  void PostFlushes();
+
+  // Runs the doorbell group posted into chains_: one shared wait, every
+  // chain drained, then one failure rule. A `posted` crash status drains
+  // the chains and is returned as is. Our own halt is Unavailable. A group
+  // that carries applies returns PermissionDenied (we were fenced) as is
+  // and waits out the failure verdict of a dead memory server, skipping it
+  // (§3.2.5); an unlock-only group ignores both, leaving the locks to
+  // recovery.
+  Status RunGroup(Status posted, bool carries_applies);
 
   // True when the deployment runs NVM behind an RNIC cache (§7): durable
   // writes need FORD's selective one-sided flush, a small read behind them
-  // on the same queue pair. DRAM and battery-backed deployments never
-  // flush.
+  // on the same queue pair. DRAM deployments never flush.
   bool nvm_flush() const {
     return cluster_->config().persistence ==
            cluster::PersistenceMode::kNvmWithFlush;
   }
-
-  // The baselines' flush: one read per live server of `servers`, batched.
-  Status FlushForPersistence(std::span<const rdma::NodeId> servers);
 
   // Distinct memory servers holding replicas of the current write-set, in
   // ascending node-id order. Collected through a node-id bitset into a
@@ -293,8 +296,8 @@ class Coordinator {
     stats_.doorbells += n;
   }
 
-  // Abort path: invalidates the baselines' undo records, then releases
-  // the locks in one group with kMidAbortUnlock between every two verbs.
+  // Abort path: invalidates the baselines' undo records, then runs the
+  // unlock group.
   Status AbortInternal();
 
   // Handles Unavailable statuses from commit-apply verbs: distinguishes
@@ -364,8 +367,9 @@ class Coordinator {
   FixedBitset<rdma::kMaxNodes> touched_bits_;
   std::vector<rdma::NodeId> touched_servers_;
   // One ordered chain per memory server, indexed by node id and built
-  // once: the merged commit's doorbell group and the pipelined lock+fetch
-  // post into these. Whoever posts to a chain drains it before returning.
+  // once: every commit and abort doorbell group and the pipelined
+  // lock+fetch post into these. Whoever posts to a chain drains it before
+  // returning.
   std::vector<std::unique_ptr<rdma::OrderedBatch>> chains_;
   // Validation read results, one per read-set entry (PostValidationReads).
   std::vector<ValidationRead> vreads_;

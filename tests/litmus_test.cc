@@ -655,59 +655,78 @@ TEST(LitmusScheduleTest, ExhaustiveCoversAllReachablePointsSingleTxn) {
   EXPECT_EQ(report.schedule_noops, 0);
 }
 
-// Pandora's merged commit group must be crashed at every verb it posts:
-// a solo transaction writing two objects at replication 2 posts one log
-// fragment per touched server, two applies per object and one unlock per
-// object, and every prefix of that group is one crashed schedule —
-// between two verbs at kAfterLogWrite / kMidCommitApply / kMidUnlock, and
-// after each part's last verb at kAfterValidation / kAfterCommitApply /
-// kAfterClientAck. Each recovers with no violation.
+// Every commit doorbell group must be crashed at every verb it posts: a
+// solo transaction writing two objects at replication 2 posts two applies
+// per object and one unlock per object, and every prefix of a group is one
+// crashed schedule — between two verbs at kMidCommitApply / kMidUnlock,
+// and once at each boundary point around them. Pandora merges one log
+// fragment per touched server, the applies and the unlocks into one group
+// (kAfterLogWrite between fragments, kAfterValidation after the last,
+// kAfterClientAck after the drained group); the FORD baseline runs the
+// applies and the unlocks as two groups around the client ack, its undo
+// records written during execution (one kAfterLogWrite per write). Each
+// schedule recovers with no violation.
 TEST(LitmusScheduleTest, ExhaustiveCrashesEveryVerbOfTheMergedGroup) {
-  LitmusSpec spec;
-  spec.name = "litmus-single-two-writes";
-  spec.initial = {0, 0, 0};
-  constexpr Var kX = 0, kY = 1, kZ = 2;
-  spec.txns = {LitmusTxn{"T1",
-                         {LitmusOp::Load(0, kZ), LitmusOp::StoreConst(kX, 1),
-                          LitmusOp::StoreConst(kY, 1)}}};
-  HarnessConfig config = FastConfig();
-  config.txn.mode = txn::ProtocolMode::kPandora;
-  config.schedule = SchedulePolicy::kExhaustive;
-  // Two memory servers at replication 2: every object has a replica on
-  // both, so the group touches exactly two servers.
-  config.memory_nodes = 2;
-  config.replication = 2;
-  config.runs_per_txn = 1;
-  config.iterations = 60;
-  LitmusHarness harness(config);
-  const LitmusReport report = harness.Run(spec);
-  EXPECT_EQ(report.violations, 0)
-      << (report.failures.empty() ? "" : report.failures[0]);
-  EXPECT_EQ(report.schedules_skipped, 0);
-  EXPECT_EQ(report.schedule_noops, 0);
+  for (const txn::ProtocolMode mode :
+       {txn::ProtocolMode::kPandora, txn::ProtocolMode::kFordBaseline}) {
+    const bool pandora = mode == txn::ProtocolMode::kPandora;
+    SCOPED_TRACE(pandora ? "Pandora" : "FordBaseline");
+    LitmusSpec spec;
+    spec.name = "litmus-single-two-writes";
+    spec.initial = {0, 0, 0};
+    constexpr Var kX = 0, kY = 1, kZ = 2;
+    spec.txns = {LitmusTxn{"T1",
+                           {LitmusOp::Load(0, kZ), LitmusOp::StoreConst(kX, 1),
+                            LitmusOp::StoreConst(kY, 1)}}};
+    HarnessConfig config = FastConfig();
+    config.txn.mode = mode;
+    config.schedule = SchedulePolicy::kExhaustive;
+    // Two memory servers at replication 2: every object has a replica on
+    // both, so the group touches exactly two servers.
+    config.memory_nodes = 2;
+    config.replication = 2;
+    config.runs_per_txn = 1;
+    config.iterations = 60;
+    LitmusHarness harness(config);
+    const LitmusReport report = harness.Run(spec);
+    EXPECT_EQ(report.violations, 0)
+        << (report.failures.empty() ? "" : report.failures[0]);
+    EXPECT_EQ(report.schedules_skipped, 0);
+    EXPECT_EQ(report.schedule_noops, 0);
 
-  constexpr int kWrites = 2;
-  constexpr int kServers = 2;
-  constexpr int kFragmentVerbs = 1 * kServers;   // One fragment each.
-  constexpr int kApplyVerbs = kWrites * 2;       // Two replicas each.
-  constexpr int kUnlockVerbs = kWrites;
-  const auto crashes = [&](txn::CrashPoint point) {
-    return report.point_crashes[static_cast<int>(point)];
-  };
-  EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite), kFragmentVerbs - 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kAfterValidation), 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kMidCommitApply), kApplyVerbs - 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kAfterCommitApply), 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kMidUnlock), kUnlockVerbs - 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kAfterClientAck), 1);
-  EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite) +
-                crashes(txn::CrashPoint::kAfterValidation) +
-                crashes(txn::CrashPoint::kMidCommitApply) +
-                crashes(txn::CrashPoint::kAfterCommitApply) +
-                crashes(txn::CrashPoint::kMidUnlock) +
-                crashes(txn::CrashPoint::kAfterClientAck),
-            kFragmentVerbs + kApplyVerbs + kUnlockVerbs)
-      << report.CoverageSummary();
+    constexpr int kWrites = 2;
+    constexpr int kServers = 2;
+    constexpr int kFragmentVerbs = 1 * kServers;   // One fragment each.
+    constexpr int kApplyVerbs = kWrites * 2;       // Two replicas each.
+    constexpr int kUnlockVerbs = kWrites;
+    const auto crashes = [&](txn::CrashPoint point) {
+      return report.point_crashes[static_cast<int>(point)];
+    };
+    EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite),
+              pandora ? kFragmentVerbs - 1 : kWrites)
+        << report.CoverageSummary();
+    EXPECT_EQ(crashes(txn::CrashPoint::kAfterValidation), 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kBeforeCommitApply), 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kMidCommitApply), kApplyVerbs - 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kAfterCommitApply), 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kBeforeUnlock), 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kMidUnlock), kUnlockVerbs - 1);
+    EXPECT_EQ(crashes(txn::CrashPoint::kAfterClientAck), 1);
+    // The boundary after the unlocks: Pandora's drained group is
+    // kAfterClientAck; the baseline's unlock group ends at kAfterUnlock.
+    EXPECT_EQ(crashes(txn::CrashPoint::kAfterUnlock), pandora ? 0 : 1)
+        << report.CoverageSummary();
+    if (pandora) {
+      EXPECT_EQ(crashes(txn::CrashPoint::kAfterLogWrite) +
+                    crashes(txn::CrashPoint::kAfterValidation) +
+                    crashes(txn::CrashPoint::kMidCommitApply) +
+                    crashes(txn::CrashPoint::kAfterCommitApply) +
+                    crashes(txn::CrashPoint::kMidUnlock) +
+                    crashes(txn::CrashPoint::kAfterClientAck),
+                kFragmentVerbs + kApplyVerbs + kUnlockVerbs)
+          << report.CoverageSummary();
+    }
+  }
 }
 
 // Compound schedules: every coordinator crash chained with an RC death

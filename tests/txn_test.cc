@@ -595,9 +595,30 @@ TEST_P(ProtocolSweep, CommitAbortConflict) {
   ASSERT_TRUE(c1->Write(table_, 20, Padded("v1")).ok());
   ASSERT_TRUE(c1->Commit().ok());
 
+  // Warm one-write commit and abort, pinned per protocol: Pandora's
+  // merged group and its unlock-only abort are one round trip each; the
+  // baselines pay an apply group and an unlock group to commit, and a
+  // truncation group and an unlock group to abort.
+  const uint64_t group_rtts =
+      GetParam() == ProtocolMode::kPandora ? 1u : 2u;
+  const auto expect_commit_phase_rtts = [&](uint64_t rtts_before,
+                                            uint64_t doorbells_before) {
+    EXPECT_EQ(c1->stats().commit_rtts - rtts_before, group_rtts);
+    EXPECT_EQ(c1->stats().doorbells - doorbells_before, group_rtts);
+  };
+  ASSERT_TRUE(c1->Begin().ok());
+  ASSERT_TRUE(c1->Write(table_, 20, Padded("w")).ok());
+  uint64_t rtts_before = c1->stats().commit_rtts;
+  uint64_t doorbells_before = c1->stats().doorbells;
+  ASSERT_TRUE(c1->Commit().ok());
+  expect_commit_phase_rtts(rtts_before, doorbells_before);
+
   ASSERT_TRUE(c1->Begin().ok());
   ASSERT_TRUE(c1->Write(table_, 20, Padded("v2")).ok());
+  rtts_before = c1->stats().commit_rtts;
+  doorbells_before = c1->stats().doorbells;
   EXPECT_TRUE(c1->Abort().IsAborted());
+  expect_commit_phase_rtts(rtts_before, doorbells_before);
 
   ASSERT_TRUE(c1->Begin().ok());
   ASSERT_TRUE(c1->Write(table_, 20, Padded("v3")).ok());
