@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/logging.h"
+#include "rdma/doorbell_group.h"
 #include "store/object_header.h"
 #include "store/remote_object.h"
 
@@ -111,6 +112,7 @@ Status ReconfigManager::EnumerateMoves(
   const Catalog& catalog = cluster_->catalog();
   const Membership& membership = cluster_->membership();
   std::vector<char> key_buf(kScanChunk * 8);
+  rdma::DoorbellGroup group;
 
   for (size_t t = 0; t < catalog.num_tables(); ++t) {
     const store::TableId table = static_cast<store::TableId>(t);
@@ -125,13 +127,12 @@ Status ReconfigManager::EnumerateMoves(
            start += kScanChunk) {
         const uint64_t n =
             std::min<uint64_t>(kScanChunk, layout.capacity() - start);
-        rdma::VerbBatch batch;
         for (uint64_t i = 0; i < n; ++i) {
-          batch.Read(qp, info.region_rkeys[source],
+          group.Read(qp, info.region_rkeys[source],
                      layout.KeyOffset(start + i), key_buf.data() + i * 8,
                      8);
         }
-        const Status status = batch.Execute();
+        const Status status = group.Execute();
         {
           std::lock_guard<std::mutex> lock(stats_mu_);
           stats_.copy_rtts += 1;  // One doorbell round per chunk.

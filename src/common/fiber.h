@@ -20,14 +20,14 @@ namespace pandora {
 /// sibling fibers (cross-thread synchronization rules are unchanged).
 ///
 /// The simulated fabric's waits (SpinUntilNanos / SleepForMicros, and
-/// through them QueuePair::Wait, VerbBatch::Execute, OrderedBatch::Execute,
-/// stall retries, and the system gate) consult the thread's active
-/// scheduler: inside a fiber they suspend it with a ready-at deadline
-/// instead of burning the core, and the scheduler resumes the
-/// earliest-ready runnable fiber. A fiber is never resumed before its
-/// deadline — the scheduler spins only when *nothing* is runnable — so
-/// simulated-RTT accounting is identical to the blocking implementation;
-/// only the real CPU time of the wait is reclaimed for other fibers.
+/// through them QueuePair::Wait, DoorbellGroup::Execute, stall retries,
+/// and the system gate) consult the thread's active scheduler: inside a
+/// fiber they suspend it with a ready-at deadline instead of burning the
+/// core, and the scheduler resumes the earliest-ready runnable fiber. A
+/// fiber is never resumed before its deadline — the scheduler spins only
+/// when *nothing* is runnable — so simulated-RTT accounting is identical
+/// to the blocking implementation; only the real CPU time of the wait is
+/// reclaimed for other fibers.
 ///
 /// Tail fairness: the ready queue is a min-heap on (deadline, yield seq),
 /// so dispatch is earliest-deadline-first in O(log n) regardless of fiber

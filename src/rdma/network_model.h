@@ -1,7 +1,6 @@
 #ifndef PANDORA_RDMA_NETWORK_MODEL_H_
 #define PANDORA_RDMA_NETWORK_MODEL_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -50,13 +49,6 @@ class NetworkModel {
            static_cast<uint64_t>(
                config_.per_byte_ns *
                static_cast<double>(request_bytes + response_bytes));
-  }
-
-  /// Simulated wait of two verb groups that share one doorbell wait: the
-  /// longer of the two, or their sum when every verb pays its own round
-  /// trip (sequential_verbs).
-  uint64_t SharedWaitNanos(uint64_t a, uint64_t b) const {
-    return config_.sequential_verbs ? a + b : std::max(a, b);
   }
 
  private:

@@ -162,52 +162,5 @@ Status QueuePair::PostCompareSwap(RKey rkey, uint64_t offset,
   return Status::OK();
 }
 
-void VerbBatch::Record(const Status& status, uint64_t rtt_ns,
-                       const QueuePair* qp) {
-  ++count_;
-  if (status.ok()) {
-    wait_.Add(rtt_ns, qp->net());
-  } else if (first_error_.ok()) {
-    first_error_ = status;
-  }
-}
-
-void VerbBatch::Read(QueuePair* qp, RKey rkey, uint64_t offset, void* dst,
-                     size_t len) {
-  uint64_t rtt = 0;
-  const Status status = qp->PostRead(rkey, offset, dst, len, &rtt);
-  Record(status, rtt, qp);
-}
-
-void VerbBatch::Write(QueuePair* qp, RKey rkey, uint64_t offset,
-                      const void* src, size_t len) {
-  uint64_t rtt = 0;
-  const Status status = qp->PostWrite(rkey, offset, src, len, &rtt);
-  Record(status, rtt, qp);
-}
-
-void VerbBatch::CompareSwap(QueuePair* qp, RKey rkey, uint64_t offset,
-                            uint64_t expected, uint64_t desired,
-                            uint64_t* observed) {
-  uint64_t rtt = 0;
-  const Status status =
-      qp->PostCompareSwap(rkey, offset, expected, desired, observed, &rtt);
-  Record(status, rtt, qp);
-}
-
-Status VerbBatch::Execute() {
-  last_wait_ns_ = wait_.ns();
-  if (last_wait_ns_ > 0) SpinForNanos(last_wait_ns_);
-  return Collect();
-}
-
-Status VerbBatch::Collect() {
-  Status result = first_error_;
-  first_error_ = Status::OK();
-  wait_.Reset();
-  count_ = 0;
-  return result;
-}
-
 }  // namespace rdma
 }  // namespace pandora

@@ -60,9 +60,9 @@ class QueuePair {
 
   /// --- Deferred-completion variants (doorbell batching) ---------------
   /// Apply the operation immediately and report the verb's RTT without
-  /// waiting. VerbBatch uses these to model a group of verbs issued in the
-  /// same doorbell: their latencies overlap, so the batch completes after
-  /// one round trip plus the link time of the payload (see DoorbellWait).
+  /// waiting. DoorbellGroup posts through these: the verbs rung with one
+  /// doorbell overlap their latencies, so the group completes after one
+  /// round trip plus the link time of the payload (see DoorbellWait).
   Status PostRead(RKey rkey, uint64_t offset, void* dst, size_t len,
                   uint64_t* rtt_ns);
   Status PostWrite(RKey rkey, uint64_t offset, const void* src, size_t len,
@@ -88,90 +88,6 @@ class QueuePair {
   /// Per-QP issue index of hooked verbs, tagged into VerbDesc::qp_seq.
   /// Every coordinator of a compute node shares its QPs, hence atomic.
   std::atomic<uint64_t> seq_{0};
-};
-
-/// Simulated completion time of the verbs posted in one doorbell: the
-/// slowest verb's round trip plus the serialization time (per_byte_ns x
-/// payload bytes) of every *other* verb. Latencies overlap, but payloads
-/// share the issuing NIC's link, so batching saves round trips and never
-/// bandwidth. With per_byte_ns = 0 this is exactly the slowest RTT. Under
-/// NetworkConfig::sequential_verbs nothing overlaps: the wait is the sum
-/// of the verbs' round trips.
-class DoorbellWait {
- public:
-  /// Accounts one verb that reached the fabric, given its RTT and the
-  /// network model it was issued under.
-  void Add(uint64_t rtt_ns, const NetworkModel& net) {
-    if (net.config().sequential_verbs) {
-      serialization_ns_ += rtt_ns;  // Its own round trip, in full.
-      return;
-    }
-    const uint64_t serialization_ns = rtt_ns - net.BaseRttNanos();
-    serialization_ns_ += serialization_ns;
-    if (rtt_ns > max_rtt_ns_) {
-      max_rtt_ns_ = rtt_ns;
-      slowest_serialization_ns_ = serialization_ns;
-    }
-  }
-
-  uint64_t ns() const {
-    return max_rtt_ns_ + serialization_ns_ - slowest_serialization_ns_;
-  }
-
-  void Reset() { *this = DoorbellWait(); }
-
- private:
-  uint64_t max_rtt_ns_ = 0;
-  uint64_t serialization_ns_ = 0;
-  uint64_t slowest_serialization_ns_ = 0;
-};
-
-/// Groups verbs (possibly across several queue pairs / memory servers) that
-/// the coordinator issues back-to-back without waiting for completions —
-/// e.g. "write the undo log to all f+1 log servers" or "apply the write to
-/// the primary and every backup". The batch completes after the slowest
-/// verb's round trip plus the other verbs' serialization (DoorbellWait).
-class VerbBatch {
- public:
-  VerbBatch() = default;
-
-  void Read(QueuePair* qp, RKey rkey, uint64_t offset, void* dst,
-            size_t len);
-  void Write(QueuePair* qp, RKey rkey, uint64_t offset, const void* src,
-             size_t len);
-  void CompareSwap(QueuePair* qp, RKey rkey, uint64_t offset,
-                   uint64_t expected, uint64_t desired, uint64_t* observed);
-
-  /// Waits out the doorbell (slowest round trip plus the other verbs'
-  /// serialization); returns the first verb error, if any.
-  Status Execute();
-
-  /// Doorbell wait of the verbs posted so far (DoorbellWait). An
-  /// OrderedBatch chain that fires in the same doorbell group passes this
-  /// to its Execute() so one wait covers both; the caller then drains this
-  /// batch with Collect().
-  uint64_t pending_max_rtt_ns() const { return wait_.ns(); }
-
-  /// Returns the first verb error and resets, without waiting — for a
-  /// batch whose round trip was covered by another wait in the same
-  /// doorbell group.
-  Status Collect();
-
-  size_t size() const { return count_; }
-
-  /// Simulated nanoseconds the previous Execute() waited out — the slowest
-  /// round trip plus the serialization of the other verbs' payloads, never
-  /// a sum of per-verb round trips. Deterministic, unlike wall-clock
-  /// measurements of the spin wait.
-  uint64_t last_wait_ns() const { return last_wait_ns_; }
-
- private:
-  void Record(const Status& status, uint64_t rtt_ns, const QueuePair* qp);
-
-  Status first_error_;
-  DoorbellWait wait_;
-  uint64_t last_wait_ns_ = 0;
-  size_t count_ = 0;
 };
 
 }  // namespace rdma

@@ -71,10 +71,9 @@ Status RecoveryCoordinator::RecoverLogs(
   return Status::OK();
 }
 
-Status RecoveryCoordinator::FinishRound(rdma::VerbBatch* batch,
-                                        RecoveryStats* stats) {
-  if (batch->size() > 0) stats->doorbells++;
-  PANDORA_RETURN_NOT_OK(batch->Execute());
+Status RecoveryCoordinator::FinishRound(RecoveryStats* stats) {
+  if (!group_.empty()) stats->doorbells++;
+  PANDORA_RETURN_NOT_OK(group_.Execute());
   return MaybeFault();
 }
 
@@ -87,7 +86,6 @@ Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
   const size_t num_areas = coord_ids.size() * servers.size();
   images_.clear();
   next_slot_.assign(num_areas, 1);
-  rdma::VerbBatch batch;
 
   // Round 1 — log probes (§3.2.2 "F+1 Log Reads", over the dense log):
   // the first `probe` bytes of slot 0 of each coordinator's area on every
@@ -120,11 +118,11 @@ Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
       image.image = next;
       image.whole = true;
       const rdma::NodeId server = servers[image.area % servers.size()];
-      batch.Read(qp(server), cluster_->catalog().log_rkey(server),
-                 layout.SlotOffset(coord_ids[image.area / servers.size()],
-                                   image.slot) +
-                     probe,
-                 next + probe, tail.bytes - probe);
+      group_.Read(qp(server), cluster_->catalog().log_rkey(server),
+                  layout.SlotOffset(coord_ids[image.area / servers.size()],
+                                    image.slot) +
+                      probe,
+                  next + probe, tail.bytes - probe);
       stats->log_bytes_read += tail.bytes - probe;
       fresh.push_back(tail.image);
       next += slot_bytes;
@@ -134,14 +132,14 @@ Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
       const rdma::NodeId server = servers[read.area % servers.size()];
       const uint32_t image_bytes = read.whole ? slot_bytes : probe;
       if (read.whole) {
-        batch.Read(qp(server), cluster_->catalog().log_rkey(server),
-                   layout.SlotOffset(id, read.slot), next,
-                   static_cast<size_t>(read.count) * slot_bytes);
+        group_.Read(qp(server), cluster_->catalog().log_rkey(server),
+                    layout.SlotOffset(id, read.slot), next,
+                    static_cast<size_t>(read.count) * slot_bytes);
       }
       for (uint32_t k = 0; k < read.count; ++k) {
         if (!read.whole) {
-          batch.Read(qp(server), cluster_->catalog().log_rkey(server),
-                     layout.SlotOffset(id, read.slot + k), next, probe);
+          group_.Read(qp(server), cluster_->catalog().log_rkey(server),
+                      layout.SlotOffset(id, read.slot + k), next, probe);
         }
         fresh.push_back(images_.size());
         images_.push_back({read.area, read.slot + k, next, read.whole});
@@ -149,7 +147,7 @@ Status RecoveryCoordinator::ReadLogs(std::span<const uint16_t> coord_ids,
       }
       stats->log_bytes_read += static_cast<size_t>(read.count) * image_bytes;
     }
-    PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+    PANDORA_RETURN_NOT_OK(FinishRound(stats));
     reads.clear();
     tails.clear();
     for (const size_t image : fresh) PlanReads(image, &reads, &tails);
@@ -282,7 +280,7 @@ Status RecoveryCoordinator::ResolveSlots(RecoveryStats* stats) {
     }
     uint64_t rounds = 0;
     const Status status = store::FindSlotsByBatchedProbe(
-        info.layout, requests, &outcomes, &rounds);
+        info.layout, requests, &outcomes, &rounds, &probe_scratch_);
     stats->doorbells += rounds;
     PANDORA_RETURN_NOT_OK(status);
     for (size_t i = 0; i < wanted.size(); ++i) {
@@ -307,7 +305,6 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
     const rdma::NodeId node = cluster_->memory_node_id(m);
     if (cluster_->membership().IsMemoryAlive(node)) servers.push_back(node);
   }
-  rdma::VerbBatch batch;
 
   // Round 1 (and the conditional log rounds) — log reads.
   PANDORA_RETURN_NOT_OK(ReadLogs(coord_ids, servers, stats));
@@ -366,12 +363,12 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
         cluster_->catalog().table(target.entry->table);
     for (ReplicaView& view : ReplicasOf(target)) {
       if (!view.found) continue;
-      batch.Read(qp(view.node), info.region_rkeys[view.node],
-                 info.layout.VersionOffset(view.slot), &view.version_word,
-                 sizeof(view.version_word));
+      group_.Read(qp(view.node), info.region_rkeys[view.node],
+                  info.layout.VersionOffset(view.slot), &view.version_word,
+                  sizeof(view.version_word));
     }
   }
-  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+  PANDORA_RETURN_NOT_OK(FinishRound(stats));
   for (const Target& target : targets_) {
     if (target.txn == Target::kIntent) continue;
     const uint64_t old_version = store::VersionOf(target.entry->old_version);
@@ -413,13 +410,13 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
       }
       // For inserts old_version is 0, which makes the slot invisible
       // again (the key claim itself is left in place; harmless).
-      batch.Write(qp(view.node), info.region_rkeys[view.node],
-                  info.layout.VersionOffset(view.slot), buf.data(),
-                  buf.size());
+      group_.Write(qp(view.node), info.region_rkeys[view.node],
+                   info.layout.VersionOffset(view.slot), buf.data(),
+                   buf.size());
       stats->objects_restored++;
     }
   }
-  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+  PANDORA_RETURN_NOT_OK(FinishRound(stats));
 
   // Round 4 — release every named lock on every alive replica, with a CAS
   // conditional on the failed coordinator still owning it (a transaction
@@ -430,13 +427,13 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
         cluster_->catalog().table(target.entry->table);
     for (ReplicaView& view : ReplicasOf(target)) {
       if (!view.found) continue;
-      batch.CompareSwap(qp(view.node), info.region_rkeys[view.node],
-                        info.layout.LockOffset(view.slot),
-                        store::MakeLock(target.coord_id), store::kUnlocked,
-                        &view.observed_lock);
+      group_.CompareSwap(qp(view.node), info.region_rkeys[view.node],
+                         info.layout.LockOffset(view.slot),
+                         store::MakeLock(target.coord_id), store::kUnlocked,
+                         &view.observed_lock);
     }
   }
-  PANDORA_RETURN_NOT_OK(FinishRound(&batch, stats));
+  PANDORA_RETURN_NOT_OK(FinishRound(stats));
   for (const Target& target : targets_) {
     const store::LockWord theirs = store::MakeLock(target.coord_id);
     for (const ReplicaView& view : ReplicasOf(target)) {
@@ -456,13 +453,13 @@ Status RecoveryCoordinator::RecoverWindow(std::span<const uint16_t> coord_ids,
     for (const CoordinatorLog& log : logs) {
       for (const auto& [s, slot] : log.used_slots) {
         if ((slot == 0) != slot0) continue;
-        batch.Write(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
-                    layout.SlotOffset(log.coord_id, slot), &marker,
-                    sizeof(marker));
+        group_.Write(qp(servers[s]), cluster_->catalog().log_rkey(servers[s]),
+                     layout.SlotOffset(log.coord_id, slot), &marker,
+                     sizeof(marker));
       }
     }
   }
-  return FinishRound(&batch, stats);
+  return FinishRound(stats);
 }
 
 Status RecoveryCoordinator::ScanAndReleaseStrayLocks(

@@ -11,8 +11,10 @@
 
 #include "cluster/cluster.h"
 #include "common/status.h"
+#include "rdma/doorbell_group.h"
 #include "rdma/queue_pair.h"
 #include "store/log_layout.h"
+#include "store/remote_object.h"
 
 namespace pandora {
 namespace recovery {
@@ -219,9 +221,9 @@ class RecoveryCoordinator {
   // resolving misses with batched probes (one doorbell per probe step).
   Status ResolveSlots(RecoveryStats* stats);
 
-  // Rings `batch` (if it holds verbs) and then passes a round boundary,
-  // where the RC may die (step fault hook).
-  Status FinishRound(rdma::VerbBatch* batch, RecoveryStats* stats);
+  // Rings group_ (a doorbell when it holds verbs) and then passes a round
+  // boundary, where the RC may die (step fault hook).
+  Status FinishRound(RecoveryStats* stats);
 
   Status MaybeFault() {
     if (step_fault_hook_ && step_fault_hook_()) {
@@ -238,6 +240,10 @@ class RecoveryCoordinator {
   std::vector<uint32_t> next_slot_;  // Per area: first slot not yet read.
   std::vector<Target> targets_;
   std::vector<ReplicaView> replicas_;
+  // Every round's verbs; each round posts into it and rings it before the
+  // next one posts.
+  rdma::DoorbellGroup group_;
+  store::BatchedProbeScratch probe_scratch_;  // ResolveSlots' probes.
   std::function<bool()> step_fault_hook_;
   uint64_t scan_throttle_ns_per_slot_ = 0;
 };

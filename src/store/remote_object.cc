@@ -89,10 +89,10 @@ Status FindOrClaimSlot(rdma::QueuePair* qp, rdma::RKey rkey,
   return Status::ResourceExhausted("probed entire region");
 }
 
-void PostSlotRead(rdma::VerbBatch* batch, rdma::QueuePair* qp,
+void PostSlotRead(rdma::DoorbellGroup* group, rdma::QueuePair* qp,
                   rdma::RKey rkey, const TableLayout& layout, uint64_t slot,
                   char* buf) {
-  batch->Read(qp, rkey, layout.LockOffset(slot), buf,
+  group->Read(qp, rkey, layout.LockOffset(slot), buf,
               SlotReadSize(layout));
 }
 
@@ -125,21 +125,21 @@ Status FindSlotsByBatchedProbe(const TableLayout& layout,
   // 24-byte {lock, version, key} views, one per request, reused per round.
   std::vector<std::array<char, 24>>& bufs = scratch->bufs;
   if (bufs.size() < requests.size()) bufs.resize(requests.size());
-  rdma::VerbBatch batch;
+  rdma::DoorbellGroup& group = scratch->group;
 
   size_t unresolved = requests.size();
   while (unresolved > 0) {
     for (size_t i = 0; i < requests.size(); ++i) {
       if (cursors[i].done) continue;
-      batch.Read(requests[i].qp, requests[i].rkey,
+      group.Read(requests[i].qp, requests[i].rkey,
                  layout.LockOffset(cursors[i].probe), bufs[i].data(), 24);
     }
     if (rounds != nullptr) ++*rounds;
-    const Status status = batch.Execute();
+    const Status status = group.Execute();
     if (!status.ok()) {
-      // VerbBatch reports the first error only; a dead server or halted
-      // compute node fails the whole round. Callers fall back to the
-      // sequential per-key path, which has the retry machinery.
+      // A dead server or halted compute node fails the whole round with
+      // its first error. Callers fall back to the sequential per-key path,
+      // which has the retry machinery.
       for (size_t i = 0; i < requests.size(); ++i) {
         if (!cursors[i].done) (*outcomes)[i].status = status;
       }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "rdma/doorbell_group.h"
 #include "rdma/queue_pair.h"
 #include "store/object_header.h"
 #include "store/table_layout.h"
@@ -51,9 +52,9 @@ inline size_t SlotReadSize(const TableLayout& layout) {
 }
 
 /// Posts a combined read of `slot`'s {lock, version, key, value} into
-/// `batch`. `buf` must hold SlotReadSize(layout) bytes and stay alive
-/// until the batch executes.
-void PostSlotRead(rdma::VerbBatch* batch, rdma::QueuePair* qp,
+/// `group`. `buf` must hold SlotReadSize(layout) bytes and stay alive
+/// until the group executes.
+void PostSlotRead(rdma::DoorbellGroup* group, rdma::QueuePair* qp,
                   rdma::RKey rkey, const TableLayout& layout, uint64_t slot,
                   char* buf);
 
@@ -83,7 +84,8 @@ struct ProbeOutcome {
 };
 
 /// Reusable per-caller working state for FindSlotsByBatchedProbe: probe
-/// cursors and the per-request 24-byte read views. A caller that batches
+/// cursors, the per-request 24-byte read views and the doorbell group the
+/// rounds ring. A caller that batches
 /// probes repeatedly (e.g. a coordinator's range reads) holds one of these
 /// so steady-state resolution reuses the grown vectors instead of
 /// allocating a cursor array and buffer pool per call.
@@ -95,6 +97,7 @@ struct BatchedProbeScratch {
   };
   std::vector<Cursor> cursors;
   std::vector<std::array<char, 24>> bufs;
+  rdma::DoorbellGroup group;
 };
 
 /// Resolves many keys' slots by linear probing, batching each probe step

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <memory>
 
 #include "common/checksum.h"
 #include "common/clock.h"
@@ -43,10 +42,6 @@ Coordinator::Coordinator(cluster::Cluster* cluster,
   // A transaction can touch at most every memory server; reserving here
   // keeps TouchedReplicaServers() allocation-free per commit.
   touched_servers_.reserve(cluster->total_memory_nodes());
-  for (uint32_t i = 0; i < cluster->total_memory_nodes(); ++i) {
-    chains_.push_back(std::make_unique<rdma::OrderedBatch>(
-        server->qp(cluster->memory_node_id(i))));
-  }
 }
 
 Status Coordinator::MaybeCrash(CrashPoint point) {
@@ -257,8 +252,7 @@ Status Coordinator::FetchUndoImage(WriteOp* op) {
 }
 
 Status Coordinator::TryLock(WriteOp* op, uint64_t expected,
-                            rdma::VerbBatch* rider, uint64_t* observed,
-                            bool* won) {
+                            uint64_t* observed, bool* won) {
   const cluster::TableInfo& info = cluster_->catalog().table(op->table);
   const store::TableLayout& layout = info.layout;
   const rdma::RKey rkey = info.region_rkeys[op->lock_node];
@@ -270,21 +264,15 @@ Status Coordinator::TryLock(WriteOp* op, uint64_t expected,
   if (config_.pipeline_execution) {
     // §3.1.1: lock CAS + speculative undo-image read, one doorbell, one
     // round trip. RC in-order delivery makes the read observe the post-CAS
-    // state; if the CAS loses, the read is discarded. The rider's round
-    // trip is covered by the chain's wait; its first error surfaces after
-    // the chain's own.
+    // state; if the CAS loses, the read is discarded. A log rider already
+    // in the group rings with them under the same wait.
     const size_t len = 16 + layout.padded_value_size();
     fetch_buf_.resize(len);
-    rdma::OrderedBatch& chain = *chains_[op->lock_node];
-    chain.CompareSwap(rkey, lock_offset, expected, mine, observed);
-    chain.Read(rkey, layout.VersionOffset(op->lock_slot), fetch_buf_.data(),
-               len);
-    const Status status =
-        chain.Execute(rider != nullptr ? rider->pending_max_rtt_ns() : 0);
-    const Status rider_status =
-        rider != nullptr ? rider->Collect() : Status::OK();
-    PANDORA_RETURN_NOT_OK(status);
-    PANDORA_RETURN_NOT_OK(rider_status);
+    rdma::QueuePair* qp = server_->qp(op->lock_node);
+    group_.CompareSwap(qp, rkey, lock_offset, expected, mine, observed);
+    group_.Read(qp, rkey, layout.VersionOffset(op->lock_slot),
+                fetch_buf_.data(), len);
+    PANDORA_RETURN_NOT_OK(group_.Execute());
     fetched = *observed == expected;
     if (fetched) {
       op->old_version = DecodeFixed64(fetch_buf_.data());
@@ -304,7 +292,7 @@ Status Coordinator::TryLock(WriteOp* op, uint64_t expected,
   return MaybeCrash(CrashPoint::kAfterLockFetch);
 }
 
-Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
+Status Coordinator::LockAndFetch(WriteOp* op) {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLock));
   const uint64_t deadline = NowMicros() + config_.stall_timeout_us;
 
@@ -328,9 +316,7 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
     }
     uint64_t observed = 0;
     bool won = false;
-    const Status status =
-        TryLock(op, store::kUnlocked, rider, &observed, &won);
-    rider = nullptr;  // A rider batch is drained by the first attempt.
+    const Status status = TryLock(op, store::kUnlocked, &observed, &won);
     if (won) return status;
     if (status.IsUnavailable() && !server_->halted()) {
       // Primary died under us: fail over to the next alive replica.
@@ -347,8 +333,7 @@ Status Coordinator::LockAndFetch(WriteOp* op, rdma::VerbBatch* rider) {
         // transaction was never logged (stray-lock notification is sent
         // only after log recovery). Steal it with one more attempt.
         uint64_t steal_observed = 0;
-        const Status steal =
-            TryLock(op, observed, nullptr, &steal_observed, &won);
+        const Status steal = TryLock(op, observed, &steal_observed, &won);
         if (won || !steal.ok()) return steal;
         continue;  // Someone else stole or released it first; retry.
       }
@@ -383,16 +368,15 @@ Status Coordinator::WriteLockIntent(const WriteOp& op) {
 
   // Intents are never invalidated (a stale one is a no-op CAS), so their
   // slots need no tracking.
-  rdma::VerbBatch batch;
   std::vector<std::pair<rdma::NodeId, uint32_t>> slots;
   PANDORA_RETURN_NOT_OK(log_writer_.PostIncrementalRecord(
-      record, log_writer_.log_servers(), &batch, &slots));
+      record, log_writer_.log_servers(), &group_, &slots));
   stats_.log_records_written++;
   CountRtts(&stats_.execution_rtts, 1);
-  return batch.Execute();
+  return group_.Execute();
 }
 
-Status Coordinator::PostPerObjectLog(WriteOp* op, rdma::VerbBatch* batch) {
+Status Coordinator::PostPerObjectLog(WriteOp* op) {
   store::LogRecord record;
   record.txn_id = txn_id_;
   record.coord_id = coord_id_;
@@ -406,7 +390,7 @@ Status Coordinator::PostPerObjectLog(WriteOp* op, rdma::VerbBatch* batch) {
   record.entries.push_back(std::move(entry));
 
   PANDORA_RETURN_NOT_OK(log_writer_.PostIncrementalRecord(
-      record, op->replicas, batch, &op->log_slots));
+      record, op->replicas, &group_, &op->log_slots));
   stats_.log_records_written++;
   return Status::OK();
 }
@@ -417,11 +401,14 @@ Status Coordinator::WritePerObjectLog(WriteOp* op) {
     stats_.bug_injections++;
     return Status::OK();  // FORD bug: inserts never logged.
   }
-  rdma::VerbBatch batch;
-  PANDORA_RETURN_NOT_OK(PostPerObjectLog(op, &batch));
-  PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLogWrite));
+  PANDORA_RETURN_NOT_OK(PostPerObjectLog(op));
+  const Status crash = MaybeCrash(CrashPoint::kBeforeLogWrite);
+  if (!crash.ok()) {
+    group_.Reset();
+    return crash;
+  }
   CountRtts(&stats_.execution_rtts, 1);
-  PANDORA_RETURN_NOT_OK(batch.Execute());
+  PANDORA_RETURN_NOT_OK(group_.Execute());
   return MaybeCrash(CrashPoint::kAfterLogWrite);
 }
 
@@ -454,8 +441,6 @@ Status Coordinator::StageWrite(WriteOp op) {
 
   const bool log_before_lock = config_.bugs.logging_without_locking &&
                                config_.mode != ProtocolMode::kPandora;
-  rdma::VerbBatch log_rider;
-  bool rider_pending = false;
   if (log_before_lock) {
     // FORD bug: undo record written before the lock is grabbed, with a
     // pre-lock value image.
@@ -468,8 +453,7 @@ Status Coordinator::StageWrite(WriteOp op) {
       // costing a round trip of their own. The normal (fixed) FORD path
       // cannot coalesce this way: its record carries the post-lock image
       // the chain is about to fetch.
-      PANDORA_RETURN_NOT_OK(AbortIfLogFull(PostPerObjectLog(&op, &log_rider)));
-      rider_pending = true;
+      PANDORA_RETURN_NOT_OK(AbortIfLogFull(PostPerObjectLog(&op)));
     } else {
       PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(&op)));
     }
@@ -479,8 +463,10 @@ Status Coordinator::StageWrite(WriteOp op) {
   // Aborts bug releases locks of ops that never acquired them).
   WriteOp* staged = AppendWriteOp(std::move(op));
 
-  Status status =
-      LockAndFetch(staged, rider_pending ? &log_rider : nullptr);
+  Status status = LockAndFetch(staged);
+  // A return before the first lock attempt (a crash at kBeforeLock, a
+  // fence, a failed re-resolve) leaves a log rider posted but unrung.
+  group_.Reset();
   if (status.IsBusy()) {
     Status abort_status = AbortInternal();
     if (abort_status.IsUnavailable()) return abort_status;
@@ -703,15 +689,14 @@ Status Coordinator::ReadRangeBatched(
   // one doorbell round.
   const size_t len = store::SlotReadSize(layout);
   range_buf_.resize(len * targets.size());
-  rdma::VerbBatch batch;
   for (size_t i = 0; i < targets.size(); ++i) {
-    store::PostSlotRead(&batch, server_->qp(targets[i].node),
+    store::PostSlotRead(&group_, server_->qp(targets[i].node),
                         info.region_rkeys[targets[i].node], layout,
                         targets[i].slot, range_buf_.data() + i * len);
   }
-  if (batch.size() > 0) {
+  if (!group_.empty()) {
     CountRtts(&stats_.execution_rtts, 1);
-    const Status status = batch.Execute();
+    const Status status = group_.Execute();
     if (!status.ok()) {
       if (status.IsUnavailable() && server_->halted()) return status;
       if (status.IsPermissionDenied()) return status;
@@ -865,14 +850,34 @@ Status Coordinator::PrepareCoordinatorRecord(size_t* num_fragments) {
   return log_writer_.FinishFragments(num_fragments);
 }
 
-Status Coordinator::PostValidationReads(rdma::VerbBatch* batch) {
+Status Coordinator::PostValidation() {
   vreads_.resize(read_set_.size());
   for (size_t i = 0; i < read_set_.size(); ++i) {
     const ReadOp& r = read_set_[i];
     const cluster::TableInfo& info = cluster_->catalog().table(r.table);
     if (!cluster_->membership().IsMemoryAlive(r.node)) continue;
-    batch->Read(server_->qp(r.node), info.region_rkeys[r.node],
+    group_.Read(server_->qp(r.node), info.region_rkeys[r.node],
                 info.layout.LockOffset(r.slot), vreads_[i].buf, 16);
+  }
+  if (!config_.bugs.relaxed_locks) return Status::OK();
+
+  // FORD bug: the deferred lock CASes ride in the same doorbell *after*
+  // the validation reads, so validation can overlap lock acquisition.
+  bool any_deferred = false;
+  for (const WriteOp& op : write_set_) {
+    if (!op.locked) any_deferred = true;
+  }
+  if (any_deferred) {
+    PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeDeferredLock));
+  }
+  for (WriteOp& op : write_set_) {
+    if (op.locked) continue;
+    const cluster::TableInfo& info = cluster_->catalog().table(op.table);
+    group_.CompareSwap(server_->qp(op.lock_node),
+                       info.region_rkeys[op.lock_node],
+                       info.layout.LockOffset(op.lock_slot),
+                       store::kUnlocked, store::MakeLock(coord_id_),
+                       &op.deferred_lock_observed);
   }
   return Status::OK();
 }
@@ -945,35 +950,10 @@ Status Coordinator::Commit() {
 
 Status Coordinator::Validate() {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLogWrite));
-  rdma::VerbBatch batch;
-  PANDORA_RETURN_NOT_OK(PostValidationReads(&batch));
-
-  if (config_.bugs.relaxed_locks) {
-    // FORD bug: the deferred lock CASes ride in the same doorbell *after*
-    // the validation reads, so validation can overlap lock acquisition.
-    bool any_deferred = false;
-    for (const WriteOp& op : write_set_) {
-      if (!op.locked) any_deferred = true;
-    }
-    if (any_deferred) {
-      PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeDeferredLock));
-    }
-    for (WriteOp& op : write_set_) {
-      if (op.locked) continue;
-      const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-      batch.CompareSwap(server_->qp(op.lock_node),
-                        info.region_rkeys[op.lock_node],
-                        info.layout.LockOffset(op.lock_slot),
-                        store::kUnlocked, store::MakeLock(coord_id_),
-                        &op.deferred_lock_observed);
-    }
-  }
-
-  if (batch.size() > 0) CountRtts(&stats_.commit_rtts, 1);
-  Status status = batch.Execute();
-  if (status.IsUnavailable() && server_->halted()) return status;
-  // A dead memory server inside the batch is tolerated: validation falls
-  // back per entry below.
+  // A dead memory server inside the group is tolerated: its chain fails
+  // alone, and validation falls back per entry below.
+  PANDORA_RETURN_NOT_OK(
+      RunGroup(PostValidation(), /*carries_applies=*/false));
 
   if (config_.bugs.relaxed_locks) {
     for (WriteOp& op : write_set_) {
@@ -989,7 +969,7 @@ Status Coordinator::Validate() {
     }
   }
 
-  status = CheckValidation();
+  const Status status = CheckValidation();
   if (status.IsUnavailable() && server_->halted()) return status;
   if (!status.ok()) {
     stats_.validation_failures++;
@@ -1113,13 +1093,12 @@ Status Coordinator::PostFragments(size_t num_fragments) {
         PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterLogWrite));
       }
       const std::vector<char>& buf = log_writer_.PreparedFragment(f);
-      chains_[node]->Write(
-          cluster_->catalog().log_rkey(node),
-          log_layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
-          buf.data(), buf.size());
+      group_.Write(server_->qp(node), cluster_->catalog().log_rkey(node),
+                   log_layout.SlotOffset(coord_id_, static_cast<uint32_t>(f)),
+                   buf.data(), buf.size());
     }
   }
-  PostFlushes();
+  if (posted > 0) PostFlushes();
   return Status::OK();
 }
 
@@ -1147,12 +1126,12 @@ Status Coordinator::PostApplies() {
       if (posted++ > 0) {
         PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kMidCommitApply));
       }
-      chains_[node]->Write(info.region_rkeys[node],
-                           info.layout.VersionOffset(op.slots[r]),
-                           buf.data(), buf.size());
+      group_.Write(server_->qp(node), info.region_rkeys[node],
+                   info.layout.VersionOffset(op.slots[r]), buf.data(),
+                   buf.size());
     }
   }
-  PostFlushes();
+  if (posted > 0) PostFlushes();
   return Status::OK();
 }
 
@@ -1170,66 +1149,48 @@ Status Coordinator::PostUnlocks(CrashPoint mid) {
     if (!op.locked) stats_.bug_injections++;  // Complicit release fired.
     if (posted++ > 0) PANDORA_RETURN_NOT_OK(MaybeCrash(mid));
     const cluster::TableInfo& info = cluster_->catalog().table(op.table);
-    chains_[op.lock_node]->Write(info.region_rkeys[op.lock_node],
-                                 info.layout.LockOffset(op.lock_slot),
-                                 &kUnlockedWord, sizeof(kUnlockedWord));
+    group_.Write(server_->qp(op.lock_node), info.region_rkeys[op.lock_node],
+                 info.layout.LockOffset(op.lock_slot), &kUnlockedWord,
+                 sizeof(kUnlockedWord));
   }
   return Status::OK();
 }
 
 void Coordinator::PostFlushes() {
   if (!nvm_flush()) return;
-  for (size_t node = 0; node < chains_.size(); ++node) {
-    if (chains_[node]->size() == 0) continue;
-    chains_[node]->Read(
-        cluster_->catalog().log_rkey(static_cast<rdma::NodeId>(node)), 0,
-        &flush_sink, sizeof(flush_sink));
+  for (const rdma::NodeId node : TouchedReplicaServers()) {
+    if (!cluster_->membership().IsMemoryAlive(node)) continue;
+    group_.Read(server_->qp(node), cluster_->catalog().log_rkey(node), 0,
+                &flush_sink, sizeof(flush_sink));
     stats_.nvm_flushes++;
   }
 }
 
 Status Coordinator::RunGroup(Status posted, bool carries_applies) {
   if (!posted.ok()) {
-    // Crashed mid-group: the verbs posted so far have landed. Drain every
-    // chain without waiting, so none leaks into this node's next group.
-    for (const auto& chain : chains_) chain->Collect();
+    // Crashed mid-group: the verbs posted so far have landed. Drop the
+    // posting without waiting, so none leaks into this node's next group.
+    group_.Reset();
     return posted;
   }
-  // One shared wait covers the whole group: the first non-empty chain
-  // pays the sibling chains' waits as extra, the rest drain with
-  // Collect().
-  rdma::OrderedBatch* first = nullptr;
-  uint64_t extra_rtt_ns = 0;
-  const rdma::NetworkModel& net = cluster_->fabric().network();
-  for (const auto& chain : chains_) {
-    if (chain->size() == 0) continue;
-    if (first == nullptr) {
-      first = chain.get();
-    } else {
-      extra_rtt_ns =
-          net.SharedWaitNanos(extra_rtt_ns, chain->pending_max_rtt_ns());
-    }
-  }
-  if (first == nullptr) return Status::OK();
+  if (group_.empty()) return Status::OK();
   CountRtts(&stats_.commit_rtts, 1);
-  // Drain every chain before acting on a failure.
+  if (group_.Execute().ok()) return Status::OK();
+  // Every failed verb in post order, until one decides (a chain's flushed
+  // verbs follow its own failure and decide the same way).
   Status failure;
-  for (size_t node = 0; node < chains_.size(); ++node) {
-    rdma::OrderedBatch& chain = *chains_[node];
-    if (chain.size() == 0) continue;
-    const Status status =
-        &chain == first ? chain.Execute(extra_rtt_ns) : chain.Collect();
-    if (status.ok() || !failure.ok()) continue;
+  for (const rdma::DoorbellGroup::Failure& verb : group_.failures()) {
     if (server_->halted()) {
       failure = Status::Unavailable("compute node halted");
-    } else if (carries_applies && status.IsPermissionDenied()) {
-      failure = status;  // Fenced: logically dead (FinalizeIfCrashed).
+    } else if (carries_applies && verb.status.IsPermissionDenied()) {
+      failure = verb.status;  // Fenced: logically dead (FinalizeIfCrashed).
     } else if (carries_applies) {
       // The fabric fails verbs only against dead servers; wait for the
       // membership verdict and skip (§3.2.5: every *live* replica carries
       // the update — chains to live servers completed in full).
-      failure = ResolveApplyFailure(static_cast<rdma::NodeId>(node));
+      failure = ResolveApplyFailure(verb.dst);
     }
+    if (!failure.ok()) break;
   }
   return failure;
 }
@@ -1260,7 +1221,6 @@ Status Coordinator::AbortInternal() {
   // logs anything, so it has nothing to truncate.
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeAbortTruncate));
   if (config_.mode != ProtocolMode::kPandora) {
-    rdma::VerbBatch batch;
     if (config_.bugs.lost_decision) {
       // FORD bug: the abort decision is never logged. Exercised whenever
       // valid-looking undo records survive this abort.
@@ -1276,15 +1236,13 @@ Status Coordinator::AbortInternal() {
       // never sees slot 0 empty while a later record is still valid).
       for (auto op = write_set_.rbegin(); op != write_set_.rend(); ++op) {
         for (const auto& [server, slot] : op->log_slots) {
-          log_writer_.PostInvalidate(server, slot, &batch);
+          log_writer_.PostInvalidate(server, slot, &group_);
         }
       }
     }
-    if (batch.size() > 0) {
-      CountRtts(&stats_.commit_rtts, 1);
-      const Status status = batch.Execute();
-      if (status.IsUnavailable() && server_->halted()) return status;
-    }
+    // Errs only on our own halt: a dead log server's slots need no
+    // truncation.
+    PANDORA_RETURN_NOT_OK(RunGroup(Status::OK(), /*carries_applies=*/false));
   }
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kAfterAbortTruncate));
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,7 +14,7 @@
 #include "common/fixed_bitset.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "rdma/ordered_batch.h"
+#include "rdma/doorbell_group.h"
 #include "store/log_layout.h"
 #include "store/object_header.h"
 #include "store/remote_object.h"
@@ -174,19 +173,20 @@ class Coordinator {
   // Locks op's primary with CAS (stealing stray locks under PILL; stalling
   // or aborting on live conflicts) and fetches the undo image. With
   // pipelining the CAS and the (speculative) undo-image read share one
-  // doorbell; a non-null `rider` batch (per-object log writes whose
-  // content is already known) fires in the same doorbell group, so the
-  // whole step still costs a single round trip.
-  Status LockAndFetch(WriteOp* op, rdma::VerbBatch* rider = nullptr);
+  // doorbell, and per-object log writes already posted into group_ (their
+  // content known before the lock) ring with them, so the whole step
+  // still costs a single round trip.
+  Status LockAndFetch(WriteOp* op);
 
   // One lock attempt: CASes op's lock word from `expected` to ours (a
-  // steal when `expected` is a stray lock). Under pipelining the CAS, the
-  // speculative undo-image read and `rider` share one doorbell. When the
-  // CAS wins, *won is set, op is locked and its undo image fetched (with
-  // kAfterLock / kAfterLockFetch around them) and the status is theirs;
-  // otherwise the status is the CAS's and *observed the word it found.
-  Status TryLock(WriteOp* op, uint64_t expected, rdma::VerbBatch* rider,
-                 uint64_t* observed, bool* won);
+  // steal when `expected` is a stray lock). Under pipelining the CAS and
+  // the speculative undo-image read ring group_ with whatever it holds.
+  // When the CAS wins, *won is set, op is locked and its undo image
+  // fetched (with kAfterLock / kAfterLockFetch around them) and the status
+  // is theirs; otherwise the status is the group's and *observed the word
+  // the CAS found.
+  Status TryLock(WriteOp* op, uint64_t expected, uint64_t* observed,
+                 bool* won);
 
   // Reads version word + value of op's primary slot (post-lock).
   Status FetchUndoImage(WriteOp* op);
@@ -198,9 +198,9 @@ class Coordinator {
   // Stages a Write/Insert/Delete after placement resolution.
   Status StageWrite(WriteOp op);
 
-  // Posts the per-object undo record's writes into `batch` without
+  // Posts the per-object undo record's writes into group_ without
   // waiting (baseline modes).
-  Status PostPerObjectLog(WriteOp* op, rdma::VerbBatch* batch);
+  Status PostPerObjectLog(WriteOp* op);
 
   // Writes the per-object undo record (baseline modes) as its own
   // doorbell / round trip.
@@ -227,15 +227,16 @@ class Coordinator {
   // ack and the unlock group, each group run on its own (their undo
   // records were written during execution).
   Status CommitInternal();
-  // The commit decision, shared by both commit paths: one doorbell of
-  // read-set lock+version reads (plus, under the relaxed-locks bug, the
+  // The commit decision, shared by both commit paths: one doorbell group
+  // of read-set lock+version reads (plus, under the relaxed-locks bug, the
   // deferred lock CASes behind them), then the checks and the
   // reconfiguration fence. A transaction that cannot commit is aborted
   // here and Aborted is returned.
   Status Validate();
-  // Posts one lock+version read per read-set entry into `batch`, landing
-  // in vreads_; CheckValidation decodes them.
-  Status PostValidationReads(rdma::VerbBatch* batch);
+  // Posts the validation group: one lock+version read per read-set entry,
+  // landing in vreads_ for CheckValidation to decode, then the relaxed-locks
+  // bug's deferred lock CASes (kBeforeDeferredLock ahead of them).
+  Status PostValidation();
   Status CheckValidation();
 
   // Pandora's commit (§3.1.4 taken to its conclusion): validate first,
@@ -246,11 +247,11 @@ class Coordinator {
   Status CommitMergedInternal();
 
   // The posting steps of the commit and abort doorbell groups. Each posts
-  // into chains_ and visits its crash point between every two verbs it
+  // into group_ and visits its crash point between every two verbs it
   // posts (never before the first), so with the before and after points
   // around the step every prefix a crash can leave landed is named by
   // exactly one (point, occurrence). A crash's status is returned and
-  // RunGroup drains the chains.
+  // RunGroup drops the posting.
   //
   // The coordinator's log record, one copy per live touched server
   // (kAfterLogWrite between fragments), each chain's fragments flushed.
@@ -262,17 +263,18 @@ class Coordinator {
   // kMidAbortUnlock). On the abort path the Complicit Aborts bug also
   // releases locks this transaction never acquired.
   Status PostUnlocks(CrashPoint mid);
-  // §7 NVM: a selective-flush read behind the verbs of every non-empty
-  // chain.
+  // §7 NVM: a selective-flush read on every live touched server, behind
+  // the fragments or applies the step posted to each of them.
   void PostFlushes();
 
-  // Runs the doorbell group posted into chains_: one shared wait, every
-  // chain drained, then one failure rule. A `posted` crash status drains
-  // the chains and is returned as is. Our own halt is Unavailable. A group
-  // that carries applies returns PermissionDenied (we were fenced) as is
-  // and waits out the failure verdict of a dead memory server, skipping it
-  // (§3.2.5); an unlock-only group ignores both, leaving the locks to
-  // recovery.
+  // Rings the commit-phase doorbell group posted into group_ (validation,
+  // applies, unlocks, abort truncation): one wait, then one failure rule
+  // over its failed verbs. A `posted` crash status drops the posting and
+  // is returned as is. Our own halt is Unavailable. A group that carries
+  // applies returns PermissionDenied (we were fenced) as is and waits out
+  // the failure verdict of a dead memory server, skipping it (§3.2.5); any
+  // other group ignores both, leaving the locks to recovery and dead
+  // entries to CheckValidation's fallback.
   Status RunGroup(Status posted, bool carries_applies);
 
   // True when the deployment runs NVM behind an RNIC cache (§7): durable
@@ -366,11 +368,12 @@ class Coordinator {
   // node-id bitset, emitted ascending into the reserved vector.
   FixedBitset<rdma::kMaxNodes> touched_bits_;
   std::vector<rdma::NodeId> touched_servers_;
-  // One ordered chain per memory server, indexed by node id and built
-  // once: every commit and abort doorbell group and the pipelined
-  // lock+fetch post into these. Whoever posts to a chain drains it before
-  // returning.
-  std::vector<std::unique_ptr<rdma::OrderedBatch>> chains_;
+  // The one doorbell group every multi-verb step posts into: execution
+  // reads, lock+fetch, log records, validation, and the commit and abort
+  // groups. Whoever posts rings it or, on an early return, resets it, so
+  // no verb leaks into the next group. Reused, so a warm commit does not
+  // allocate.
+  rdma::DoorbellGroup group_;
   // Validation read results, one per read-set entry (PostValidationReads).
   std::vector<ValidationRead> vreads_;
   // Reusable cursor/buffer scratch for batched range probes.

@@ -84,7 +84,7 @@ Status LogWriter::FinishFragments(size_t* num_fragments) {
 
 Status LogWriter::PostIncrementalRecord(
     const store::LogRecord& record, const cluster::ReplicaSet& servers,
-    rdma::VerbBatch* batch,
+    rdma::DoorbellGroup* group,
     std::vector<std::pair<rdma::NodeId, uint32_t>>* written) {
   for (const rdma::NodeId server : servers) {
     if (cluster_->membership().IsMemoryAlive(server) &&
@@ -101,7 +101,7 @@ Status LogWriter::PostIncrementalRecord(
   for (const rdma::NodeId server : servers) {
     if (!cluster_->membership().IsMemoryAlive(server)) continue;
     const uint32_t s = next_slot_[server]++;
-    batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
+    group->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
                  layout.SlotOffset(coord_id_, s), buf.data(), buf.size());
     written->emplace_back(server, s);
   }
@@ -109,10 +109,10 @@ Status LogWriter::PostIncrementalRecord(
 }
 
 void LogWriter::PostInvalidate(rdma::NodeId server, uint32_t slot,
-                               rdma::VerbBatch* batch) {
+                               rdma::DoorbellGroup* group) {
   if (!cluster_->membership().IsMemoryAlive(server)) return;
   const store::LogLayout& layout = cluster_->catalog().log_layout();
-  batch->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
+  group->Write(server_->qp(server), cluster_->catalog().log_rkey(server),
                layout.SlotOffset(coord_id_, slot), &invalid_marker_,
                sizeof(invalid_marker_));
 }

@@ -9,7 +9,7 @@
 
 #include "cluster/cluster.h"
 #include "common/status.h"
-#include "rdma/queue_pair.h"
+#include "rdma/doorbell_group.h"
 #include "store/log_layout.h"
 
 namespace pandora {
@@ -76,19 +76,20 @@ class LogWriter {
     return buffers_[prepared_first_ + i];
   }
 
-  /// Posts `record` (one slot, span 0) at the next free slot of the
-  /// current transaction on each live server of `servers`. Returns
+  /// Posts `record` (one slot, span 0) into `group` at the next free slot
+  /// of the current transaction on each live server of `servers`. Returns
   /// ResourceExhausted, posting nothing, when one of them has no slot
   /// left. Appends the (server, slot) pairs written to `written` so the
   /// abort path can invalidate them.
   Status PostIncrementalRecord(
       const store::LogRecord& record, const cluster::ReplicaSet& servers,
-      rdma::VerbBatch* batch,
+      rdma::DoorbellGroup* group,
       std::vector<std::pair<rdma::NodeId, uint32_t>>* written);
 
-  /// Posts an invalidation (8-byte magic overwrite) of `slot` on `server`.
+  /// Posts an invalidation (8-byte magic overwrite) of `slot` on `server`
+  /// into `group`.
   void PostInvalidate(rdma::NodeId server, uint32_t slot,
-                      rdma::VerbBatch* batch);
+                      rdma::DoorbellGroup* group);
 
   /// Starts a transaction: slot cursors back to 0, serialization buffers
   /// recycled.
@@ -112,7 +113,7 @@ class LogWriter {
   /// The current transaction's next free slot per memory server (indexed
   /// by NodeId), for incremental records.
   std::vector<uint32_t> next_slot_;
-  /// Serialization buffers; stable for the duration of one batch because
+  /// Serialization buffers; stable for the duration of one group because
   /// the simulated fabric applies writes at post time. A deque, so the
   /// open fragment writers' buffers stay put while the pool grows.
   std::deque<std::vector<char>> buffers_;

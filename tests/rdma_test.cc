@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "rdma/doorbell_group.h"
 #include "rdma/fabric.h"
 #include "rdma/memory_region.h"
 #include "rdma/ordered_batch.h"
@@ -213,20 +214,26 @@ TEST(LatencySimulationTest, VerbTakesAtLeastModeledRtt) {
   EXPECT_GE(NowNanos() - t0, 100000u);
 }
 
-TEST(VerbBatchTest, BatchAppliesAllAndReportsFirstError) {
+TEST(DoorbellGroupTest, BatchAppliesAllAndReportsFirstError) {
   Fabric fabric(NetworkConfig{.one_way_ns = 0, .per_byte_ns = 0});
   ProtectionDomain* pd = fabric.AttachMemoryNode(0);
   const RKey rkey = pd->RegisterRegion(256, "r");
   auto qp = fabric.CreateQueuePair(1, 0);
 
   alignas(8) uint64_t a = 11, b = 22;
-  VerbBatch batch;
+  DoorbellGroup batch;
   batch.Write(qp.get(), rkey, 0, &a, 8);
   batch.Write(qp.get(), rkey, 8, &b, 8);
   alignas(8) char bad[8];
   batch.Read(qp.get(), rkey, 9999, bad, 8);  // out of bounds
   EXPECT_EQ(batch.size(), 3u);
   EXPECT_TRUE(batch.Execute().IsInvalidArgument());
+  EXPECT_EQ(batch.size(), 0u);
+  ASSERT_EQ(batch.failures().size(), 1u);  // Completions outlive the ring.
+  EXPECT_EQ(batch.failures()[0].verb, 2u);
+  EXPECT_TRUE(batch.status(0).ok());
+  EXPECT_TRUE(batch.status(1).ok());
+  EXPECT_TRUE(batch.status(2).IsInvalidArgument());
 
   // Successful ops still landed.
   uint64_t v = 0;
@@ -241,7 +248,7 @@ TEST(VerbBatchTest, BatchAppliesAllAndReportsFirstError) {
   EXPECT_TRUE(batch.Execute().ok());
 }
 
-TEST(VerbBatchTest, BatchLatencyIsMaxNotSum) {
+TEST(DoorbellGroupTest, BatchLatencyIsMaxNotSum) {
   NetworkConfig config;
   config.one_way_ns = 30000;  // 60 us RTT
   config.per_byte_ns = 0;
@@ -251,7 +258,7 @@ TEST(VerbBatchTest, BatchLatencyIsMaxNotSum) {
   auto qp = fabric.CreateQueuePair(1, 0);
 
   alignas(8) uint64_t w = 1;
-  VerbBatch batch;
+  DoorbellGroup batch;
   for (int i = 0; i < 8; ++i) {
     batch.Write(qp.get(), rkey, static_cast<uint64_t>(i) * 8, &w, 8);
   }
@@ -372,7 +379,7 @@ TEST(OrderedBatchTest, ChainLatencyIsOneRttNotTwo) {
   EXPECT_EQ(chain.last_wait_ns(), 60000u);
 }
 
-TEST(OrderedBatchTest, ExecuteCoversRiderBatchRtt) {
+TEST(DoorbellGroupTest, OneWaitCoversEveryChain) {
   NetworkConfig config;
   config.one_way_ns = 20000;  // 40 us RTT
   config.per_byte_ns = 0;
@@ -384,28 +391,26 @@ TEST(OrderedBatchTest, ExecuteCoversRiderBatchRtt) {
   auto qp = fabric.CreateQueuePair(1, 0);
   auto qp2 = fabric.CreateQueuePair(1, 2);
 
-  // A cross-QP VerbBatch (e.g. per-object log writes) rides the same
-  // doorbell group as the chain: one wait covers both; Collect() then
-  // drains the rider without a second spin.
+  // A write to another server (e.g. a per-object log record) posted ahead
+  // of the lock CAS + read chain rings in the same group: one wait covers
+  // both chains.
   alignas(8) char record[512] = {1, 2, 3};
-  VerbBatch rider;
-  rider.Write(qp2.get(), rkey2, 0, record, 512);
+  DoorbellGroup group;
+  group.Write(qp2.get(), rkey2, 0, record, 512);
 
   uint64_t observed = 0;
   alignas(8) char image[16];
-  OrderedBatch chain(qp.get());
-  chain.CompareSwap(rkey, 0, 0, 1, &observed);
-  chain.Read(rkey, 8, image, 16);
+  group.CompareSwap(qp.get(), rkey, 0, 0, 1, &observed);
+  group.Read(qp.get(), rkey, 8, image, 16);
 
   const uint64_t t0 = NowNanos();
-  ASSERT_TRUE(chain.Execute(rider.pending_max_rtt_ns()).ok());
-  ASSERT_TRUE(rider.Collect().ok());
+  ASSERT_TRUE(group.Execute().ok());
   const uint64_t elapsed = NowNanos() - t0;
   EXPECT_GE(elapsed, 40000u);   // At least the slowest round trip...
-  // ...and exactly one of them in simulated time: the rider rode the
-  // chain's doorbell wait instead of adding a second 40 us trip. (Wall
+  // ...and exactly one of them in simulated time: the second chain rode
+  // the same doorbell wait instead of adding a second 40 us trip. (Wall
   // clock has no upper bound here — the spin wait can be preempted.)
-  EXPECT_EQ(chain.last_wait_ns(), 40000u);
+  EXPECT_EQ(group.last_wait_ns(), 40000u);
 
   alignas(8) char check[8];
   ASSERT_TRUE(qp2->Read(rkey2, 0, check, 8).ok());
@@ -433,11 +438,10 @@ TEST(DoorbellWaitTest, ChargesOtherVerbsSerialization) {
 
   // Mixed sizes across two servers: a 1 KiB read (512 ns of payload), a
   // 64 B write (32 ns) and a CAS (8 B each way, 8 ns).
-  VerbBatch batch;
+  DoorbellGroup batch;
   batch.Read(qp.get(), rkey, 0, big, sizeof(big));
   batch.Write(qp2.get(), rkey2, 0, small, sizeof(small));
   batch.CompareSwap(qp.get(), rkey, 2048, 0, 1, &observed);
-  EXPECT_EQ(batch.pending_max_rtt_ns(), 20512u + 32 + 8);
   ASSERT_TRUE(batch.Execute().ok());
   EXPECT_EQ(batch.last_wait_ns(), 20512u + 32 + 8);
 
@@ -450,14 +454,137 @@ TEST(DoorbellWaitTest, ChargesOtherVerbsSerialization) {
   EXPECT_EQ(chain.last_wait_ns(), 20128u + 8 + 32);
   EXPECT_EQ(observed, 1u);
 
-  // A rider with the longer wait sets the doorbell group's wait.
-  VerbBatch rider;
-  rider.Read(qp2.get(), rkey2, 0, big, sizeof(big));
-  rider.Read(qp2.get(), rkey2, 1024, big, sizeof(big));
-  chain.CompareSwap(rkey, 2048, 2, 3, &observed);
-  ASSERT_TRUE(chain.Execute(rider.pending_max_rtt_ns()).ok());
-  ASSERT_TRUE(rider.Collect().ok());
-  EXPECT_EQ(chain.last_wait_ns(), 20512u + 512);
+  // One wait over every chain of a group: a chain to another server adds
+  // its serialization like any other verb — one 1 KiB read is slowest,
+  // the other adds 512 ns and the CAS on the first server 8 ns.
+  batch.Read(qp2.get(), rkey2, 0, big, sizeof(big));
+  batch.Read(qp2.get(), rkey2, 1024, big, sizeof(big));
+  batch.CompareSwap(qp.get(), rkey, 2048, 2, 3, &observed);
+  ASSERT_TRUE(batch.Execute().ok());
+  EXPECT_EQ(batch.last_wait_ns(), 20512u + 512 + 8);
+  EXPECT_EQ(observed, 2u);
+}
+
+// A failed verb flushes the later verbs of its own chain only: server B's
+// verbs around it still apply, each verb keeps its own status, and
+// Execute() reports the first error in post order.
+TEST(DoorbellGroupTest, FailedVerbFlushesOnlyItsOwnChain) {
+  Fabric fabric(NetworkConfig{.one_way_ns = 0, .per_byte_ns = 0});
+  constexpr NodeId kServerA = 0;
+  constexpr NodeId kServerB = 2;
+  ProtectionDomain* pd_a = fabric.AttachMemoryNode(kServerA);
+  ProtectionDomain* pd_b = fabric.AttachMemoryNode(kServerB);
+  const RKey rkey_a = pd_a->RegisterRegion(256, "a");
+  const RKey rkey_b = pd_b->RegisterRegion(256, "b");
+  auto qp_a = fabric.CreateQueuePair(1, kServerA);
+  auto qp_b = fabric.CreateQueuePair(1, kServerB);
+
+  alignas(8) uint64_t w = 7;
+  alignas(8) char bad[8];
+  DoorbellGroup group;
+  const size_t a0 = group.Write(qp_a.get(), rkey_a, 0, &w, 8);
+  const size_t b0 = group.Write(qp_b.get(), rkey_b, 0, &w, 8);
+  const size_t a1 = group.Read(qp_a.get(), rkey_a, 9999, bad, 8);  // OOB
+  const size_t b1 = group.Write(qp_b.get(), rkey_b, 8, &w, 8);
+  const size_t a2 = group.Write(qp_a.get(), rkey_a, 8, &w, 8);  // Flushed.
+  // B fails later, for another reason (rights revoked), and only after
+  // that are its verbs flushed.
+  pd_b->RevokeNode(1);
+  const size_t b2 = group.Write(qp_b.get(), rkey_b, 16, &w, 8);
+  pd_b->RestoreNode(1);
+  const size_t b3 = group.Write(qp_b.get(), rkey_b, 24, &w, 8);  // Flushed.
+
+  EXPECT_TRUE(group.Execute().IsInvalidArgument());  // A's, posted first.
+  EXPECT_TRUE(group.status(a0).ok());
+  EXPECT_TRUE(group.status(b0).ok());
+  EXPECT_TRUE(group.status(a1).IsInvalidArgument());
+  EXPECT_TRUE(group.status(b1).ok());
+  EXPECT_TRUE(group.status(a2).IsAborted());
+  EXPECT_TRUE(group.status(b2).IsPermissionDenied());
+  EXPECT_TRUE(group.status(b3).IsAborted());
+  // The failures in post order, each with its server.
+  const std::vector<DoorbellGroup::Failure>& failures = group.failures();
+  ASSERT_EQ(failures.size(), 4u);
+  EXPECT_EQ(failures[0].verb, a1);
+  EXPECT_EQ(failures[1].verb, a2);
+  EXPECT_EQ(failures[2].verb, b2);
+  EXPECT_EQ(failures[3].verb, b3);
+  EXPECT_EQ(failures[1].dst, kServerA);
+  EXPECT_EQ(failures[3].dst, kServerB);
+
+  uint64_t v = 0;
+  ASSERT_TRUE(qp_a->Read(rkey_a, 0, &v, 8).ok());
+  EXPECT_EQ(v, 7u);  // A's verb ahead of the failure landed...
+  ASSERT_TRUE(qp_a->Read(rkey_a, 8, &v, 8).ok());
+  EXPECT_EQ(v, 0u);  // ...the one behind it never did.
+  ASSERT_TRUE(qp_b->Read(rkey_b, 8, &v, 8).ok());
+  EXPECT_EQ(v, 7u);  // B's verb posted after A's failure applied.
+  ASSERT_TRUE(qp_b->Read(rkey_b, 24, &v, 8).ok());
+  EXPECT_EQ(v, 0u);  // B's own flush.
+}
+
+// Without doorbell batching every verb of the group, whatever its chain,
+// waits out its own round trip.
+TEST(DoorbellGroupTest, SequentialVerbsWaitIsTheSumOfRtts) {
+  NetworkConfig config;
+  config.one_way_ns = 10000;  // 20 us base RTT
+  config.per_byte_ns = 0.5;
+  config.sequential_verbs = true;
+  Fabric fabric(config);
+  ProtectionDomain* pd = fabric.AttachMemoryNode(0);
+  ProtectionDomain* pd2 = fabric.AttachMemoryNode(2);
+  const RKey rkey = pd->RegisterRegion(4096, "r");
+  const RKey rkey2 = pd2->RegisterRegion(4096, "r2");
+  auto qp = fabric.CreateQueuePair(1, 0);
+  auto qp2 = fabric.CreateQueuePair(1, 2);
+
+  alignas(8) char big[1024] = {};
+  alignas(8) char small[64] = {};
+  uint64_t observed = 0;
+  DoorbellGroup group;
+  group.Read(qp.get(), rkey, 0, big, sizeof(big));
+  group.Write(qp2.get(), rkey2, 0, small, sizeof(small));
+  group.CompareSwap(qp.get(), rkey, 2048, 0, 1, &observed);
+  ASSERT_TRUE(group.Execute().ok());
+  EXPECT_EQ(group.last_wait_ns(), 20512u + 20032 + 20008);
+}
+
+// Reset() abandons a posting: no verb, status, flush or wait of it
+// reaches the next Execute().
+TEST(DoorbellGroupTest, ResetLeaksNothingIntoTheNextExecute) {
+  NetworkConfig config;
+  config.one_way_ns = 10000;  // 20 us base RTT
+  config.per_byte_ns = 0.5;
+  Fabric fabric(config);
+  ProtectionDomain* pd = fabric.AttachMemoryNode(0);
+  const RKey rkey = pd->RegisterRegion(4096, "r");
+  auto qp = fabric.CreateQueuePair(1, 0);
+
+  alignas(8) char big[1024] = {};
+  alignas(8) char bad[8];
+  DoorbellGroup group;
+  group.Read(qp.get(), rkey, 0, big, sizeof(big));
+  group.Read(qp.get(), rkey, 9999, bad, 8);  // Fails; the chain flushes.
+  group.Reset();
+  EXPECT_EQ(group.size(), 0u);
+  EXPECT_TRUE(group.failures().empty());
+
+  alignas(8) uint64_t w = 5;
+  const size_t i = group.Write(qp.get(), rkey, 8, &w, 8);  // Not flushed.
+  EXPECT_EQ(i, 0u);
+  ASSERT_TRUE(group.Execute().ok());
+  EXPECT_EQ(group.last_wait_ns(), 20004u);  // The write's RTT alone.
+  uint64_t v = 0;
+  ASSERT_TRUE(qp->Read(rkey, 8, &v, 8).ok());
+  EXPECT_EQ(v, 5u);
+
+  // Neither does a rung group: the next post starts afresh.
+  group.Read(qp.get(), rkey, 9999, bad, 8);
+  EXPECT_TRUE(group.Execute().IsInvalidArgument());
+  EXPECT_EQ(group.Write(qp.get(), rkey, 16, &w, 8), 0u);
+  EXPECT_EQ(group.size(), 1u);
+  EXPECT_TRUE(group.failures().empty());
+  ASSERT_TRUE(group.Execute().ok());
 }
 
 // ------------------------------------------------ Verb schedule hooks --
@@ -667,7 +794,7 @@ TEST(VerbHookTest, NoopHookLeavesBatchLatencyUnchanged) {
   fabric.set_verb_hook(&hook);
 
   alignas(8) uint64_t w = 1;
-  VerbBatch batch;
+  DoorbellGroup batch;
   for (int i = 0; i < 8; ++i) {
     batch.Write(qp.get(), rkey, static_cast<uint64_t>(i) * 8, &w, 8);
   }

@@ -10,6 +10,7 @@
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "common/coding.h"
+#include "rdma/verb_schedule.h"
 #include "store/remote_object.h"
 #include "txn/coordinator.h"
 
@@ -879,6 +880,69 @@ TEST_F(TxnTest, BaselineWriterAbortsWhenAServerLogAreaIsFull) {
 // A warm merged-path commit (validation, log fragments, applies and unlocks
 // in one doorbell group) must not touch the heap: the ordered chains, the
 // validation buffer and the log and apply buffers are all reused.
+// A replica server dies between Read and Commit, and the fabric sees the
+// death before the membership does. The validation group fails that
+// server's reads alone: the first errs at the dead server and the rest of
+// its chain is flushed without reaching the fabric, while the other
+// servers' reads complete. Once the membership declares the server dead,
+// CheckValidation re-validates its entries on the backups and the
+// transaction commits.
+TEST_F(TxnTest, ValidationFailsOnlyTheDeadReplicasReads) {
+  constexpr rdma::NodeId kVictim = 0;
+  std::vector<store::Key> on_victim;  // Primary on the victim.
+  std::vector<store::Key> elsewhere;  // No replica on the victim.
+  for (store::Key k = 0; k < 100; ++k) {
+    const cluster::ReplicaSet replicas = cluster_->ReplicaSetFor(table_, k);
+    if (replicas[0] == kVictim) on_victim.push_back(k);
+    if (!replicas.Contains(kVictim)) elsewhere.push_back(k);
+  }
+  ASSERT_GE(on_victim.size(), 2u);
+  ASSERT_GE(elsewhere.size(), 2u);
+
+  auto coord = MakeCoordinator(0, 1);
+  ASSERT_TRUE(coord->Begin().ok());
+  std::string value;
+  for (const store::Key k : {on_victim[0], on_victim[1], elsewhere[0]}) {
+    ASSERT_TRUE(coord->Read(table_, k, &value).ok());
+  }
+  ASSERT_TRUE(coord->Write(table_, elsewhere[1], Padded("after")).ok());
+
+  // The victim's first validation read halts it at the fabric; the next
+  // verb to another server delivers the membership's verdict.
+  class KillOnFirstRead : public rdma::VerbScheduleHook {
+   public:
+    explicit KillOnFirstRead(cluster::Cluster* cluster) : cluster_(cluster) {}
+    bool OnVerbIssue(const rdma::VerbDesc& desc) override {
+      if (desc.dst == kVictim) {
+        if (victim_verbs_++ == 0) cluster_->fabric().HaltNode(kVictim);
+      } else if (victim_verbs_ > 0 &&
+                 cluster_->membership().IsMemoryAlive(kVictim)) {
+        cluster_->membership().MarkMemoryDead(kVictim);
+      }
+      return true;
+    }
+    void OnVerbApplied(const rdma::VerbDesc& desc) override {
+      if (desc.dst != kVictim) others_applied_++;
+    }
+    int victim_verbs_ = 0;
+    int others_applied_ = 0;
+
+   private:
+    cluster::Cluster* cluster_;
+  };
+  KillOnFirstRead hook(cluster_.get());
+  cluster_->fabric().set_verb_hook(&hook);
+  const Status status = coord->Commit();
+  cluster_->fabric().set_verb_hook(nullptr);
+
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(hook.victim_verbs_, 1);  // The second read was flushed.
+  EXPECT_GT(hook.others_applied_, 0);
+  EXPECT_EQ(coord->stats().validation_failures, 0u);
+  auto reader = MakeCoordinator(1, 2);
+  EXPECT_EQ(ReadCommitted(reader.get(), elsewhere[1]), Padded("after"));
+}
+
 TEST_F(TxnTest, WarmMergedCommitIsAllocationFree) {
   auto coord = MakeCoordinator(0, 1);
   for (const bool with_read : {false, true}) {
