@@ -5,10 +5,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "cluster/locator.h"
 #include "cluster/placement.h"
 #include "common/checksum.h"
 #include "common/fixed_bitset.h"
+#include "common/logging.h"
+#include "common/random.h"
 #include "rdma/fabric.h"
 #include "store/log_layout.h"
 #include "store/object_header.h"
@@ -146,6 +151,42 @@ void BM_LocatorHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocatorHit);
+
+// Shared address-cache lookup, the Locator's fill path: 1 M keys loaded on
+// 2 servers at replication 2 (micro-rw's placement), random keys. Arg 1
+// looks up loaded keys (a base hit); arg 0 looks up keys never loaded,
+// which fall through the base to the empty overlay.
+void BM_AddressCacheLookup(benchmark::State& state) {
+  constexpr uint64_t kKeys = 1'000'000;
+  static const std::unique_ptr<cluster::Cluster> cluster = [] {
+    cluster::ClusterConfig config;
+    config.memory_nodes = 2;
+    config.replication = 2;
+    config.compute_nodes = 1;
+    config.net.one_way_ns = 0;
+    config.net.per_byte_ns = 0;
+    auto loaded = std::make_unique<cluster::Cluster>(config);
+    const store::TableId t = loaded->CreateTable("micro", 8, kKeys);
+    const char value[8] = {};
+    for (store::Key key = 0; key < kKeys; ++key) {
+      PANDORA_CHECK(loaded->LoadRow(t, key, Slice(value, 8)).ok());
+    }
+    return loaded;
+  }();
+  const bool hit = state.range(0) == 1;
+  // Pre-drawn keys keep the generator out of the timed loop.
+  constexpr size_t kDrawn = 1 << 16;
+  std::vector<store::Key> keys(kDrawn);
+  Random rng(42);
+  for (store::Key& key : keys) key = rng.Uniform(kKeys) + (hit ? 0 : kKeys);
+  size_t i = 0;
+  for (auto _ : state) {
+    const store::Key key = keys[i++ & (kDrawn - 1)];
+    benchmark::DoNotOptimize(cluster->addresses().Lookup(
+        0, static_cast<rdma::NodeId>(key & 1), key));
+  }
+}
+BENCHMARK(BM_AddressCacheLookup)->Arg(1)->Arg(0);
 
 void BM_KeyHash(benchmark::State& state) {
   uint64_t key = 0;

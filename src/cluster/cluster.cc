@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "cluster/locator.h"
 #include "common/checksum.h"
 #include "common/coding.h"
 #include "common/logging.h"
@@ -83,6 +84,8 @@ store::TableId Cluster::CreateTable(const std::string& name,
       config_.memory_nodes;
   const uint64_t capacity = std::max<uint64_t>(
       64, static_cast<uint64_t>(per_server / kMaxLoadFactor) + 1);
+  // Locator entries hold 32-bit slots.
+  PANDORA_CHECK(capacity < Locator::kUnknownSlot);
 
   TableInfo info;
   info.spec.name = name;
@@ -147,7 +150,7 @@ Status Cluster::LoadRow(store::TableId table, store::Key key, Slice value) {
     EncodeFixed64(base + layout.LockOffset(slot), store::kUnlocked);
     EncodeFixed64(base + layout.VersionOffset(slot),
                   store::MakeVersion(/*version=*/1, /*tombstone=*/false));
-    addresses_->InsertBase(table, node, key, slot);
+    addresses_->InsertBase(layout, node, key, slot);
   }
   return Status::OK();
 }
@@ -237,7 +240,7 @@ Status Cluster::RebuildMemoryNode(rdma::NodeId node) {
         std::memcpy(dst_region->base() + layout.SlotOffset(dst),
                     src_region->base() + layout.SlotOffset(slot),
                     layout.slot_size());
-        addresses_->InsertBase(table, node, key, dst);
+        addresses_->InsertBase(layout, node, key, dst);
       }
     }
   }

@@ -24,7 +24,7 @@ std::optional<uint64_t> Locator::SlotOn(Entry& entry, uint32_t i) {
   if (entry.slots[i] != kUnknownSlot) return entry.slots[i];
   const std::optional<uint64_t> shared =
       cluster_->addresses().Lookup(entry.table, entry.replicas[i], entry.key);
-  if (shared) entry.slots[i] = *shared;
+  if (shared) entry.slots[i] = static_cast<uint32_t>(*shared);
   return shared;
 }
 
@@ -37,7 +37,9 @@ void Locator::Learn(store::TableId table, store::Key key, rdma::NodeId node,
     return;
   }
   for (uint32_t i = 0; i < entry.replicas.size(); ++i) {
-    if (entry.replicas[i] == node) entry.slots[i] = slot;
+    if (entry.replicas[i] == node) {
+      entry.slots[i] = static_cast<uint32_t>(slot);
+    }
   }
 }
 

@@ -30,8 +30,8 @@ namespace cluster {
 class Locator {
  public:
   /// Slot not resolved yet on this replica.
-  static constexpr uint64_t kUnknownSlot =
-      std::numeric_limits<uint64_t>::max();
+  static constexpr uint32_t kUnknownSlot =
+      std::numeric_limits<uint32_t>::max();
 
   struct Entry {
     store::Key key = 0;
@@ -41,8 +41,9 @@ class Locator {
     store::TableId table = 0;
     /// Static ring order, primary candidate first.
     ReplicaSet replicas;
-    /// Slot on replicas[i], or kUnknownSlot.
-    std::array<uint64_t, kMaxReplication> slots{};
+    /// Slot on replicas[i], or kUnknownSlot. 32 bits suffice: a table's
+    /// capacity is checked below kUnknownSlot at creation.
+    std::array<uint32_t, kMaxReplication> slots{};
   };
 
   explicit Locator(Cluster* cluster) : cluster_(cluster) {}
@@ -68,7 +69,7 @@ class Locator {
              uint64_t slot);
 
  private:
-  // Power of two; 1024 entries × 104 B ≈ 104 KiB per coordinator, enough
+  // Power of two; 1024 entries × 72 B = 72 KiB per coordinator, enough
   // to keep a transaction's whole footprint resident across a retry burst.
   static constexpr size_t kEntries = 1024;
 
@@ -82,6 +83,9 @@ class Locator {
   Cluster* cluster_;
   std::array<Entry, kEntries> entries_{};
 };
+
+static_assert(sizeof(Locator::Entry) <= 72,
+              "a Locator entry grew past 72 B (32-bit slots)");
 
 }  // namespace cluster
 }  // namespace pandora

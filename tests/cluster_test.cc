@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "cluster/cluster.h"
 #include "cluster/locator.h"
 #include "cluster/reconfig.h"
+#include "common/checksum.h"
 #include "common/coding.h"
 #include "common/fixed_bitset.h"
 #include "store/log_layout.h"
@@ -530,6 +532,65 @@ TEST(ClusterTest, RebuildInvalidatesLocalAddressesOfHighNodeIds) {
             cluster.addresses().Lookup(t, high, key));
 }
 
+// A wipe empties the wiped node's base and no other; a rebuild copies in
+// primary order, so slots may move, and the base must then mirror the
+// rebuilt region's key column, not the one the loader wrote.
+TEST(ClusterTest, RebuildRefillsTheBaseFromTheRebuiltKeyColumn) {
+  Cluster cluster(TestConfig());
+  constexpr store::Key kKeys = 96;
+  const store::TableId t = LoadKeys(&cluster, kKeys);
+  const TableInfo& info = cluster.catalog().table(t);
+  const rdma::NodeId wiped = cluster.memory_node_id(1);
+
+  cluster.CrashMemoryNode(wiped);
+  cluster.WipeMemoryNode(wiped);
+  for (store::Key k = 0; k < kKeys; ++k) {
+    for (const rdma::NodeId node : cluster.ReplicaSetFor(t, k)) {
+      EXPECT_EQ(cluster.addresses().Lookup(t, node, k).has_value(),
+                node != wiped)
+          << "key " << k << " on node " << node;
+    }
+  }
+
+  ASSERT_TRUE(cluster.RebuildMemoryNode(wiped).ok());
+  const char* base =
+      cluster.memory_pd(wiped)->GetRegion(info.region_rkeys[wiped])->base();
+  uint64_t rebuilt = 0;
+  for (store::Key k = 0; k < kKeys; ++k) {
+    if (!cluster.ReplicaSetFor(t, k).Contains(wiped)) continue;
+    const auto slot = cluster.addresses().Lookup(t, wiped, k);
+    ASSERT_TRUE(slot.has_value()) << "key " << k;
+    EXPECT_EQ(DecodeFixed64(base + info.layout.KeyOffset(*slot)), k);
+    ++rebuilt;
+  }
+  EXPECT_GT(rebuilt, 0u);
+}
+
+// The loader's base holds no heap node per key: once a table's first row
+// has reached every replica, later loads allocate nothing.
+TEST(ClusterTest, LoadRowAllocatesNothingPerKey) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = cluster.CreateTable("t", 8, 512);
+  const char v[8] = "x";
+  std::set<rdma::NodeId> reached;
+  store::Key key = 0;
+  while (reached.size() < cluster.config().memory_nodes) {
+    ASSERT_TRUE(cluster.LoadRow(t, key, Slice(v, 8)).ok());
+    for (const rdma::NodeId node : cluster.ReplicaSetFor(t, key)) {
+      reached.insert(node);
+    }
+    ++key;
+  }
+
+  const uint64_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  for (store::Key k = key; k < 512; ++k) {
+    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
+  }
+  const uint64_t after = g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "LoadRow allocated " << (after - before) << " times";
+}
+
 // Zero-allocation guard: once the Locator is warm, the hot placement path —
 // locate, slot lookup, primary selection, touched-server collection — must
 // not touch the heap. The global operator-new counter at the top of this
@@ -759,6 +820,115 @@ TEST(LocatorTest, ConcurrentLookupsNeverSeeStaleReplicaSets) {
 
   EXPECT_GT(hits.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// ------------------------------------------------------- Address cache --
+
+// The base is a copy of each region's key column, walked with the store's
+// probe rule. A small, dense table makes home slots collide and one chain
+// wrap from the last slot to slot 0; every loaded key must still resolve to
+// the slot whose key word (read straight from the region) holds it.
+TEST(AddressCacheTest, BaseMatchesRegionKeyColumn) {
+  Cluster cluster(TestConfig());
+  const store::TableId t = cluster.CreateTable("t", 8, /*expected_keys=*/8);
+  const TableInfo& info = cluster.catalog().table(t);
+  ASSERT_EQ(info.layout.capacity(), 64u);
+  // Keys 0..39, then eight keys whose home is the last slot: with two
+  // replicas out of three servers, some server gets several of them.
+  std::vector<store::Key> keys;
+  for (store::Key k = 0; k < 40; ++k) keys.push_back(k);
+  for (store::Key k = 40; keys.size() < 48; ++k) {
+    if (info.layout.HomeSlot(HashKey(k)) == 63) keys.push_back(k);
+  }
+  const char v[8] = "x";
+  for (const store::Key k : keys) {
+    ASSERT_TRUE(cluster.LoadRow(t, k, Slice(v, 8)).ok());
+  }
+
+  bool collided = false;
+  bool wrapped = false;
+  for (const store::Key k : keys) {
+    const uint64_t home = info.layout.HomeSlot(HashKey(k));
+    for (const rdma::NodeId node : cluster.ReplicaSetFor(t, k)) {
+      const auto slot = cluster.addresses().Lookup(t, node, k);
+      ASSERT_TRUE(slot.has_value()) << "key " << k << " on node " << node;
+      const char* base =
+          cluster.memory_pd(node)->GetRegion(info.region_rkeys[node])->base();
+      EXPECT_EQ(DecodeFixed64(base + info.layout.KeyOffset(*slot)), k)
+          << "key " << k << " on node " << node;
+      collided |= *slot != home;
+      wrapped |= *slot < home;
+    }
+  }
+  EXPECT_TRUE(collided) << "no home slot collided";
+  EXPECT_TRUE(wrapped) << "no chain wrapped past the last slot";
+
+  constexpr store::Key kNeverLoaded = 1'000'000;
+  const rdma::NodeId node = cluster.ReplicaSetFor(t, kNeverLoaded).front();
+  EXPECT_FALSE(cluster.addresses().Lookup(t, node, kNeverLoaded).has_value());
+  cluster.addresses().InsertOverlay(t, node, kNeverLoaded, 5);
+  EXPECT_EQ(cluster.addresses().Lookup(t, node, kNeverLoaded),
+            std::optional<uint64_t>(5));
+}
+
+// Base lookups take no lock and overlay lookups a shared one, so readers
+// must see every loaded key's slot, and either nothing or the recorded
+// slot for a learned key, while a writer keeps learning.
+TEST(AddressCacheTest, ConcurrentLookupsDuringOverlayInserts) {
+  Cluster cluster(TestConfig());
+  constexpr store::Key kLoaded = 256;
+  constexpr store::Key kLearnedBase = 1'000'000;
+  constexpr store::Key kLearned = 2048;
+  const store::TableId t = LoadKeys(&cluster, kLoaded);
+  const AddressCache& cache = cluster.addresses();
+  std::vector<rdma::NodeId> homes(kLoaded);
+  std::vector<uint64_t> slots(kLoaded);
+  for (store::Key k = 0; k < kLoaded; ++k) {
+    homes[k] = cluster.ReplicaSetFor(t, k).front();
+    slots[k] = *cache.Lookup(t, homes[k], k);
+  }
+  const rdma::NodeId learner = cluster.memory_node_id(0);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> overlay_hits{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      // At least one pass, so a reader that starts late still reads the
+      // complete overlay.
+      do {
+        for (store::Key k = 0; k < kLoaded; ++k) {
+          if (cache.Lookup(t, homes[k], k) != slots[k]) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        for (store::Key i = 0; i < kLearned; i += 7) {
+          const auto slot = cache.Lookup(t, learner, kLearnedBase + i);
+          if (!slot) continue;
+          overlay_hits.fetch_add(1, std::memory_order_relaxed);
+          if (*slot != i) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+  std::thread writer([&] {
+    for (store::Key i = 0; i < kLearned; ++i) {
+      cluster.addresses().InsertOverlay(t, learner, kLearnedBase + i, i);
+    }
+    // Readers get a pass over the complete overlay before stopping.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop.store(true, std::memory_order_release);
+  });
+  writer.join();
+  for (std::thread& thread : readers) thread.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(overlay_hits.load(), 0u);
+  for (store::Key i = 0; i < kLearned; ++i) {
+    EXPECT_EQ(cache.Lookup(t, learner, kLearnedBase + i),
+              std::optional<uint64_t>(i));
+  }
 }
 
 }  // namespace
