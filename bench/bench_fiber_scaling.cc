@@ -9,7 +9,7 @@
 //
 // This bench sweeps DriverConfig::fibers_per_thread under the paper's
 // latency model and reports committed MTps, commit-latency percentiles,
-// the overlap factor (simulated wait ns hidden per truly-idle wall ns),
+// the overlap factor (simulated waits in flight per worker, on average),
 // and the per-transaction round-trip counters — which must stay flat
 // across the sweep: overlap reclaims CPU time, never simulated time.
 // It also reports the simulator's own cost per fiber switch
@@ -99,7 +99,8 @@ int main() {
     PrintRow(tag + " throughput", result.mtps, "MTps");
     PrintRow(tag + " speedup vs 1 fiber",
              base_mtps > 0 ? result.mtps / base_mtps : 0.0, "x");
-    PrintRow(tag + " overlap factor", result.overlap_factor, "x");
+    PrintRow(tag + " overlap factor", result.overlap_factor,
+             "waits in flight per worker");
     PrintRow(tag + " fiber yields",
              static_cast<double>(result.fiber_yields), "yields");
     PrintLatencyRows(tag, result);

@@ -148,7 +148,7 @@ int main() {
            pandora.mtps > 0 ? pandora_fibers.mtps / pandora.mtps : 0.0,
            "x");
   PrintRow("Pandora overlap factor (8 fibers/thread)",
-           pandora_fibers.overlap_factor, "x");
+           pandora_fibers.overlap_factor, "waits in flight per worker");
   const double overhead =
       ford.mtps > 0 ? (ford.mtps - pandora.mtps) / ford.mtps * 100.0 : 0.0;
   const double overhead_fibers =

@@ -13,6 +13,12 @@ using Clock = std::chrono::steady_clock;
 
 const Clock::time_point kEpoch = Clock::now();
 
+// The scheduler whose fiber is running on this thread, else nullptr.
+FiberScheduler* FiberInFlight() {
+  FiberScheduler* scheduler = FiberScheduler::Active();
+  return scheduler != nullptr && scheduler->InFiber() ? scheduler : nullptr;
+}
+
 }  // namespace
 
 uint64_t NowNanos() {
@@ -29,8 +35,7 @@ void SpinUntilNanos(uint64_t deadline_ns) {
   // and let another in-flight transaction use the core. The scheduler
   // resumes the fiber no earlier than deadline_ns, so callers observe the
   // same elapsed wall time as the blocking spin below.
-  FiberScheduler* scheduler = FiberScheduler::Active();
-  if (scheduler != nullptr && scheduler->InFiber()) {
+  if (FiberScheduler* scheduler = FiberInFlight()) {
     scheduler->WaitUntilNanos(deadline_ns);
     return;
   }
@@ -48,15 +53,19 @@ void SpinUntilNanos(uint64_t deadline_ns) {
 }
 
 void SpinForNanos(uint64_t delay_ns) {
+  // A fiber's wait reads the clock once, inside the scheduler.
+  if (FiberScheduler* scheduler = FiberInFlight()) {
+    scheduler->WaitForNanos(delay_ns);
+    return;
+  }
   SpinUntilNanos(NowNanos() + delay_ns);
 }
 
 void SleepForMicros(uint64_t micros) {
-  // Same cooperative hook as SpinUntilNanos: a sleeping fiber (stall
+  // Same cooperative hook as SpinForNanos: a sleeping fiber (stall
   // retry, gate wait, pacing) must not block its whole worker thread.
-  FiberScheduler* scheduler = FiberScheduler::Active();
-  if (scheduler != nullptr && scheduler->InFiber()) {
-    scheduler->WaitUntilNanos(NowNanos() + micros * 1000);
+  if (FiberScheduler* scheduler = FiberInFlight()) {
+    scheduler->WaitForNanos(micros * 1000);
     return;
   }
   std::this_thread::sleep_for(std::chrono::microseconds(micros));

@@ -21,7 +21,8 @@ uint64_t NowMicros();
 /// observes at least the requested wall-time delay.
 void SpinUntilNanos(uint64_t deadline_ns);
 
-/// Convenience: wait for `delay_ns` nanoseconds from now.
+/// Waits for `delay_ns` nanoseconds from now. Inside a fiber this is
+/// FiberScheduler::WaitForNanos, which reads the clock once.
 void SpinForNanos(uint64_t delay_ns);
 
 /// Sleeps for the given duration — an OS sleep on a plain thread, a fiber

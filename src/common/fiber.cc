@@ -286,16 +286,16 @@ void FiberScheduler::PushReady(Fiber* fiber) {
   std::push_heap(ready_.begin(), ready_.end(), &ResumesAfter);
 }
 
-void FiberScheduler::MaybeYieldOsThread(uint64_t now_ns) {
+void FiberScheduler::MaybeYieldOsThread() {
   if (options_.os_yield_every_ns == 0) return;
   if (last_os_yield_ns_ == 0) {
-    last_os_yield_ns_ = now_ns;
+    last_os_yield_ns_ = now_ns_;
     return;
   }
-  if (now_ns - last_os_yield_ns_ < options_.os_yield_every_ns) return;
+  if (now_ns_ - last_os_yield_ns_ < options_.os_yield_every_ns) return;
   std::this_thread::yield();
   stats_.os_yields++;
-  last_os_yield_ns_ = NowNanos();
+  now_ns_ = last_os_yield_ns_ = NowNanos();
 }
 
 void FiberScheduler::Run() {
@@ -304,19 +304,23 @@ void FiberScheduler::Run() {
 #if defined(PANDORA_TSAN_FIBERS)
   main_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
+  now_ns_ = NowNanos();
   while (Fiber* next = PickNext()) {
-    uint64_t now = NowNanos();
-    if (next->ready_at_ns > now) {
-      // Nothing runnable: this is the only wall time a wait still costs.
-      stats_.idle_ns += next->ready_at_ns - now;
-      IdleSpinUntilNanos(next->ready_at_ns);
-      now = next->ready_at_ns;
+    if (next->ready_at_ns > now_ns_) {
+      // Not due by the reading the scheduler holds: look at the clock.
+      now_ns_ = NowNanos();
+      if (next->ready_at_ns > now_ns_) {
+        // Nothing runnable: this is the only wall time a wait still costs.
+        stats_.idle_ns += next->ready_at_ns - now_ns_;
+        IdleSpinUntilNanos(next->ready_at_ns);
+        now_ns_ = next->ready_at_ns;
+      }
     }
-    MaybeYieldOsThread(now);
+    MaybeYieldOsThread();
     if (next->runnable_from_ns != 0) {
       stats_.resumes++;
-      if (now > next->runnable_from_ns) {
-        const uint64_t lag = now - next->runnable_from_ns;
+      if (now_ns_ > next->runnable_from_ns) {
+        const uint64_t lag = now_ns_ - next->runnable_from_ns;
         if (lag > stats_.max_resume_lag_ns) stats_.max_resume_lag_ns = lag;
         if (options_.lag_budget_ns != 0 && lag > options_.lag_budget_ns) {
           stats_.lag_budget_overruns++;
@@ -324,7 +328,11 @@ void FiberScheduler::Run() {
       }
     }
     SwitchIn(next);
-    if (next->done) next->stack.reset();  // Stack is dead; free it early.
+    if (next->done) {
+      next->stack.reset();  // Stack is dead; free it early.
+      // A finished fiber leaves no reading, and it may have run for long.
+      now_ns_ = NowNanos();
+    }
   }
   tl_active_scheduler = nullptr;
 }
@@ -336,6 +344,13 @@ void FiberScheduler::WaitUntilNanos(uint64_t deadline_ns) {
   SuspendCurrent(deadline_ns, now);
   // The scheduler resumes a fiber only once its deadline has passed, so
   // NowNanos() >= deadline_ns here — the simulated wait fully elapsed.
+}
+
+void FiberScheduler::WaitForNanos(uint64_t delay_ns) {
+  stats_.yields++;
+  stats_.wait_ns += delay_ns;
+  const uint64_t now = NowNanos();
+  SuspendCurrent(now + delay_ns, now);
 }
 
 bool FiberScheduler::PaceAdmission() {
@@ -365,6 +380,7 @@ void FiberScheduler::SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns) {
   PANDORA_CHECK(fiber != nullptr);
   fiber->ready_at_ns = deadline_ns;
   fiber->runnable_from_ns = std::max(deadline_ns, now_ns);
+  now_ns_ = now_ns;
   fiber->seq = ++next_seq_;
   PushReady(fiber);
   SwitchOut(fiber);

@@ -29,6 +29,14 @@ namespace pandora {
 /// to the blocking implementation; only the real CPU time of the wait is
 /// reclaimed for other fibers.
 ///
+/// Clock rule: the scheduler dispatches on the latest clock reading it
+/// holds, which is the suspending fiber's own (WaitForNanos reads the
+/// clock once; PaceAdmission keeps its read). It calls NowNanos() itself
+/// only when the earliest fiber is not yet due by that reading, or after a
+/// fiber has finished (a finished fiber leaves no reading). A reading is
+/// never later than the real time, so dispatching on it can never resume a
+/// fiber early.
+///
 /// Tail fairness: the ready queue is a min-heap on (deadline, yield seq),
 /// so dispatch is earliest-deadline-first in O(log n) regardless of fiber
 /// count. EDF alone cannot starve an overdue fiber, but two second-order
@@ -56,9 +64,7 @@ class FiberScheduler {
     /// time the blocking implementation would have burned spinning.
     uint64_t wait_ns = 0;
     /// Wall nanoseconds the scheduler truly idled because no fiber was
-    /// runnable yet. wait_ns / idle_ns is the overlap factor: ~1 means no
-    /// overlap (a single fiber), ~N means N waits hidden behind each
-    /// other.
+    /// runnable yet.
     uint64_t idle_ns = 0;
     /// Fiber dispatches (resumes after a suspension; first runs excluded).
     uint64_t resumes = 0;
@@ -120,6 +126,12 @@ class FiberScheduler {
   /// from inside a fiber.
   void WaitUntilNanos(uint64_t deadline_ns);
 
+  /// Suspends the current fiber for `delay_ns` from now, reading the clock
+  /// once: the fiber resumes no earlier than that reading plus the delay,
+  /// and wait_ns grows by exactly the delay. SpinForNanos and
+  /// SleepForMicros enter here; callable only from inside a fiber.
+  void WaitForNanos(uint64_t delay_ns);
+
   /// Admission pacing (bounded in-flight work): call from a fiber before
   /// starting a NEW unit of work. If the oldest runnable sibling is
   /// overdue past the lag budget, the calling fiber suspends for a short
@@ -147,11 +159,11 @@ class FiberScheduler {
   Fiber* PickNext();
   static bool ResumesAfter(const Fiber* a, const Fiber* b);
   /// Re-queues the current fiber with the given deadline and switches to
-  /// the scheduler; now_ns is the caller's clock reading. Wait/pacing
-  /// accounting is done by the callers.
+  /// the scheduler; now_ns is the caller's clock reading, which becomes
+  /// the scheduler's. Wait/pacing accounting is done by the callers.
   void SuspendCurrent(uint64_t deadline_ns, uint64_t now_ns);
   void PushReady(Fiber* fiber);
-  void MaybeYieldOsThread(uint64_t now_ns);
+  void MaybeYieldOsThread();
 
   Options options_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
@@ -161,6 +173,8 @@ class FiberScheduler {
   /// The scheduler context's saved stack pointer while a fiber runs.
   void* main_sp_ = nullptr;
   uint64_t next_seq_ = 0;
+  /// The latest clock reading the scheduler holds (see the clock rule).
+  uint64_t now_ns_ = 0;
   uint64_t last_os_yield_ns_ = 0;
   Stats stats_;
 

@@ -38,7 +38,7 @@ const char* CodeName(Status::Code code) {
 
 std::string Status::ToString() const {
   std::string out = CodeName(code_);
-  if (!msg_.empty()) {
+  if (msg_ != nullptr && *msg_ != '\0') {
     out += ": ";
     out += msg_;
   }

@@ -1,15 +1,21 @@
 #ifndef PANDORA_COMMON_STATUS_H_
 #define PANDORA_COMMON_STATUS_H_
 
+#include <cstddef>
 #include <string>
-#include <string_view>
-#include <utility>
+#include <type_traits>
 
 namespace pandora {
 
 /// Error-code result of an operation, in the style of RocksDB/Arrow.
 /// The project does not use exceptions; every fallible operation returns a
 /// Status (or a Result<T>, see result.h).
+///
+/// A Status is a code and a pointer to a static message: trivially
+/// copyable and at most 16 bytes, so every layer returns it in registers
+/// and no Status ever touches the heap. The factories accept only string
+/// literals (a runtime string does not compile); the one way to carry a
+/// message on is the Aborted(cause) pass-through.
 class Status {
  public:
   enum class Code : unsigned char {
@@ -27,46 +33,59 @@ class Status {
     kInternal = 11,
   };
 
-  Status() = default;
+  /// A factory's message argument. Only a string literal converts to it,
+  /// so the text it points at lives as long as the program.
+  class Literal {
+   public:
+    constexpr Literal() : text_(nullptr) {}
+    template <size_t N>
+    constexpr Literal(const char (&text)[N])  // NOLINT(runtime/explicit)
+        : text_(text) {}
 
-  Status(const Status&) = default;
-  Status& operator=(const Status&) = default;
-  Status(Status&&) = default;
-  Status& operator=(Status&&) = default;
+   private:
+    friend class Status;
+    const char* text_;
+  };
+
+  constexpr Status() = default;
 
   static Status OK() { return Status(); }
-  static Status NotFound(std::string_view msg = {}) {
-    return Status(Code::kNotFound, msg);
+  static Status NotFound(Literal msg = {}) {
+    return Status(Code::kNotFound, msg.text_);
   }
-  static Status Corruption(std::string_view msg = {}) {
-    return Status(Code::kCorruption, msg);
+  static Status Corruption(Literal msg = {}) {
+    return Status(Code::kCorruption, msg.text_);
   }
-  static Status InvalidArgument(std::string_view msg = {}) {
-    return Status(Code::kInvalidArgument, msg);
+  static Status InvalidArgument(Literal msg = {}) {
+    return Status(Code::kInvalidArgument, msg.text_);
   }
-  static Status IoError(std::string_view msg = {}) {
-    return Status(Code::kIoError, msg);
+  static Status IoError(Literal msg = {}) {
+    return Status(Code::kIoError, msg.text_);
   }
-  static Status Busy(std::string_view msg = {}) {
-    return Status(Code::kBusy, msg);
+  static Status Busy(Literal msg = {}) {
+    return Status(Code::kBusy, msg.text_);
   }
-  static Status Aborted(std::string_view msg = {}) {
-    return Status(Code::kAborted, msg);
+  static Status Aborted(Literal msg = {}) {
+    return Status(Code::kAborted, msg.text_);
   }
-  static Status PermissionDenied(std::string_view msg = {}) {
-    return Status(Code::kPermissionDenied, msg);
+  /// Pass-through: an abort caused by `cause`, carrying its message.
+  static Status Aborted(const Status& cause) {
+    return Status(Code::kAborted, cause.msg_);
   }
-  static Status Unavailable(std::string_view msg = {}) {
-    return Status(Code::kUnavailable, msg);
+  static Status PermissionDenied(Literal msg = {}) {
+    return Status(Code::kPermissionDenied, msg.text_);
   }
-  static Status TimedOut(std::string_view msg = {}) {
-    return Status(Code::kTimedOut, msg);
+  static Status Unavailable(Literal msg = {}) {
+    return Status(Code::kUnavailable, msg.text_);
   }
-  static Status ResourceExhausted(std::string_view msg = {}) {
-    return Status(Code::kResourceExhausted, msg);
+  static Status TimedOut(Literal msg = {}) {
+    return Status(Code::kTimedOut, msg.text_);
   }
-  static Status Internal(std::string_view msg = {}) {
-    return Status(Code::kInternal, msg);
+  static Status ResourceExhausted(Literal msg = {}) {
+    return Status(Code::kResourceExhausted, msg.text_);
+  }
+  static Status Internal(Literal msg = {}) {
+    return Status(Code::kInternal, msg.text_);
   }
 
   bool ok() const { return code_ == Code::kOk; }
@@ -84,7 +103,8 @@ class Status {
   bool IsInternal() const { return code_ == Code::kInternal; }
 
   Code code() const { return code_; }
-  const std::string& message() const { return msg_; }
+  /// The static message; "" when there is none.
+  const char* message() const { return msg_ != nullptr ? msg_ : ""; }
 
   /// Human-readable "CODE: message" string for logs and error reports.
   std::string ToString() const;
@@ -94,11 +114,14 @@ class Status {
   }
 
  private:
-  Status(Code code, std::string_view msg) : code_(code), msg_(msg) {}
+  constexpr Status(Code code, const char* msg) : code_(code), msg_(msg) {}
 
   Code code_ = Code::kOk;
-  std::string msg_;
+  const char* msg_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<Status> && sizeof(Status) <= 16,
+              "Status must stay register-returnable");
 
 }  // namespace pandora
 

@@ -105,7 +105,6 @@ Status Coordinator::Begin() {
   in_txn_ = true;
   txn_id_ = (static_cast<uint64_t>(coord_id_) << 32) | next_txn_seq_++;
   write_set_.clear();
-  write_index_.clear();
   read_set_.clear();
   log_writer_.ResetForNewTxn();
   return Status::OK();
@@ -114,7 +113,6 @@ Status Coordinator::Begin() {
 void Coordinator::FinishTxn() {
   in_txn_ = false;
   write_set_.clear();
-  write_index_.clear();
   read_set_.clear();
   if (gate_ != nullptr) gate_->ExitTxn();
 }
@@ -136,23 +134,40 @@ void Coordinator::ReconfigBackoff() {
   SleepForMicros(us);
 }
 
-Coordinator::WriteOp* Coordinator::FindWriteOp(store::TableId table,
-                                               store::Key key) {
-  const auto it = write_index_.find(TableKey{table, key});
-  return it == write_index_.end() ? nullptr : &write_set_[it->second];
+Coordinator::WriteOp* Coordinator::WriteSet::Find(store::TableId table,
+                                                  store::Key key) {
+  for (WriteOp& op : *this) {
+    if (op.key == key && op.table == table) return &op;
+  }
+  return nullptr;
 }
 
-Coordinator::WriteOp* Coordinator::AppendWriteOp(WriteOp op) {
-  write_index_[TableKey{op.table, op.key}] = write_set_.size();
-  write_set_.push_back(std::move(op));
-  return &write_set_.back();
+Coordinator::WriteOp* Coordinator::WriteSet::Prepare(store::TableId table,
+                                                     store::Key key,
+                                                     size_t value_bytes) {
+  if (size_ == ops_.size()) ops_.emplace_back();
+  WriteOp& op = ops_[size_];
+  // Every field back to its default; the buffers keep their capacity.
+  std::vector<char> new_value = std::move(op.new_value);
+  std::vector<char> old_value = std::move(op.old_value);
+  std::vector<std::pair<rdma::NodeId, uint32_t>> log_slots =
+      std::move(op.log_slots);
+  op = WriteOp{};
+  op.table = table;
+  op.key = key;
+  op.new_value = std::move(new_value);
+  op.new_value.assign(value_bytes, 0);
+  op.old_value = std::move(old_value);
+  op.old_value.clear();
+  op.log_slots = std::move(log_slots);
+  op.log_slots.clear();
+  return &op;
 }
 
-Coordinator::WriteOp Coordinator::PopLastWriteOp() {
-  WriteOp op = std::move(write_set_.back());
-  write_set_.pop_back();
-  write_index_.erase(TableKey{op.table, op.key});
-  return op;
+bool Coordinator::StallDeadlineOpen(uint64_t* deadline_us) const {
+  const uint64_t now = NowMicros();
+  if (*deadline_us == 0) *deadline_us = now + config_.stall_timeout_us;
+  return now < *deadline_us;
 }
 
 cluster::Locator::Entry& Coordinator::Locate(store::TableId table,
@@ -294,7 +309,7 @@ Status Coordinator::TryLock(WriteOp* op, uint64_t expected,
 
 Status Coordinator::LockAndFetch(WriteOp* op) {
   PANDORA_RETURN_NOT_OK(MaybeCrash(CrashPoint::kBeforeLock));
-  const uint64_t deadline = NowMicros() + config_.stall_timeout_us;
+  uint64_t stall_deadline_us = 0;
 
   while (true) {
     // Reconfiguration epoch fence: a ring cutover since Begin means this
@@ -342,7 +357,8 @@ Status Coordinator::LockAndFetch(WriteOp* op) {
       // Stalling only on *recovery-pending* locks (never on live owners)
       // cannot deadlock live transactions against each other.
       stats_.lock_conflicts++;
-      if (config_.stall_on_conflict && NowMicros() < deadline &&
+      if (config_.stall_on_conflict &&
+          StallDeadlineOpen(&stall_deadline_us) &&
           (gate_ == nullptr || !gate_->blocked())) {
         stats_.stall_retries++;
         SleepForMicros(config_.stall_retry_interval_us);
@@ -416,26 +432,26 @@ Status Coordinator::AbortIfLogFull(Status status) {
   if (!status.IsResourceExhausted()) return status;
   const Status abort_status = AbortInternal();
   if (abort_status.IsUnavailable()) return abort_status;
-  return Status::Aborted(status.message());
+  return Status::Aborted(status);
 }
 
-Status Coordinator::StageWrite(WriteOp op) {
-  PANDORA_RETURN_NOT_OK(ResolvePlacement(&op));
+Status Coordinator::StageWrite(WriteOp* op) {
+  PANDORA_RETURN_NOT_OK(ResolvePlacement(op));
 
   // Baseline records take one slot each on their servers; a transaction
   // that fills a server's log area aborts (AbortIfLogFull).
   if (config_.mode == ProtocolMode::kTraditionalLogging) {
     // §6.1: lock-intent logged *before* the lock CAS — the extra round
     // trip that lets recovery release stray locks without scanning.
-    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WriteLockIntent(op)));
+    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WriteLockIntent(*op)));
   }
 
   if (config_.bugs.relaxed_locks) {
     // FORD bug: defer the lock to commit time, where it overlaps
     // validation. Prefetch the undo image without holding the lock.
     stats_.bug_injections++;
-    PANDORA_RETURN_NOT_OK(FetchUndoImageUnlocked(&op));
-    AppendWriteOp(std::move(op));
+    PANDORA_RETURN_NOT_OK(FetchUndoImageUnlocked(op));
+    write_set_.Append();
     return Status::OK();
   }
 
@@ -445,25 +461,25 @@ Status Coordinator::StageWrite(WriteOp op) {
     // FORD bug: undo record written before the lock is grabbed, with a
     // pre-lock value image.
     stats_.bug_injections++;
-    PANDORA_RETURN_NOT_OK(FetchUndoImageUnlocked(&op));
+    PANDORA_RETURN_NOT_OK(FetchUndoImageUnlocked(op));
     if (config_.pipeline_execution && !config_.disable_recovery_logging &&
-        !(op.is_insert && config_.bugs.missing_insert_logging)) {
+        !(op->is_insert && config_.bugs.missing_insert_logging)) {
       // The record's content is already known here (pre-lock image), so
       // its writes can ride the lock CAS + read doorbell group instead of
       // costing a round trip of their own. The normal (fixed) FORD path
       // cannot coalesce this way: its record carries the post-lock image
       // the chain is about to fetch.
-      PANDORA_RETURN_NOT_OK(AbortIfLogFull(PostPerObjectLog(&op)));
+      PANDORA_RETURN_NOT_OK(AbortIfLogFull(PostPerObjectLog(op)));
     } else {
-      PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(&op)));
+      PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(op)));
     }
   }
 
   // Stage before locking so the abort path sees this op (the Complicit
   // Aborts bug releases locks of ops that never acquired them).
-  WriteOp* staged = AppendWriteOp(std::move(op));
+  write_set_.Append();
 
-  Status status = LockAndFetch(staged);
+  Status status = LockAndFetch(op);
   // A return before the first lock attempt (a crash at kBeforeLock, a
   // fence, a failed re-resolve) leaves a log rider posted but unrung.
   group_.Reset();
@@ -477,7 +493,7 @@ Status Coordinator::StageWrite(WriteOp op) {
   if (config_.mode != ProtocolMode::kPandora && !log_before_lock) {
     // FORD writes the per-object undo record during execution, after
     // lock + read (lock-to-log order holds per object).
-    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(staged)));
+    PANDORA_RETURN_NOT_OK(AbortIfLogFull(WritePerObjectLog(op)));
   }
   return Status::OK();
 }
@@ -500,13 +516,13 @@ Status Coordinator::ReadInternal(store::TableId table, store::Key key,
   const cluster::TableInfo& info = cluster_->catalog().table(table);
 
   // Read-your-writes.
-  if (const WriteOp* op = FindWriteOp(table, key)) {
+  if (const WriteOp* op = write_set_.Find(table, key)) {
     if (op->is_delete) return Status::NotFound("deleted in this txn");
     value->assign(op->new_value.data(), info.spec.value_size);
     return Status::OK();
   }
 
-  const uint64_t deadline = NowMicros() + config_.stall_timeout_us;
+  uint64_t stall_deadline_us = 0;
   while (true) {
     cluster::Locator::Entry& entry = Locate(table, key);
     const uint32_t primary = PrimaryIndex(entry.replicas);
@@ -546,7 +562,8 @@ Status Coordinator::ReadInternal(store::TableId table, store::Key key,
           // state is the last committed one — proceed as if unlocked
           // (§3.1.2).
           stats_.stray_reads_ignored++;
-        } else if (config_.stall_on_conflict && NowMicros() < deadline &&
+        } else if (config_.stall_on_conflict &&
+                   StallDeadlineOpen(&stall_deadline_us) &&
                    (gate_ == nullptr || !gate_->blocked())) {
           // §6.4 stalling path: the object awaits recovery; wait it out.
           stats_.stall_retries++;
@@ -633,7 +650,7 @@ Status Coordinator::ReadRangeBatched(
   };
 
   for (store::Key key = lo;; ++key) {
-    if (const WriteOp* op = FindWriteOp(table, key)) {
+    if (const WriteOp* op = write_set_.Find(table, key)) {
       // Read-your-writes, straight from the staged image.
       if (!op->is_delete) {
         values[key - lo].assign(op->new_value.data(),
@@ -757,18 +774,16 @@ Status Coordinator::Write(store::TableId table, store::Key key,
   if (value.size() > info.spec.value_size) {
     return Status::InvalidArgument("value larger than table value_size");
   }
-  if (WriteOp* op = FindWriteOp(table, key)) {
+  if (WriteOp* op = write_set_.Find(table, key)) {
     std::fill(op->new_value.begin(), op->new_value.end(), 0);
     std::memcpy(op->new_value.data(), value.data(), value.size());
     op->is_delete = false;
     return Status::OK();
   }
-  WriteOp op;
-  op.table = table;
-  op.key = key;
-  op.new_value.assign(info.layout.padded_value_size(), 0);
-  std::memcpy(op.new_value.data(), value.data(), value.size());
-  return FinalizeIfCrashed(StageWrite(std::move(op)));
+  WriteOp* op =
+      write_set_.Prepare(table, key, info.layout.padded_value_size());
+  std::memcpy(op->new_value.data(), value.data(), value.size());
+  return FinalizeIfCrashed(StageWrite(op));
 }
 
 Status Coordinator::Insert(store::TableId table, store::Key key,
@@ -781,51 +796,45 @@ Status Coordinator::Insert(store::TableId table, store::Key key,
   if (key == store::kFreeKey) {
     return Status::InvalidArgument("reserved key value");
   }
-  if (FindWriteOp(table, key) != nullptr) {
+  if (write_set_.Find(table, key) != nullptr) {
     return Status::InvalidArgument("key already staged in this txn");
   }
-  WriteOp op;
-  op.table = table;
-  op.key = key;
-  op.is_insert = true;
-  op.new_value.assign(info.layout.padded_value_size(), 0);
-  std::memcpy(op.new_value.data(), value.data(), value.size());
-  const Status status = FinalizeIfCrashed(StageWrite(std::move(op)));
+  WriteOp* op =
+      write_set_.Prepare(table, key, info.layout.padded_value_size());
+  op->is_insert = true;
+  std::memcpy(op->new_value.data(), value.data(), value.size());
+  const Status status = FinalizeIfCrashed(StageWrite(op));
   if (!status.ok()) return status;
   // Upsert semantics: if the object turned out to already exist and be
   // visible, this behaves as a Write (is_insert drops so the undo image is
   // kept and a rollback restores the old value).
-  WriteOp* staged = &write_set_.back();
-  if (store::ObjectVisible(staged->old_version)) staged->is_insert = false;
+  if (store::ObjectVisible(op->old_version)) op->is_insert = false;
   return Status::OK();
 }
 
 Status Coordinator::Delete(store::TableId table, store::Key key) {
   if (!in_txn_) return Status::InvalidArgument("no open transaction");
-  if (WriteOp* op = FindWriteOp(table, key)) {
+  if (WriteOp* op = write_set_.Find(table, key)) {
     op->is_delete = true;
     return Status::OK();
   }
-  WriteOp op;
-  op.table = table;
-  op.key = key;
-  op.is_delete = true;
   const cluster::TableInfo& info = cluster_->catalog().table(table);
-  op.new_value.assign(info.layout.padded_value_size(), 0);
-  const Status status = FinalizeIfCrashed(StageWrite(std::move(op)));
+  WriteOp* op =
+      write_set_.Prepare(table, key, info.layout.padded_value_size());
+  op->is_delete = true;
+  const Status status = FinalizeIfCrashed(StageWrite(op));
   if (!status.ok()) return status;
-  if (!store::ObjectVisible(write_set_.back().old_version)) {
+  if (!store::ObjectVisible(op->old_version)) {
     // Deleting a non-existent object: release the lock we just took and
     // drop the op; the transaction stays live.
-    WriteOp dropped = PopLastWriteOp();
-    if (dropped.locked) {
-      const cluster::TableInfo& t = cluster_->catalog().table(table);
+    if (op->locked) {
       CountRtts(&stats_.execution_rtts, 1);
-      server_->qp(dropped.lock_node)
-          ->Write(t.region_rkeys[dropped.lock_node],
-                  t.layout.LockOffset(dropped.lock_slot), &kUnlockedWord,
+      server_->qp(op->lock_node)
+          ->Write(info.region_rkeys[op->lock_node],
+                  info.layout.LockOffset(op->lock_slot), &kUnlockedWord,
                   sizeof(kUnlockedWord));
     }
+    write_set_.pop_back();
     return Status::NotFound("key absent");
   }
   return Status::OK();
@@ -975,7 +984,7 @@ Status Coordinator::Validate() {
     stats_.validation_failures++;
     Status abort_status = AbortInternal();
     if (abort_status.IsUnavailable()) return abort_status;
-    return Status::Aborted(status.message());
+    return Status::Aborted(status);
   }
 
   // Reconfiguration epoch fence at the validation point: the versions just
@@ -1234,8 +1243,8 @@ Status Coordinator::AbortInternal() {
       // Newest record first: each server's slots then go empty in
       // descending order, slot 0 last (the dense log's recovery probe
       // never sees slot 0 empty while a later record is still valid).
-      for (auto op = write_set_.rbegin(); op != write_set_.rend(); ++op) {
-        for (const auto& [server, slot] : op->log_slots) {
+      for (size_t i = write_set_.size(); i-- > 0;) {
+        for (const auto& [server, slot] : write_set_[i].log_slots) {
           log_writer_.PostInvalidate(server, slot, &group_);
         }
       }

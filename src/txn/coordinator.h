@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -126,6 +125,40 @@ class Coordinator {
     uint64_t deferred_lock_observed = 0;
   };
 
+  // The write set: a pool of WriteOps kept across transactions, so a warm
+  // transaction stages its writes into buffers it already owns. clear()
+  // keeps every op and its buffers. Prepare() re-arms the next pooled op
+  // in place, growing the pool only there, before any op pointer is taken
+  // for the staging; the op joins the set at Append(), so the set never
+  // holds a half-staged op.
+  class WriteSet {
+   public:
+    WriteOp* begin() { return ops_.data(); }
+    WriteOp* end() { return ops_.data() + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    WriteOp& operator[](size_t i) { return ops_[i]; }
+
+    void clear() { size_ = 0; }
+    // Drops the most recently appended op (Delete of an absent key).
+    void pop_back() { --size_; }
+
+    // A linear scan: the ops are contiguous and few (TPC-C new-order, the
+    // largest write set here, stages about 33).
+    WriteOp* Find(store::TableId table, store::Key key);
+
+    // The next pooled op, reset to stage (table, key) with a zeroed
+    // new-value image of `value_bytes`. Not yet in the set.
+    WriteOp* Prepare(store::TableId table, store::Key key,
+                     size_t value_bytes);
+    // Adds the op Prepare() returned to the set.
+    void Append() { ++size_; }
+
+   private:
+    std::vector<WriteOp> ops_;
+    size_t size_ = 0;
+  };
+
   struct ReadOp {
     store::TableId table = 0;
     store::Key key = 0;
@@ -195,8 +228,9 @@ class Coordinator {
   // break the lock-to-read order).
   Status FetchUndoImageUnlocked(WriteOp* op);
 
-  // Stages a Write/Insert/Delete after placement resolution.
-  Status StageWrite(WriteOp op);
+  // Stages a prepared Write/Insert/Delete: resolves its placement, locks
+  // it and appends it to the write set.
+  Status StageWrite(WriteOp* op);
 
   // Posts the per-object undo record's writes into group_ without
   // waiting (baseline modes).
@@ -308,23 +342,6 @@ class Coordinator {
 
   void FinishTxn();
 
-  // Write-set index: hashed (table, key) -> write_set_ position, so
-  // read-your-writes and re-writes stay O(1) on large write-sets.
-  struct TableKey {
-    store::TableId table;
-    store::Key key;
-    bool operator==(const TableKey& other) const {
-      return table == other.table && key == other.key;
-    }
-  };
-  struct TableKeyHasher {
-    size_t operator()(const TableKey& tk) const {
-      const uint64_t h =
-          (tk.key + tk.table) * 0x9e3779b97f4a7c15ULL;
-      return static_cast<size_t>(h ^ (h >> 32));
-    }
-  };
-
   // Reconfiguration epoch fence (TxnConfig::reconfig_fence): true when
   // the active ring changed since Begin's snapshot. `refresh` re-arms the
   // snapshot so a pre-lock retry can continue against the new placement.
@@ -333,11 +350,10 @@ class Coordinator {
   // abort (no-op at level 0).
   void ReconfigBackoff();
 
-  WriteOp* FindWriteOp(store::TableId table, store::Key key);
-  // Appends `op` to the write-set and indexes it; returns the staged op.
-  WriteOp* AppendWriteOp(WriteOp op);
-  // Removes the most recently staged op (Delete of an absent key).
-  WriteOp PopLastWriteOp();
+  // The stall deadline of LockAndFetch and ReadInternal, armed by the
+  // first stall (0 = unarmed) so an op that never stalls reads no clock:
+  // true while a stall may still retry.
+  bool StallDeadlineOpen(uint64_t* deadline_us) const;
 
   cluster::Cluster* cluster_;
   cluster::ComputeServer* server_;
@@ -354,8 +370,7 @@ class Coordinator {
   bool in_txn_ = false;
   uint64_t txn_id_ = 0;
   uint64_t next_txn_seq_ = 1;
-  std::vector<WriteOp> write_set_;
-  std::unordered_map<TableKey, size_t, TableKeyHasher> write_index_;
+  WriteSet write_set_;
   std::vector<ReadOp> read_set_;
   // Reusable scratch for undo-image fetches and point reads: the hot path
   // must not heap-allocate per verb.

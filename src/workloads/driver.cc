@@ -344,15 +344,10 @@ DriverResult Driver::Run() {
         std::max(result.fiber_max_resume_lag_ns, stats.max_resume_lag_ns);
     result.fiber_paced_admissions += stats.paced_admissions;
   }
-  // Idle of zero means every simulated wait was hidden behind another
-  // fiber's work (perfect overlap), so divide by at-least-one nanosecond
-  // rather than falling back to "no overlap".
   result.overlap_factor =
-      result.fiber_wait_ns > 0
-          ? static_cast<double>(result.fiber_wait_ns) /
-                static_cast<double>(
-                    std::max<uint64_t>(result.fiber_idle_ns, 1))
-          : 1.0;
+      static_cast<double>(result.fiber_wait_ns) /
+      (static_cast<double>(config_.threads) *
+       static_cast<double>(end_ns - start_ns));
   {
     std::lock_guard<std::mutex> lock(coords_mu_);
     for (const auto& coord : coords_) {

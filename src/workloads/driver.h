@@ -104,11 +104,11 @@ struct DriverResult {
   uint64_t fiber_max_resume_lag_ns = 0;
   /// Admissions deferred by lag-budget pacing, summed over workers.
   uint64_t fiber_paced_admissions = 0;
-  /// fiber_wait_ns / max(fiber_idle_ns, 1): how many overlapped waits
-  /// each truly-idle nanosecond paid for. ~1 = no overlap; ~N = N-way
-  /// overlap; very large = the scheduler always had a runnable fiber
-  /// (every wait hidden). 1.0 when nothing was suspended at all.
-  double overlap_factor = 1.0;
+  /// fiber_wait_ns / (threads × run wall ns): the mean number of simulated
+  /// waits in flight per worker. At most fibers_per_thread; ~1 = no
+  /// overlap, ~N = N waits hidden behind each other. 0 for the blocking
+  /// loop, whose waits do not go through a scheduler.
+  double overlap_factor = 0.0;
 };
 
 class Driver {

@@ -7,7 +7,10 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/atomic_copy.h"
@@ -51,6 +54,39 @@ TEST(StatusTest, ErrorCodesRoundTrip) {
 TEST(StatusTest, MessageIncludedInToString) {
   Status s = Status::Aborted("validation failed");
   EXPECT_EQ(s.ToString(), "Aborted: validation failed");
+}
+
+// Only string literals name a message: a runtime string does not compile.
+static_assert(std::is_convertible_v<const char (&)[4], Status::Literal>);
+static_assert(!std::is_convertible_v<const char*, Status::Literal>);
+static_assert(!std::is_convertible_v<std::string, Status::Literal>);
+static_assert(!std::is_convertible_v<std::string_view, Status::Literal>);
+
+TEST(StatusTest, MessageSurvivesCopyAndPassThrough) {
+  const Status original = Status::Busy("object locked by live transaction");
+  Status copy = original;
+  EXPECT_TRUE(copy.IsBusy());
+  EXPECT_STREQ(copy.message(), "object locked by live transaction");
+  copy = Status::OK();
+  EXPECT_STREQ(copy.message(), "");
+  EXPECT_STREQ(original.message(), "object locked by live transaction");
+
+  // The coordinator's pass-throughs re-code a cause as an abort and keep
+  // its message: AbortIfLogFull a full log area, Validate a failed check.
+  const Status log_full = Status::Aborted(
+      Status::ResourceExhausted("write-set exceeds the coordinator's log area"));
+  EXPECT_TRUE(log_full.IsAborted());
+  EXPECT_EQ(log_full.ToString(),
+            "Aborted: write-set exceeds the coordinator's log area");
+  const Status validation =
+      Status::Aborted(Status::Aborted("read-set version changed"));
+  EXPECT_EQ(validation.ToString(), "Aborted: read-set version changed");
+
+  // ToString keeps its text: no message, no colon.
+  EXPECT_EQ(Status::NotFound().ToString(), "NotFound");
+  EXPECT_EQ(Status::Aborted(Status::OK()).ToString(), "Aborted");
+  EXPECT_EQ(Status::Unavailable("compute node halted").ToString(),
+            "Unavailable: compute node halted");
 }
 
 Status FailsEarly(bool fail) {
@@ -730,6 +766,71 @@ TEST(FiberTest, RecordsResumeLagAndBudgetOverruns) {
   EXPECT_GE(scheduler.stats().resumes, 1u);
   EXPECT_GE(scheduler.stats().max_resume_lag_ns, 300'000u);
   EXPECT_GE(scheduler.stats().lag_budget_overruns, 1u);
+}
+
+TEST(FiberTest, ResumeLagCountsAHogThatSuspends) {
+  // The scheduler dispatches on the suspending fiber's own clock reading.
+  // A hog that ends by suspending rather than by finishing must still
+  // charge the sibling it held off the CPU.
+  FiberScheduler::Options options;
+  options.lag_budget_ns = 1'000;
+  FiberScheduler scheduler(options);
+  scheduler.Spawn([&] {
+    scheduler.WaitUntilNanos(NowNanos());  // Immediately runnable again.
+  });
+  // Finishes at once, so the scheduler reads the clock when the sibling
+  // above is already due: from then on only the hog's reading can show
+  // how long the sibling waited.
+  scheduler.Spawn([] {});
+  scheduler.Spawn([&] {
+    const uint64_t until = NowNanos() + 500'000;
+    while (NowNanos() < until) {
+    }
+    SpinForNanos(100'000);  // Suspends, handing over its reading.
+  });
+  scheduler.Run();
+  EXPECT_GE(scheduler.stats().max_resume_lag_ns, 300'000u);
+  EXPECT_GE(scheduler.stats().lag_budget_overruns, 1u);
+}
+
+TEST(FiberTest, WaitForNanosNeverResumesEarly) {
+  // Three fibers with interleaved deadlines: the scheduler mostly
+  // dispatches on a sibling's reading, yet no fiber may resume before the
+  // reading it suspended with plus its delay, and wait_ns is exactly the
+  // sum of the delays.
+  FiberScheduler scheduler;
+  constexpr int kFibers = 3;
+  constexpr int kWaits = 20;
+  int early = 0;
+  uint64_t delays = 0;
+  for (int f = 0; f < kFibers; ++f) {
+    scheduler.Spawn([&, f] {
+      for (int i = 0; i < kWaits; ++i) {
+        const uint64_t delay = static_cast<uint64_t>(f + 1) * 20'000 +
+                               static_cast<uint64_t>(i) * 1'000;
+        delays += delay;
+        const uint64_t before = NowNanos();
+        scheduler.WaitForNanos(delay);
+        if (NowNanos() < before + delay) ++early;
+      }
+    });
+  }
+  scheduler.Run();
+  EXPECT_EQ(early, 0);
+  EXPECT_EQ(scheduler.stats().wait_ns, delays);
+  EXPECT_EQ(scheduler.stats().yields,
+            static_cast<uint64_t>(kFibers) * kWaits);
+
+  // One fiber alone: wait_ns grows by exactly each delay.
+  FiberScheduler single;
+  uint64_t grew = 0;
+  single.Spawn([&] {
+    const uint64_t wait_before = single.stats().wait_ns;
+    single.WaitForNanos(12'345);
+    grew = single.stats().wait_ns - wait_before;
+  });
+  single.Run();
+  EXPECT_EQ(grew, 12'345u);
 }
 
 TEST(FiberTest, PaceAdmissionDefersWhenOverdueWorkWaits) {

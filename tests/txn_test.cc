@@ -967,6 +967,38 @@ TEST_F(TxnTest, WarmMergedCommitIsAllocationFree) {
   }
 }
 
+TEST_F(TxnTest, WarmTransactionIsAllocationFree) {
+  // Begin through Commit, plus a lock-conflict abort by a second
+  // coordinator: once warm, the write set, the read buffers and every
+  // Status on the way reuse what the coordinators already own.
+  auto coord = MakeCoordinator(0, 1);
+  auto rival = MakeCoordinator(1, 2);
+  const std::string a = Padded("a");
+  const std::string b = Padded("b");
+  std::string value;  // Reused by every read, as a warm caller's would be.
+  uint64_t allocations = 0;
+  for (int round = 0; round < 4; ++round) {
+    const uint64_t before = g_heap_allocations.load();
+    ASSERT_TRUE(coord->Begin().ok());
+    ASSERT_TRUE(coord->Read(table_, 40, &value).ok());
+    ASSERT_TRUE(coord->Write(table_, 10, a).ok());
+    ASSERT_TRUE(coord->Write(table_, 20, b).ok());
+    // The rival stages one write, then hits coord's lock on key 10.
+    ASSERT_TRUE(rival->Begin().ok());
+    ASSERT_TRUE(rival->Write(table_, 30, a).ok());
+    const Status conflict = rival->Write(table_, 10, b);
+    const Status committed = coord->Commit();
+    const uint64_t after = g_heap_allocations.load();
+    ASSERT_TRUE(conflict.IsAborted()) << conflict.ToString();
+    ASSERT_TRUE(committed.ok()) << committed.ToString();
+    if (round > 0) allocations += after - before;  // Round 0 warms up.
+  }
+  EXPECT_EQ(allocations, 0u) << "3 warm transactions and 3 warm aborts "
+                             << "allocated " << allocations << " times";
+  EXPECT_EQ(rival->stats().aborted, 4u);
+  EXPECT_EQ(coord->stats().committed, 4u);
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace pandora

@@ -353,8 +353,9 @@ TEST_F(WorkloadsTest, DriverFibersOverlapSimulatedLatency) {
     return driver.Run();
   };
 
+  constexpr uint32_t kFibers = 8;
   const DriverResult base = run(1);
-  const DriverResult fibered = run(8);
+  const DriverResult fibered = run(kFibers);
   ASSERT_GT(base.committed, 100u);
   EXPECT_GE(static_cast<double>(fibered.committed),
             kMinFiberSpeedup * static_cast<double>(base.committed))
@@ -380,7 +381,11 @@ TEST_F(WorkloadsTest, DriverFibersOverlapSimulatedLatency) {
   EXPECT_EQ(base.totals.fiber_yields, 0u);
   EXPECT_GT(fibered.fiber_yields, 0u);
   EXPECT_EQ(fibered.totals.fiber_yields, fibered.fiber_yields);
+  EXPECT_EQ(base.overlap_factor, 0.0);
+  // Waits in flight per worker: real overlap, and never more than the
+  // fibers a worker runs.
   EXPECT_GT(fibered.overlap_factor, 1.5);
+  EXPECT_LE(fibered.overlap_factor, kFibers);
   // Percentiles are wired through for every run.
   EXPECT_GT(base.latency_p50_ns, 0u);
   EXPECT_GE(base.latency_p95_ns, base.latency_p50_ns);
