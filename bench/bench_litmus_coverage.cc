@@ -22,9 +22,6 @@ litmus::HarnessConfig ExploreConfig() {
   config.schedule = litmus::SchedulePolicy::kExhaustive;
   config.iterations = FastMode() ? 60 : 400;
   config.net.one_way_ns = 1500;
-  config.fd.timeout_us = 30'000;
-  config.fd.heartbeat_period_us = 2000;
-  config.fd.poll_period_us = 2000;
   return config;
 }
 

@@ -21,13 +21,6 @@ litmus::HarnessConfig BaseConfig() {
   litmus::HarnessConfig config;
   config.iterations = FastMode() ? 40 : 80;
   config.net.one_way_ns = 1500;
-  // Middle-ground detection timing: fast enough that crash iterations do
-  // not dominate wall time, slow enough that false-positive evictions
-  // under CPU pressure stay rare (and those only make an iteration
-  // inconclusive, never a spurious violation).
-  config.fd.timeout_us = 50'000;
-  config.fd.heartbeat_period_us = 4000;
-  config.fd.poll_period_us = 4000;
   return config;
 }
 
@@ -97,13 +90,11 @@ int main() {
     litmus::LitmusHarness harness(config);
     int total_violations = 0;
     int total_crashes = 0;
-    int total_inconclusive = 0;
     int total_skipped = 0;
     for (const LitmusSpec& spec : litmus::AllLitmusSpecs()) {
       const litmus::LitmusReport report = harness.Run(spec);
       total_violations += report.violations;
       total_crashes += report.crashes_injected;
-      total_inconclusive += report.inconclusive;
       total_skipped += report.schedules_skipped;
       if (report.violations > 0) {
         std::printf("  VIOLATION in %s: %s\n", spec.name.c_str(),
@@ -111,11 +102,9 @@ int main() {
       }
     }
     std::printf("%-10s all litmus specs: %d violations over %d injected "
-                "crashes (%d iterations inconclusive, %d schedules "
-                "skipped)\n",
+                "crashes (%d schedules skipped)\n",
                 mode == txn::ProtocolMode::kPandora ? "Pandora" : "Baseline",
-                total_violations, total_crashes, total_inconclusive,
-                total_skipped);
+                total_violations, total_crashes, total_skipped);
   }
 
   // --- Each Table-1 bug, re-enabled, is caught.

@@ -21,12 +21,6 @@ litmus::HarnessConfig DemoConfig() {
   config.runs_per_txn = 1;
   config.iterations = 400;
   config.net.one_way_ns = 1500;
-  // Generous detection timing: the demo saturates both host cores, and
-  // starved heartbeats would otherwise flood the run with (safe but
-  // noisy) false-positive evictions.
-  config.fd.timeout_us = 150'000;
-  config.fd.heartbeat_period_us = 10'000;
-  config.fd.poll_period_us = 10'000;
   return config;
 }
 

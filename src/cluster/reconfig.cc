@@ -214,18 +214,27 @@ Status ReconfigManager::CopyObject(const HashRing& old_ring,
     return status;
   }
 
-  // The copied image lands unlocked regardless of the source's lock word:
-  // lock ownership is placement-scoped, and a new replica must never
-  // surface a lock its owner would only ever release on the old replicas.
+  // The bulk pass copies only unlocked objects. A lock the quiesced delta
+  // pass finds belongs to a coordinator that died before its recovery ran,
+  // and that recovery will run against the new ring: the lock goes to
+  // every new replica and to every replica that stays, which may now be
+  // the primary. Copied unlocked, a live transaction could commit over the
+  // half-applied image there, and the dead owner's roll-back would then
+  // restore over that commit. Without the quiesce hooks a lock may be a
+  // live owner's, released only where it was taken: the copy lands
+  // unlocked.
+  const bool carry_lock = delta && options_.quiesce_block &&
+                          store::LockHeld(DecodeFixed64(slot_buf_.data()));
+  if (!carry_lock) EncodeFixed64(slot_buf_.data(), store::kUnlocked);
   const uint64_t source_version =
       DecodeFixed64(slot_buf_.data() + 8);  // Version word follows the lock.
-  EncodeFixed64(slot_buf_.data(), store::kUnlocked);
 
   const ReplicaSet old_set = old_ring.ReplicaSetForHash(item.hash);
   const ReplicaSet new_set = target.ReplicaSetForHash(item.hash);
   const Membership& membership = cluster_->membership();
   for (const rdma::NodeId d : new_set) {
-    if (old_set.Contains(d)) continue;
+    const bool stays = old_set.Contains(d);
+    if (stays && !carry_lock) continue;
     // A dead destination (crashed mid-migration) is skipped: the cutover
     // publishes it as a dead replica and the normal §3.2.5 rebuild path
     // re-replicates it later. The join subject is membership-dead by
@@ -240,9 +249,11 @@ Status ReconfigManager::CopyObject(const HashRing& old_ring,
                                     layout, item.key, &state, &existed,
                                     &rtts);
     if (!status.ok()) break;
+    // A staying replica keeps its image and gets only the lock word.
     status = qps_[d]->Write(info.region_rkeys[d],
-                            layout.SlotOffset(state.slot),
-                            slot_buf_.data(), layout.slot_size());
+                            layout.SlotOffset(state.slot), slot_buf_.data(),
+                            stays ? sizeof(store::LockWord)
+                                  : layout.slot_size());
     ++rtts;
     if (!status.ok()) break;
     cluster_->addresses().InsertOverlay(item.table, d, item.key,

@@ -8,10 +8,10 @@
 #include <thread>
 
 #include "cluster/cluster.h"
-#include "common/clock.h"
 #include "common/checksum.h"
 #include "common/coding.h"
 #include "common/logging.h"
+#include "recovery/recovery_manager.h"
 #include "txn/coordinator.h"
 
 namespace pandora {
@@ -112,6 +112,22 @@ void ExecuteProgram(txn::Coordinator* coord, const LitmusTxn& program,
   }
 }
 
+// The slot `key` occupies in one replica's table region, found with the
+// store's linear probe (a control-path scan: this is the checker, not the
+// protocol); for an absent key, the first free slot, which an insert
+// will claim.
+uint64_t ProbeSlot(const store::TableLayout& layout,
+                   const rdma::MemoryRegion& region, store::Key key) {
+  uint64_t slot = layout.HomeSlot(HashKey(key));
+  for (uint64_t scanned = 0; scanned < layout.capacity(); ++scanned) {
+    const uint64_t slot_key =
+        DecodeFixed64(region.base() + layout.KeyOffset(slot));
+    if (slot_key == key || slot_key == store::kFreeKey) break;
+    slot = layout.NextSlot(slot);
+  }
+  return slot;
+}
+
 // Memory-level audit run after each iteration has quiesced: every alive
 // replica of every litmus variable must agree on visibility, version and
 // value, and no lock may be held except stray locks of failed
@@ -132,21 +148,9 @@ bool AuditReplicas(cluster::Cluster* cluster, store::TableId table,
       if (!cluster->membership().IsMemoryAlive(node)) continue;
       rdma::ProtectionDomain* pd = cluster->fabric().GetMemoryNode(node);
       rdma::MemoryRegion* region = pd->GetRegion(info.region_rkeys[node]);
-      // Locate the key (control-path scan; this is the checker, not the
-      // protocol).
-      bool found = false;
-      uint64_t slot = info.layout.HomeSlot(HashKey(key));
-      for (uint64_t scanned = 0; scanned < info.layout.capacity();
-           ++scanned) {
-        const uint64_t slot_key =
-            DecodeFixed64(region->base() + info.layout.KeyOffset(slot));
-        if (slot_key == key) {
-          found = true;
-          break;
-        }
-        if (slot_key == store::kFreeKey) break;
-        slot = info.layout.NextSlot(slot);
-      }
+      const uint64_t slot = ProbeSlot(info.layout, *region, key);
+      const bool found =
+          DecodeFixed64(region->base() + info.layout.KeyOffset(slot)) == key;
       bool visible = false;
       uint64_t version = 0;
       uint64_t value = 0;
@@ -328,13 +332,13 @@ struct SpecRun {
         "litmus", /*value_size=*/8,
         static_cast<uint64_t>(max_iterations + 1) * kVarStride);
 
+    // The detector is never started: the harness declares failures
+    // itself (RunIteration), at a fixed point of every schedule.
     recovery::RecoveryManagerConfig rm_config;
     rm_config.mode = config.txn.mode;
-    rm_config.fd = config.fd;
     manager =
         std::make_unique<recovery::RecoveryManager>(&cluster, rm_config,
                                                     &gate);
-    manager->Start();
 
     if (cluster.config().standby_memory_nodes > 0) {
       standby_node = cluster.memory_node_id(config.memory_nodes);
@@ -369,7 +373,18 @@ struct SpecRun {
     checker = std::make_unique<SerializabilityChecker>(expanded);
   }
 
-  ~SpecRun() { manager->Stop(); }
+  // A fresh coordinator id on compute node `index`, with the node's
+  // failed-ids set seeded from the master copy. Ids come straight from the
+  // detector's allocator: RecoveryManager::RegisterComputeNode would also
+  // start a heartbeat thread per node, which nothing here reads.
+  uint16_t NewCoordinatorId(uint32_t index) {
+    recovery::FailureDetector& fd = manager->fd();
+    std::vector<uint16_t> ids;
+    PANDORA_CHECK(
+        fd.RegisterComputeNode(cluster.compute_node_id(index), 1, &ids).ok());
+    cluster.compute(index)->failed_ids().CopyFrom(fd.failed_ids());
+    return ids[0];
+  }
 
   // Executes `schedule` as one litmus iteration against fresh keys. With
   // `record` set, aggregate counters (iterations, outcomes, coverage,
@@ -417,28 +432,26 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   // and the crash points between a doorbell group's verbs make every
   // partial group a reachable schedule.
   // Reconfig schedules shorten the lockstep fallback: during the cutover
-  // quiesce a participant blocked at the gate cannot arrive, and every
-  // phase of its peers would otherwise stall for the full 250ms timeout.
+  // quiesce the turn holder blocks at the gate, and its peers would
+  // otherwise wait out the full 250ms timeout.
+  const bool lockstep_on = schedule.sync == SyncMode::kLockstep;
   LockstepController lockstep(
       static_cast<int>(num_txns),
       schedule.reconfig != ReconfigKind::kNone ? 20'000 : 250'000);
   std::vector<std::unique_ptr<txn::Coordinator>> coords;
   std::vector<std::unique_ptr<txn::ScheduleRecorderHook>> hooks;
-  std::vector<uint64_t> recoveries_before(num_txns, 0);
   for (uint32_t t = 0; t < num_txns; ++t) {
-    std::vector<uint16_t> ids;
-    PANDORA_CHECK(
-        manager->RegisterComputeNode(cluster.compute(t), 1, &ids).ok());
     coords.push_back(std::make_unique<txn::Coordinator>(
-        &cluster, cluster.compute(t), ids[0], txn_config, &gate));
+        &cluster, cluster.compute(t), NewCoordinatorId(t), txn_config,
+        &gate));
     hooks.push_back(std::make_unique<txn::ScheduleRecorderHook>());
-    if (schedule.sync == SyncMode::kLockstep) {
+    if (lockstep_on) {
       hooks.back()->set_point_observer(
-          [&lockstep](txn::CrashPoint, int, int) { lockstep.Arrive(); });
+          [&lockstep, t](txn::CrashPoint, int, int) {
+            lockstep.Arrive(static_cast<int>(t));
+          });
     }
     coords.back()->set_crash_hook(hooks.back().get());
-    recoveries_before[t] =
-        manager->recovery_count(cluster.compute_node_id(t));
   }
   for (const CrashDirective& crash : schedule.crashes) {
     if (crash.slot < 0 || crash.slot >= static_cast<int>(num_txns)) {
@@ -450,11 +463,8 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   // Verb-level scheduling: install a fabric hook that records the
   // iteration's mutating-verb stream and/or enforces a candidate verb
   // order (and verb-kill) from the schedule. Unit identity is the litmus
-  // variable: each variable's hash-table slot is predicted with the same
-  // linear probe the store uses (the key's slot if present, else the
-  // first free slot an insert will claim), probed on one replica —
-  // offsets are replica-invariant, so one [lo, hi) range covers every
-  // copy of the word cluster.
+  // variable: its hash-table slot is predicted on every replica with the
+  // same linear probe the store uses.
   const bool want_verbs = schedule.record_verbs ||
                           !schedule.verb_order.empty() ||
                           schedule.has_verb_kill;
@@ -466,29 +476,21 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
       opts.slot_nodes.push_back(cluster.compute_node_id(t));
     }
     const cluster::TableInfo& info = cluster.catalog().table(table);
-    for (const rdma::RKey rkey : info.region_rkeys) {
-      if (rkey != rdma::kInvalidRKey) opts.data_rkeys.push_back(rkey);
-    }
     for (Var v = 0; v < spec.initial.size(); ++v) {
       const store::Key key = VarKey(iteration, v);
-      const cluster::ReplicaSet replicas =
-          cluster.ReplicaSetFor(table, key);
-      PANDORA_CHECK(!replicas.empty());
-      rdma::ProtectionDomain* pd =
-          cluster.fabric().GetMemoryNode(replicas[0]);
-      rdma::MemoryRegion* region =
-          pd->GetRegion(info.region_rkeys[replicas[0]]);
-      uint64_t slot = info.layout.HomeSlot(HashKey(key));
-      for (uint64_t scanned = 0; scanned < info.layout.capacity();
-           ++scanned) {
-        const uint64_t slot_key =
-            DecodeFixed64(region->base() + info.layout.KeyOffset(slot));
-        if (slot_key == key || slot_key == store::kFreeKey) break;
-        slot = info.layout.NextSlot(slot);
+      for (const rdma::NodeId node : cluster.ReplicaSetFor(table, key)) {
+        const rdma::RKey rkey = info.region_rkeys[node];
+        const uint64_t slot = ProbeSlot(
+            info.layout,
+            *cluster.fabric().GetMemoryNode(node)->GetRegion(rkey), key);
+        VerbOrderController::Options::UnitRange range;
+        range.unit = static_cast<int>(v);
+        range.node = node;
+        range.rkey = rkey;
+        range.lo = info.layout.SlotOffset(slot);
+        range.hi = range.lo + info.layout.slot_size();
+        opts.unit_ranges.push_back(range);
       }
-      opts.unit_ranges.emplace_back(
-          info.layout.SlotOffset(slot),
-          info.layout.SlotOffset(slot) + info.layout.slot_size());
     }
     opts.order = schedule.verb_order;
     opts.has_kill = schedule.has_verb_kill;
@@ -530,8 +532,8 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     out->noop = true;  // No standby deployed: the schedule cannot run.
   }
 
-  // Compound: a one-shot recovery-coordinator death; the manager restarts
-  // the RC and re-runs recovery (idempotent, §3.2.3).
+  // Compound: a one-shot recovery-coordinator death; DeclareComputeFailure
+  // restarts the RC and re-runs recovery (idempotent, §3.2.3).
   std::atomic<int> rc_deaths{0};
   if (schedule.rc_fault) {
     manager->rc().set_step_fault_hook(
@@ -547,27 +549,24 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   for (uint32_t t = 0; t < num_txns; ++t) {
     threads.emplace_back([&, t] {
       // Start barrier: release every transaction at once so short
-      // programs actually overlap (racy interleavings are the whole
-      // point of a litmus test).
+      // free-running programs actually overlap (racy interleavings are
+      // the whole point of a litmus test); lockstep slots then take
+      // turns from their first verb on.
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      bool retired = false;
+      const int slot = static_cast<int>(t);
+      if (lockstep_on) lockstep.WaitTurn(slot);
       for (int r = 0; r < runs; ++r) {
-        if (hooks[t] != nullptr) hooks[t]->BeginRun(r);
-        if (verb_ctl != nullptr) {
-          verb_ctl->BeginRun(static_cast<int>(t), r);
-        }
+        hooks[t]->BeginRun(r);
+        if (verb_ctl != nullptr) verb_ctl->BeginRun(slot, r);
         ExecuteProgram(coords[t].get(), spec.txns[t], iteration, table,
                        &observations[static_cast<size_t>(r) * num_txns +
                                      t]);
-        if (!retired && hooks[t] != nullptr && hooks[t]->fired()) {
-          // Crashed: leave the rendezvous so live peers stop waiting.
-          lockstep.Retire();
-          retired = true;
-        }
+        // Crashed: leave the rotation so live peers stop waiting.
+        if (hooks[t]->fired()) lockstep.Retire(slot);
       }
-      if (!retired) lockstep.Retire();
+      lockstep.Retire(slot);
     });
   }
   std::thread migration_thread;
@@ -662,7 +661,6 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   out->visits.resize(num_txns);
   bool any_fired = false;
   for (uint32_t t = 0; t < num_txns; ++t) {
-    if (hooks[t] == nullptr) continue;
     const txn::ScheduleRecorderHook& hook = *hooks[t];
     auto& slot_visits = out->visits[t];
     slot_visits.resize(static_cast<size_t>(hook.runs_recorded()));
@@ -706,19 +704,19 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     if (record) report->memory_kills_injected++;
   }
 
-  // Wait for detection + recovery of every crashed slot before observing.
-  bool recovery_timed_out = false;
-  for (uint32_t t = 0; t < num_txns && !recovery_timed_out; ++t) {
-    const bool crashed =
-        (hooks[t] != nullptr && hooks[t]->fired()) ||
-        out->verb_killed_slot == static_cast<int>(t);
+  // The failure decision: every crashed slot is declared failed and
+  // recovered now that the slots and the migration have stopped (and
+  // after any compound memory kill), so recovery starts at the same point
+  // of every replay.
+  for (uint32_t t = 0; t < num_txns && !out->violation; ++t) {
+    const bool crashed = hooks[t]->fired() ||
+                         out->verb_killed_slot == static_cast<int>(t);
     if (!crashed) continue;
-    if (!manager->WaitForComputeRecovery(cluster.compute_node_id(t),
-                                         5'000'000,
-                                         recoveries_before[t])) {
+    const Status status = manager->DeclareComputeFailure(
+        cluster.compute_node_id(t), {coords[t]->coord_id()});
+    if (!status.ok()) {
       out->violation = true;
-      out->explanation = "recovery never completed";
-      recovery_timed_out = true;
+      out->explanation = "recovery failed: " + status.ToString();
     }
   }
   if (schedule.rc_fault) {
@@ -729,67 +727,30 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     }
   }
 
-  if (!recovery_timed_out) {
-    // Observe the final application state from the observer node.
-    VarState final_state(spec.initial.size());
-    bool observed = false;
-    std::vector<uint16_t> observer_ids;
-    PANDORA_CHECK(manager
-                      ->RegisterComputeNode(
-                          cluster.compute(compute_nodes - 1), 1,
-                          &observer_ids)
-                      .ok());
+  if (!out->violation) {
+    // Observe the final application state from the observer node. Nothing
+    // else runs now and no live coordinator is ever declared failed, so
+    // one attempt suffices: an unreadable state is a violation.
     txn::Coordinator reader(&cluster, cluster.compute(compute_nodes - 1),
-                            observer_ids[0], txn_config, &gate);
-    std::string observe_error;
-    for (int attempt = 0; attempt < 10 && !observed; ++attempt) {
-      const Status begin_status = reader.Begin();
-      if (!begin_status.ok()) {
-        if (observe_error.empty()) {
-          observe_error = "begin: " + begin_status.ToString();
-        }
-        SleepForMicros(200);
-        continue;
+                            NewCoordinatorId(compute_nodes - 1), txn_config,
+                            &gate);
+    VarState final_state(spec.initial.size());
+    Status status = reader.Begin();
+    for (Var v = 0; v < spec.initial.size() && status.ok(); ++v) {
+      std::string value;
+      status = reader.Read(table, VarKey(iteration, v), &value);
+      if (status.ok()) {
+        final_state[v] = DecodeFixed64(value.data());
+      } else if (status.IsNotFound()) {
+        final_state[v] = std::nullopt;
+        status = Status::OK();
       }
-      bool ok = true;
-      for (Var v = 0; v < spec.initial.size() && ok; ++v) {
-        std::string value;
-        const Status status = reader.Read(table, VarKey(iteration, v),
-                                          &value);
-        if (status.ok()) {
-          final_state[v] = DecodeFixed64(value.data());
-        } else if (status.IsNotFound()) {
-          final_state[v] = std::nullopt;
-        } else {
-          if (observe_error.empty()) {
-            observe_error = "read var " + std::to_string(v) + ": " +
-                            status.ToString();
-          }
-          ok = false;
-        }
-      }
-      if (ok) {
-        const Status commit_status = reader.Commit();
-        if (commit_status.ok()) {
-          observed = true;
-        } else if (observe_error.empty()) {
-          observe_error = "commit: " + commit_status.ToString();
-        }
-      }
-      if (!observed && reader.in_txn()) reader.Abort();
-      SleepForMicros(200);
     }
-
-    if (!observed) {
-      if (observe_error.find("PermissionDenied") != std::string::npos) {
-        // The observer was repeatedly fenced (false positives under CPU
-        // pressure); no verdict about the protocol is possible.
-        if (record) report->inconclusive++;
-      } else {
-        out->violation = true;
-        out->explanation =
-            "final state unreadable (" + observe_error + ")";
-      }
+    if (status.ok()) status = reader.Commit();
+    if (!status.ok()) {
+      if (reader.in_txn()) reader.Abort();
+      out->violation = true;
+      out->explanation = "final state unreadable (" + status.ToString() + ")";
     } else {
       std::string explanation;
       if (!checker->Check(observations, final_state, &explanation)) {
@@ -820,16 +781,9 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   }
   if (record) report->bug_injections += out->bug_injections;
 
-  // End of iteration: wait for any in-flight (possibly false-positive)
-  // recoveries, then restore every compute node's links and rebuild a
+  // End of iteration: restore every compute node's links and rebuild a
   // killed memory node, so the next iteration starts from a healthy
-  // membership. Restoring only after recoveries completed preserves Cor1.
-  {
-    const uint64_t deadline = NowMicros() + 5'000'000;
-    while (manager->pending_recoveries() > 0 && NowMicros() < deadline) {
-      SleepForMicros(200);
-    }
-  }
+  // membership. Recovery has already completed, which preserves Cor1.
   for (uint32_t n = 0; n < compute_nodes; ++n) {
     cluster.RestartComputeNode(cluster.compute_node_id(n));
   }
@@ -862,9 +816,9 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   }
 
   // Memory-level invariants: replicas must agree, locks must be free or
-  // stray. Skipped when recovery already timed out (the iteration is
-  // already a violation and memory may legitimately hold stray locks).
-  if (!recovery_timed_out && !out->violation) {
+  // stray. Skipped once the iteration is a violation (a failed recovery
+  // may legitimately leave stray locks behind).
+  if (!out->violation) {
     std::string audit_error;
     if (!AuditReplicas(&cluster, table, iteration, spec.initial.size(),
                        manager->fd().failed_ids(), &audit_error)) {

@@ -11,7 +11,6 @@
 #include "litmus/litmus_spec.h"
 #include "litmus/schedule.h"
 #include "rdma/network_model.h"
-#include "recovery/recovery_manager.h"
 #include "txn/txn_config.h"
 
 namespace pandora {
@@ -40,7 +39,6 @@ struct HarnessConfig {
   uint32_t replication = 2;
   rdma::NetworkConfig net;  // Zero-latency by default: litmus tests
                             // exercise semantics, not timing.
-  recovery::FdConfig fd;
 
   /// How crash schedules are chosen (see SchedulePolicy).
   SchedulePolicy schedule = SchedulePolicy::kExhaustive;
@@ -77,11 +75,6 @@ struct LitmusReport {
   int iterations = 0;
   int crashes_injected = 0;
   int violations = 0;
-  /// Iterations whose final state could not be observed because the
-  /// observer itself kept getting fenced by failure-detector false
-  /// positives (possible when the host CPU starves heartbeats). Says
-  /// nothing about serializability; reported separately.
-  int inconclusive = 0;
   int committed = 0;
   int aborted = 0;
   int unknown = 0;
@@ -96,7 +89,8 @@ struct LitmusReport {
   /// Iterations where an armed crash directive never fired (the profiled
   /// execution diverged); the schedule proved nothing.
   int schedule_noops = 0;
-  /// Lockstep rendezvous phases broken by the timed fallback.
+  /// Lockstep iterations that fell back to free running (a turn wait
+  /// timed out).
   int sync_timeouts = 0;
   /// Recovery-coordinator deaths injected by compound schedules.
   int rc_faults_injected = 0;
@@ -164,9 +158,9 @@ struct LitmusReport {
 /// End-to-end litmus executor: deploys a fresh simulated DKVS per spec,
 /// runs the spec's transactions concurrently under a crash-schedule policy
 /// (exhaustive lockstep enumeration, verb-order exploration, or replay of a
-/// recorded trace), drives detection + recovery, reads the application-
-/// observable final state, and validates it with the subset-serializability
-/// checker. Violating iterations are shrunk to minimal reproducers.
+/// recorded trace), declares every crashed slot failed and recovers it once
+/// the slots have stopped, reads the application-observable final state,
+/// and validates it with the subset-serializability checker. Violating iterations are shrunk to minimal reproducers.
 class LitmusHarness {
  public:
   explicit LitmusHarness(const HarnessConfig& config) : config_(config) {}

@@ -164,44 +164,52 @@ bool CrashSchedule::Parse(const std::string& text, CrashSchedule* out) {
   return true;
 }
 
-bool LockstepController::Arrive() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (active_ <= 1) return true;  // Nobody to rendezvous with.
-  const uint64_t my_phase = phase_;
-  ++waiting_;
-  if (waiting_ >= active_) {
-    waiting_ = 0;
-    ++phase_;
-    cv_.notify_all();
-    return true;
-  }
-  const bool released = cv_.wait_for(
-      lock, std::chrono::microseconds(timeout_us_),
-      [&] { return phase_ != my_phase; });
-  if (!released) {
-    // A peer is blocked outside a crash point (gate, stall). Break the
-    // barrier for everyone so the iteration keeps making progress.
-    ++timeouts_;
-    waiting_ = 0;
-    ++phase_;
-    cv_.notify_all();
-  }
-  return released;
-}
-
-void LockstepController::Retire() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_ > 0) --active_;
-  if (active_ > 0 && waiting_ >= active_) {
-    waiting_ = 0;
-    ++phase_;
+void LockstepController::PassTurnLocked() {
+  const int slots = static_cast<int>(live_.size());
+  const int from = turn_;
+  turn_ = -1;
+  for (int step = 1; step <= slots; ++step) {
+    const int next = (from + step) % slots;
+    if (live_[static_cast<size_t>(next)]) {
+      turn_ = next;
+      break;
+    }
   }
   cv_.notify_all();
 }
 
+void LockstepController::WaitTurnLocked(std::unique_lock<std::mutex>& lock,
+                                        int slot) {
+  if (cv_.wait_for(lock, std::chrono::microseconds(timeout_us_),
+                   [&] { return free_ || turn_ == slot; })) {
+    return;
+  }
+  // The turn holder is blocked outside a crash point: run free from here.
+  free_ = true;
+  cv_.notify_all();
+}
+
+void LockstepController::WaitTurn(int slot) {
+  std::unique_lock<std::mutex> lock(mu_);
+  WaitTurnLocked(lock, slot);
+}
+
+void LockstepController::Arrive(int slot) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (free_ || !live_[static_cast<size_t>(slot)]) return;
+  if (turn_ == slot) PassTurnLocked();
+  WaitTurnLocked(lock, slot);
+}
+
+void LockstepController::Retire(int slot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  live_[static_cast<size_t>(slot)] = false;
+  if (turn_ == slot) PassTurnLocked();
+}
+
 int LockstepController::timeouts() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return timeouts_;
+  return free_ ? 1 : 0;
 }
 
 namespace {
@@ -235,19 +243,11 @@ bool VerbOrderController::MapToken(const rdma::VerbDesc& desc, int* slot,
     }
   }
   if (s < 0) return false;
-  bool data_region = false;
-  for (const rdma::RKey rkey : opts_.data_rkeys) {
-    if (rkey == desc.rkey) {
-      data_region = true;
-      break;
-    }
-  }
-  if (!data_region) return false;
   int unit = -1;
-  for (size_t u = 0; u < opts_.unit_ranges.size(); ++u) {
-    if (desc.offset >= opts_.unit_ranges[u].first &&
-        desc.offset < opts_.unit_ranges[u].second) {
-      unit = static_cast<int>(u);
+  for (const Options::UnitRange& range : opts_.unit_ranges) {
+    if (range.node == desc.dst && range.rkey == desc.rkey &&
+        desc.offset >= range.lo && desc.offset < range.hi) {
+      unit = range.unit;
       break;
     }
   }

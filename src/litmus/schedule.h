@@ -42,11 +42,11 @@ enum class SchedulePolicy {
 enum class SyncMode {
   /// Threads free-run (timing-dependent interleavings).
   kFree,
-  /// Every transaction rendezvouses at every crash point: all slots reach
-  /// their next protocol step before any proceeds. This deterministically
-  /// produces the maximally-racy interleaving (all lock CASes together,
-  /// all validations before any apply) that random timing only rarely
-  /// hits.
+  /// Slots take turns, one protocol step each: a slot runs from one crash
+  /// point to its next while every other slot waits, in slot order
+  /// (LockstepController). The slots' protocol steps interleave one by
+  /// one, and the interleaving is the same on every run, so an iteration
+  /// replays exactly.
   kLockstep,
 };
 
@@ -143,36 +143,42 @@ struct CrashSchedule {
   static bool Parse(const std::string& text, CrashSchedule* out);
 };
 
-/// Rendezvous barrier for SyncMode::kLockstep. Each participant calls
-/// Arrive() from its crash-point observer; the call blocks until every
-/// other active participant is also waiting (or has retired), then the
-/// whole phase is released together. A timed fallback breaks the barrier
-/// when a participant is blocked outside a crash point (recovery gates,
-/// conflict stalls), so lockstep can never deadlock the harness — it only
-/// degrades to free-running for that phase.
+/// Turn scheduler for SyncMode::kLockstep. Exactly one slot runs between
+/// two crash points, in slot order: a slot waits for its turn before its
+/// first verb (WaitTurn) and again at every crash point it visits
+/// (Arrive), which first hands the turn to the next live slot. Retired
+/// slots drop out of the rotation. A timed fallback covers a turn holder
+/// blocked outside a crash point (the reconfiguration cutover quiesce
+/// holds it at the gate): on timeout every wait is released and the rest
+/// of the iteration runs free, counted once in timeouts().
 class LockstepController {
  public:
-  explicit LockstepController(int participants,
-                              uint64_t timeout_us = 250'000)
-      : active_(participants), timeout_us_(timeout_us) {}
+  explicit LockstepController(int slots, uint64_t timeout_us = 250'000)
+      : live_(static_cast<size_t>(slots), true), timeout_us_(timeout_us) {}
 
-  /// Blocks until the current phase is released. Returns false if the
-  /// wait timed out (phase released by fallback).
-  bool Arrive();
+  /// Blocks until it is `slot`'s turn.
+  void WaitTurn(int slot);
 
-  /// The participant will hit no more crash points (program finished or
-  /// coordinator crashed).
-  void Retire();
+  /// `slot` reached a crash point: hands the turn on, then waits for it
+  /// to come back.
+  void Arrive(int slot);
 
+  /// `slot` will hit no more crash points (program finished or
+  /// coordinator crashed); a held turn passes on.
+  void Retire(int slot);
+
+  /// 1 once a turn wait timed out (the iteration then ran free), else 0.
   int timeouts() const;
 
  private:
+  void PassTurnLocked();
+  void WaitTurnLocked(std::unique_lock<std::mutex>& lock, int slot);
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  int active_;
-  int waiting_ = 0;
-  uint64_t phase_ = 0;
-  int timeouts_ = 0;
+  std::vector<bool> live_;
+  int turn_ = 0;  // -1 once every slot retired
+  bool free_ = false;  // a turn wait timed out
   const uint64_t timeout_us_;
 };
 
@@ -200,11 +206,18 @@ class VerbOrderController : public rdma::VerbScheduleHook {
     rdma::Fabric* fabric = nullptr;
     /// slot -> compute NodeId running that slot's coordinator.
     std::vector<rdma::NodeId> slot_nodes;
-    /// Table-data region rkeys on every memory node (replicas included).
-    std::vector<rdma::RKey> data_rkeys;
-    /// unit -> [lo, hi) remote offset range of that variable's words.
-    /// Offsets are replica-invariant, so one range covers all copies.
-    std::vector<std::pair<uint64_t, uint64_t>> unit_ranges;
+    /// Where each replica of each unit's words lives: verbs to `node`'s
+    /// region `rkey` at offsets [lo, hi) touch `unit`. Every replica has
+    /// its own entry: a key's slot differs between replicas whose tables
+    /// hold different keys (their linear probes collide differently).
+    struct UnitRange {
+      int unit = 0;
+      rdma::NodeId node = rdma::kInvalidNodeId;
+      rdma::RKey rkey = rdma::kInvalidRKey;
+      uint64_t lo = 0;
+      uint64_t hi = 0;
+    };
+    std::vector<UnitRange> unit_ranges;
     std::vector<VerbToken> order;
     bool has_kill = false;
     VerbToken kill;

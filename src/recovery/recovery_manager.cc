@@ -15,7 +15,11 @@ RecoveryManager::RecoveryManager(cluster::Cluster* cluster,
   rc_->set_scan_throttle_ns_per_slot(config.scan_throttle_ns_per_slot);
   fd_->set_failure_callback(
       [this](rdma::NodeId node, const std::vector<uint16_t>& ids) {
-        OnFailureDetected(node, ids);
+        // Recover off the detector thread so one failure does not delay
+        // detection of the next.
+        std::lock_guard<std::mutex> lock(mu_);
+        recovery_threads_.emplace_back(
+            [this, node, ids] { DeclareComputeFailure(node, ids); });
       });
   if (gate_ != nullptr) {
     // Arm the stop-the-world precondition of RebuildMemoryNode: with a
@@ -70,29 +74,24 @@ Status RecoveryManager::RegisterComputeNode(cluster::ComputeServer* server,
   return Status::OK();
 }
 
-void RecoveryManager::OnFailureDetected(rdma::NodeId node,
-                                        const std::vector<uint16_t>& ids) {
-  // Run recovery off the detector thread so one failure does not delay
-  // detection of the next.
-  std::lock_guard<std::mutex> lock(mu_);
-  recovery_threads_.emplace_back([this, node, ids] {
-    Status status = RecoverComputeFailure(node, ids);
-    // The recovery coordinator itself can die mid-recovery (fault
-    // injection via rc().set_step_fault_hook, or a real RC crash).
-    // Recovery is idempotent (§3.2.3), so a restarted RC simply re-runs
-    // the whole procedure from the top.
-    for (int restart = 0; !status.ok() && restart < 2; ++restart) {
-      rc_restarts_.fetch_add(1, std::memory_order_acq_rel);
-      PANDORA_LOG(kWarning) << "recovery coordinator died recovering node "
-                         << node << " (" << status.ToString()
-                         << "); restarting";
-      status = RecoverComputeFailure(node, ids);
-    }
-    if (!status.ok()) {
-      PANDORA_LOG(kError) << "recovery of node " << node
-                          << " failed: " << status.ToString();
-    }
-  });
+Status RecoveryManager::DeclareComputeFailure(
+    rdma::NodeId node, const std::vector<uint16_t>& ids) {
+  Status status = RecoverComputeFailure(node, ids);
+  // The recovery coordinator itself can die mid-recovery (fault injection
+  // via rc().set_step_fault_hook, or a real RC crash). Recovery is
+  // idempotent (§3.2.3), so a restarted RC simply re-runs the whole
+  // procedure from the top.
+  for (int restart = 0; !status.ok() && restart < 2; ++restart) {
+    PANDORA_LOG(kWarning) << "recovery coordinator died recovering node "
+                          << node << " (" << status.ToString()
+                          << "); restarting";
+    status = RecoverComputeFailure(node, ids);
+  }
+  if (!status.ok()) {
+    PANDORA_LOG(kError) << "recovery of node " << node
+                        << " failed: " << status.ToString();
+  }
+  return status;
 }
 
 Status RecoveryManager::RecoverComputeFailure(

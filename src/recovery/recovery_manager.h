@@ -62,11 +62,18 @@ class RecoveryManager {
                              uint32_t coordinators,
                              std::vector<uint16_t>* ids);
 
-  /// Runs the §3.2.2 recovery steps 2-4 for a failed compute node.
-  /// Normally invoked automatically from the FD callback; exposed for
-  /// tests and for benches that bypass heartbeat detection. Blocking.
+  /// Runs the §3.2.2 recovery steps 2-4 for a failed compute node, once;
+  /// returns the first failure. Blocking.
   Status RecoverComputeFailure(rdma::NodeId node,
                                const std::vector<uint16_t>& coordinator_ids);
+
+  /// The failure decision: recovers `node` (RecoverComputeFailure),
+  /// restarting the recovery coordinator up to twice when an attempt
+  /// dies. The FD callback runs it on a recovery thread; the litmus
+  /// harness, which runs no detector, calls it at a fixed point of each
+  /// schedule. Blocking.
+  Status DeclareComputeFailure(rdma::NodeId node,
+                               const std::vector<uint16_t>& ids);
 
   /// §3.2.5 memory-failure handling: marks the server dead (if the fabric
   /// has not already), pauses the DKVS behind the reconfiguration barrier
@@ -88,13 +95,6 @@ class RecoveryManager {
   uint64_t pending_recoveries() const {
     return started_.load(std::memory_order_acquire) -
            completed_.load(std::memory_order_acquire);
-  }
-
-  /// Times an FD-driven recovery attempt died (step_fault_hook or real RC
-  /// failure) and the RC was restarted to re-run it. Litmus compound
-  /// schedules assert the injected RC death actually happened.
-  uint64_t rc_restarts() const {
-    return rc_restarts_.load(std::memory_order_acquire);
   }
 
   /// Stats of the most recent completed compute recovery.
@@ -124,9 +124,6 @@ class RecoveryManager {
   Status RecycleIdsIfNeeded(double threshold = 0.95);
 
  private:
-  void OnFailureDetected(rdma::NodeId node,
-                         const std::vector<uint16_t>& ids);
-
   cluster::Cluster* cluster_;
   RecoveryManagerConfig config_;
   txn::SystemGate* gate_;
@@ -143,7 +140,6 @@ class RecoveryManager {
   std::atomic<uint64_t> last_latency_ns_{0};
   std::atomic<uint64_t> started_{0};
   std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rc_restarts_{0};
   // Serializes compute-failure recovery against memory reconfiguration
   // (joint failures run both protocols, but not interleaved).
   std::mutex recovery_mu_;

@@ -27,6 +27,16 @@ alignas(8) thread_local uint64_t flush_sink = 0;
 // memory server before giving up.
 constexpr uint64_t kMemoryVerdictTimeoutUs = 100'000;
 
+// Poll interval of the §6.4 stalling path (TxnConfig::stall_on_conflict)
+// while an object awaits recovery.
+constexpr uint64_t kStallRetryIntervalUs = 5;
+
+// Backoff after a reconfiguration abort: the next Begin sleeps
+// min(max, base << level) microseconds; a successful commit resets the
+// level.
+constexpr uint64_t kReconfigBackoffBaseUs = 20;
+constexpr uint64_t kReconfigBackoffMaxUs = 2000;
+
 }  // namespace
 
 Coordinator::Coordinator(cluster::Cluster* cluster,
@@ -128,8 +138,7 @@ void Coordinator::ReconfigBackoff() {
   if (reconfig_backoff_level_ == 0) return;
   const uint32_t shift = std::min<uint32_t>(reconfig_backoff_level_ - 1, 10);
   const uint64_t us = std::min<uint64_t>(
-      config_.reconfig_backoff_max_us,
-      config_.reconfig_backoff_base_us << shift);
+      kReconfigBackoffMaxUs, kReconfigBackoffBaseUs << shift);
   stats_.reconfig_retries++;
   SleepForMicros(us);
 }
@@ -361,7 +370,7 @@ Status Coordinator::LockAndFetch(WriteOp* op) {
           StallDeadlineOpen(&stall_deadline_us) &&
           (gate_ == nullptr || !gate_->blocked())) {
         stats_.stall_retries++;
-        SleepForMicros(config_.stall_retry_interval_us);
+        SleepForMicros(kStallRetryIntervalUs);
         continue;
       }
       return Status::Busy("object awaiting recovery");
@@ -567,7 +576,7 @@ Status Coordinator::ReadInternal(store::TableId table, store::Key key,
                    (gate_ == nullptr || !gate_->blocked())) {
           // §6.4 stalling path: the object awaits recovery; wait it out.
           stats_.stall_retries++;
-          SleepForMicros(config_.stall_retry_interval_us);
+          SleepForMicros(kStallRetryIntervalUs);
           continue;
         } else {
           stats_.lock_conflicts++;

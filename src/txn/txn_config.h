@@ -71,7 +71,6 @@ struct TxnConfig {
   /// expires.
   bool stall_on_conflict = false;
   uint64_t stall_timeout_us = 1'000'000;
-  uint64_t stall_retry_interval_us = 5;
 
   /// Execution-phase doorbell pipelining (§3.1.1): post the lock CAS and a
   /// speculative undo-image read on the same QP in one doorbell (RC
@@ -96,11 +95,6 @@ struct TxnConfig {
   /// Off = the deliberately naive mode the crash-during-migration litmus
   /// spec exists to catch.
   bool reconfig_fence = true;
-  /// Backoff base/cap for retries after a reconfiguration abort. The next
-  /// Begin sleeps min(max, base << level) microseconds; a successful
-  /// commit resets the level.
-  uint64_t reconfig_backoff_base_us = 20;
-  uint64_t reconfig_backoff_max_us = 2000;
 
   /// PILL is a Pandora feature; the baselines cannot steal.
   bool pill_enabled() const { return mode == ProtocolMode::kPandora; }

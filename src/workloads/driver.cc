@@ -9,6 +9,23 @@
 namespace pandora {
 namespace workloads {
 
+namespace {
+
+// Tail-fairness lag budget for the fiber scheduler (ignored at 1 fiber):
+// before admitting a NEW transaction, a fiber checks whether the oldest
+// runnable sibling is overdue past this budget and, if so, donates its
+// slice to the backlog instead (bounded in-flight admission pacing).
+constexpr uint64_t kFiberLagBudgetUs = 150;
+// Cooperative OS-thread yield cadence inside the fiber scheduler: with
+// more worker threads than cores, a fiber worker that never blocks
+// (fibers soak every simulated wait) would hold the core for full OS
+// quanta (milliseconds), stalling the sibling worker's fibers — the
+// dominant fibers8 p99 term. Yielding every ~50 µs of scheduler CPU
+// bounds that stall at microsecond scale.
+constexpr uint64_t kFiberOsYieldUs = 50;
+
+}  // namespace
+
 Driver::Driver(cluster::Cluster* cluster,
                recovery::RecoveryManager* manager, txn::SystemGate* gate,
                Workload* workload, const DriverConfig& config)
@@ -126,8 +143,8 @@ void Driver::FiberWorkerLoop(uint32_t worker_index, uint64_t start_ns,
       std::min<size_t>(config_.fibers_per_thread, mine.size()));
 
   FiberScheduler::Options options;
-  options.lag_budget_ns = config_.fiber_lag_budget_us * 1000;
-  options.os_yield_every_ns = config_.fiber_os_yield_us * 1000;
+  options.lag_budget_ns = kFiberLagBudgetUs * 1000;
+  options.os_yield_every_ns = kFiberOsYieldUs * 1000;
   FiberScheduler scheduler(options);
   for (uint32_t f = 0; f < fibers; ++f) {
     std::vector<Slot*> owned;

@@ -44,19 +44,6 @@ struct DriverConfig {
   /// progress on another — the paper's coordinators-per-core scaling
   /// lever. Simulated RTT accounting is unchanged either way.
   uint32_t fibers_per_thread = 1;
-  /// Tail-fairness lag budget for the fiber scheduler (ignored at 1
-  /// fiber): before admitting a NEW transaction, a fiber checks whether
-  /// the oldest runnable sibling is overdue past this budget and, if so,
-  /// donates its slice to the backlog instead (bounded in-flight
-  /// admission pacing). 0 disables pacing.
-  uint64_t fiber_lag_budget_us = 150;
-  /// Cooperative OS-thread yield cadence inside the fiber scheduler: with
-  /// more worker threads than cores, a fiber worker that never blocks
-  /// (fibers soak every simulated wait) would hold the core for full OS
-  /// quanta (milliseconds), stalling the sibling worker's fibers — the
-  /// dominant fibers8 p99 term. Yielding every ~50 µs of scheduler CPU
-  /// bounds that stall at microsecond scale. 0 disables.
-  uint64_t fiber_os_yield_us = 50;
   txn::TxnConfig txn;
   uint64_t seed = 42;
 };

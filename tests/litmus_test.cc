@@ -148,14 +148,6 @@ HarnessConfig FastConfig() {
   // overlap.
   config.net.one_way_ns = 1500;
   config.net.per_byte_ns = 0;
-  // Generous FD timing: with 2 physical cores and dozens of simulation
-  // threads, heartbeat pumps can starve for several milliseconds, and
-  // tight timeouts flood the run with false positives. (False positives
-  // remain *safe* — FalsePositiveCannotCorruptMemory covers that — they
-  // are just noise here.)
-  config.fd.timeout_us = 30'000;
-  config.fd.heartbeat_period_us = 2000;
-  config.fd.poll_period_us = 2000;
   return config;
 }
 
@@ -208,6 +200,7 @@ LitmusReport ExpectExhaustivePass(HarnessConfig config,
       << spec.name << ": budget of " << config.iterations
       << " too small for " << report.schedules_planned << " schedules";
   EXPECT_EQ(report.iterations, report.schedules_planned) << spec.name;
+  EXPECT_EQ(report.sync_timeouts, 0) << spec.name;
   return report;
 }
 
@@ -289,20 +282,20 @@ TEST(LitmusFuzzSpec, GeneratorIsDeterministicAndWellFormed) {
 // --- Bug reproduction: each Table-1 bug must be *caught* by the framework.
 //
 // All six bugs are caught *deterministically* — no randomized sampler
-// anywhere in the suite. Four need only the crash-point machinery: the
-// exhaustive scheduler's lockstep profiling iteration forces the
-// maximally-racy interleaving (covert/relaxed locks need no crash at
+// anywhere in the suite. Five need only the crash-point machinery: the
+// exhaustive scheduler's lockstep profiling iteration interleaves the
+// slots' protocol steps one by one (covert/relaxed locks need no crash at
 // all), and its enumeration then crashes every reachable (slot, run,
-// point, occurrence) tuple in turn (lost-decision and
-// logging-without-locking each have one specific guilty point).
+// point, occurrence) tuple in turn (lost-decision, logging-without-locking
+// and missing-insert-logging each have one specific guilty point).
 //
-// ComplicitAbort and MissingInsertLogging manifest through intra-phase
-// races the per-crash-point rendezvous cannot order; they use
-// kVerbExhaustive, which additionally enforces candidate apply orders of
-// the contested one-sided verbs through the fabric's verb-schedule hook
-// (bounded DPOR over the racing window, plus verb-level kills). Every
-// catch is then re-proved by parsing its serialized trace and replaying
-// it — one iteration, milliseconds — with an identical outcome.
+// ComplicitAbort manifests through an intra-phase race no crash point
+// separates; it uses kVerbExhaustive, which additionally enforces
+// candidate apply orders of the contested one-sided verbs through the
+// fabric's verb-schedule hook (bounded DPOR over the racing window, plus
+// verb-level kills). Every catch is then re-proved by parsing its
+// serialized trace and replaying it — one iteration, milliseconds — with
+// an identical outcome.
 //
 // The whole suite runs twice — execution-phase pipelining on and off —
 // because the bugs must be caught under either verb-issue discipline.
@@ -323,6 +316,32 @@ class LitmusBugHunt : public ::testing::TestWithParam<bool> {
   static bool pipeline() { return GetParam(); }
 };
 
+HarnessConfig HuntConfig(txn::ProtocolMode mode, txn::BugFlags bugs,
+                         bool pipeline) {
+  HarnessConfig config = FastConfig();
+  config.txn.mode = mode;
+  config.txn.bugs = bugs;
+  config.txn.pipeline_execution = pipeline;
+  config.iterations = 120;
+  config.stop_after_violations = 1;
+  return config;
+}
+
+// Replays `trace` as one iteration: it must give exactly one violation
+// whose executed trace is byte-identical to `trace`.
+void ExpectTraceReplays(HarnessConfig config, const LitmusSpec& spec,
+                        const std::string& trace, const char* bug_name) {
+  ASSERT_TRUE(CrashSchedule::Parse(trace, &config.replay)) << trace;
+  config.schedule = SchedulePolicy::kReplay;
+  LitmusHarness replayer(config);
+  const LitmusReport replay = replayer.Run(spec);
+  EXPECT_EQ(replay.violations, 1)
+      << bug_name << ": trace did not replay: " << trace;
+  EXPECT_EQ(replay.sync_timeouts, 0) << bug_name;
+  ASSERT_FALSE(replay.violation_traces.empty());
+  EXPECT_EQ(replay.violation_traces[0], trace);
+}
+
 // Deterministic hunt: the given schedule policy must find the bug, must
 // prove the bug flags actually fired (no injection no-ops), and every
 // catch must reproduce from its serialized trace — parsed back and
@@ -331,17 +350,13 @@ void ExpectBugCaught(SchedulePolicy policy, txn::ProtocolMode mode,
                      txn::BugFlags bugs, const LitmusSpec& spec,
                      int runs_per_txn, bool pipeline,
                      const char* bug_name) {
-  HarnessConfig config = FastConfig();
-  config.txn.mode = mode;
-  config.txn.bugs = bugs;
-  config.txn.pipeline_execution = pipeline;
+  HarnessConfig config = HuntConfig(mode, bugs, pipeline);
   config.schedule = policy;
-  config.iterations = 120;
   config.runs_per_txn = runs_per_txn;
-  config.stop_after_violations = 1;
   LitmusHarness harness(config);
   const LitmusReport report = harness.Run(spec);
   EXPECT_TRUE(report.harness_error.empty()) << report.harness_error;
+  EXPECT_EQ(report.sync_timeouts, 0) << bug_name;
   EXPECT_GT(report.bug_injections, 0u)
       << bug_name << ": bug flags never deviated from the fixed protocol";
   ASSERT_GT(report.violations, 0)
@@ -353,19 +368,7 @@ void ExpectBugCaught(SchedulePolicy policy, txn::ProtocolMode mode,
 
   // Replay-from-trace: the recorded schedule alone must reproduce.
   ASSERT_FALSE(report.violation_traces.empty());
-  CrashSchedule schedule;
-  ASSERT_TRUE(CrashSchedule::Parse(report.violation_traces[0], &schedule))
-      << report.violation_traces[0];
-  HarnessConfig replay_config = config;
-  replay_config.schedule = SchedulePolicy::kReplay;
-  replay_config.replay = schedule;
-  LitmusHarness replayer(replay_config);
-  const LitmusReport replay = replayer.Run(spec);
-  EXPECT_EQ(replay.violations, 1)
-      << bug_name << ": trace did not replay: "
-      << report.violation_traces[0];
-  ASSERT_FALSE(replay.violation_traces.empty());
-  EXPECT_EQ(replay.violation_traces[0], report.violation_traces[0]);
+  ExpectTraceReplays(config, spec, report.violation_traces[0], bug_name);
 }
 
 void ExpectBugCaughtExhaustive(txn::ProtocolMode mode, txn::BugFlags bugs,
@@ -438,6 +441,62 @@ TEST_P(LitmusBugHunt, LoggingWithoutLockingCaught) {
                   txn::ProtocolMode::kFordBaseline, bugs,
                   Litmus1PartialOverlap(), /*runs_per_txn=*/2, pipeline(),
                   "Logging-without-locking");
+}
+
+// Replay corpus: one trace per bug, as the hunts above print their
+// catches. Verb tokens count only mutating verbs, which pipelining does
+// not change, so both legs replay the same six lines. Each replay is one
+// iteration, so every tier-1 run re-proves all six catches in
+// milliseconds.
+struct CaughtTrace {
+  const char* bug;
+  txn::ProtocolMode mode;
+  txn::BugFlags bugs;
+  LitmusSpec spec;
+  const char* trace;
+};
+
+std::vector<CaughtTrace> CaughtTraces() {
+  txn::BugFlags complicit_abort;
+  complicit_abort.complicit_abort = true;
+  txn::BugFlags covert_locks;
+  covert_locks.covert_locks = true;
+  txn::BugFlags relaxed_locks;
+  relaxed_locks.relaxed_locks = true;
+  txn::BugFlags missing_insert_logging;
+  missing_insert_logging.missing_insert_logging = true;
+  txn::BugFlags lost_decision;
+  lost_decision.lost_decision = true;
+  txn::BugFlags logging_without_locking = lost_decision;
+  logging_without_locking.logging_without_locking = true;
+  return {
+      {"Complicit Aborts", txn::ProtocolMode::kPandora, complicit_abort,
+       Litmus1LockRelease(),
+       "sync=free runs=1 vorder=0.0.0.0,0.0.1.0,2.0.0.0,2.0.0.1,0.0.0.1,"
+       "1.0.0.0,1.0.0.1,1.0.0.2,1.0.0.3,0.0.0.2,0.0.1.1,0.0.1.2,0.0.0.3,"
+       "0.0.1.3"},
+      {"Covert Locks", txn::ProtocolMode::kPandora, covert_locks, Litmus2(),
+       "sync=lockstep runs=2"},
+      {"Relaxed Locks", txn::ProtocolMode::kPandora, relaxed_locks,
+       Litmus2(), "sync=lockstep runs=2"},
+      {"Missing Actions", txn::ProtocolMode::kFordBaseline,
+       missing_insert_logging, Litmus1Inserts(),
+       "sync=lockstep runs=1 crash=0:0:MidCommitApply:1"},
+      {"Lost Decision", txn::ProtocolMode::kFordBaseline, lost_decision,
+       Litmus3AbortLogging(),
+       "sync=lockstep runs=2 crash=0:0:MidAbortUnlock:1"},
+      {"Logging-without-locking", txn::ProtocolMode::kFordBaseline,
+       logging_without_locking, Litmus1PartialOverlap(),
+       "sync=lockstep runs=1 crash=0:0:BeforeLock:2"},
+  };
+}
+
+TEST_P(LitmusBugHunt, CaughtTracesReplay) {
+  for (const CaughtTrace& caught : CaughtTraces()) {
+    SCOPED_TRACE(caught.bug);
+    ExpectTraceReplays(HuntConfig(caught.mode, caught.bugs, pipeline()),
+                       caught.spec, caught.trace, caught.bug);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PipelineOnOff, LitmusBugHunt, ::testing::Bool(),
@@ -533,6 +592,7 @@ TEST(LitmusScheduleTest, VerbExhaustiveExploresAndReportsCoverage) {
   const LitmusReport report = harness.Run(Litmus1LockRelease());
   EXPECT_TRUE(report.harness_error.empty()) << report.harness_error;
   ASSERT_GT(report.violations, 0);
+  EXPECT_EQ(report.sync_timeouts, 0);
   EXPECT_GT(report.verb_window, 0);
   EXPECT_GT(report.verb_orders_explored, 0);
   ASSERT_FALSE(report.violation_traces.empty());
@@ -560,6 +620,7 @@ TEST(LitmusScheduleTest, ViolatingScheduleReplaysIdentically) {
   LitmusHarness harness(config);
   const LitmusReport first = harness.Run(Litmus3AbortLogging());
   ASSERT_GT(first.violations, 0);
+  EXPECT_EQ(first.sync_timeouts, 0);
   ASSERT_FALSE(first.violation_traces.empty());
   ASSERT_FALSE(first.violation_explanations.empty());
 
@@ -578,6 +639,7 @@ TEST(LitmusScheduleTest, ViolatingScheduleReplaysIdentically) {
   EXPECT_EQ(replay.violation_explanations[0],
             first.violation_explanations[0]);
   EXPECT_EQ(replay.schedule_noops, 0);
+  EXPECT_EQ(replay.sync_timeouts, 0);
 }
 
 // The fiber scheduler must be inert for the litmus framework: a hunt run
@@ -598,6 +660,7 @@ TEST(LitmusScheduleTest, TracesByteIdenticalUnderActiveFiberScheduler) {
   LitmusHarness plain(config);
   const LitmusReport plain_report = plain.Run(Litmus3AbortLogging());
   ASSERT_GT(plain_report.violations, 0);
+  EXPECT_EQ(plain_report.sync_timeouts, 0);
   ASSERT_FALSE(plain_report.violation_traces.empty());
 
   LitmusReport fiber_report;
@@ -608,16 +671,16 @@ TEST(LitmusScheduleTest, TracesByteIdenticalUnderActiveFiberScheduler) {
   });
   scheduler.Run();
   ASSERT_GT(fiber_report.violations, 0);
+  EXPECT_EQ(fiber_report.sync_timeouts, 0);
   ASSERT_EQ(fiber_report.violation_traces.size(),
             plain_report.violation_traces.size());
   EXPECT_EQ(fiber_report.violation_traces[0],
             plain_report.violation_traces[0]);
   EXPECT_EQ(fiber_report.violation_explanations[0],
             plain_report.violation_explanations[0]);
-  // schedules_planned is deliberately NOT compared: the profiling
-  // iteration's conflict-retry counts are load-dependent, so two *plain*
-  // runs already disagree on the planned total (bimodal under
-  // contention). The violating trace is the determinism guard.
+  // Lockstep runs one slot at a time, so the profiling iteration, and
+  // with it the planned enumeration, is the same on every run.
+  EXPECT_EQ(fiber_report.schedules_planned, plain_report.schedules_planned);
 }
 
 // Exhaustive mode on a single-transaction spec must crash at *every*
@@ -653,6 +716,7 @@ TEST(LitmusScheduleTest, ExhaustiveCoversAllReachablePointsSingleTxn) {
   EXPECT_GE(covered, 8) << report.CoverageSummary();
   EXPECT_FALSE(report.CoverageSummary().empty());
   EXPECT_EQ(report.schedule_noops, 0);
+  EXPECT_EQ(report.sync_timeouts, 0);
 }
 
 // Every commit doorbell group must be crashed at every verb it posts: a
@@ -693,6 +757,7 @@ TEST(LitmusScheduleTest, ExhaustiveCrashesEveryVerbOfTheMergedGroup) {
         << (report.failures.empty() ? "" : report.failures[0]);
     EXPECT_EQ(report.schedules_skipped, 0);
     EXPECT_EQ(report.schedule_noops, 0);
+    EXPECT_EQ(report.sync_timeouts, 0);
 
     constexpr int kWrites = 2;
     constexpr int kServers = 2;
@@ -746,6 +811,7 @@ TEST(LitmusScheduleTest, CompoundSchedulesRecoverCleanly) {
       << (report.failures.empty() ? "" : report.failures[0]);
   EXPECT_GT(report.rc_faults_injected, 0);
   EXPECT_GT(report.memory_kills_injected, 0);
+  EXPECT_EQ(report.sync_timeouts, 0);
 }
 
 // A run whose enabled bug flags never actually deviate from the fixed
@@ -763,6 +829,7 @@ TEST(LitmusScheduleTest, FlagsHarnessErrorWhenBugNeverExercised) {
   EXPECT_EQ(report.bug_injections, 0u);
   EXPECT_FALSE(report.harness_error.empty());
   EXPECT_FALSE(report.passed());
+  EXPECT_EQ(report.sync_timeouts, 0);
 }
 
 // ----------------------------------------------- Online reconfiguration --
@@ -958,6 +1025,7 @@ TEST(LitmusScheduleTest, CoordinatorCrashPairsStaySerializable) {
   const LitmusReport singles = single.Run(Litmus2());
   EXPECT_EQ(singles.violations, 0)
       << (singles.failures.empty() ? "" : singles.failures[0]);
+  EXPECT_EQ(singles.sync_timeouts, 0);
 
   config.crash_pairs = true;
   LitmusHarness paired(config);
@@ -969,6 +1037,7 @@ TEST(LitmusScheduleTest, CoordinatorCrashPairsStaySerializable) {
       << (pairs.failures.empty() ? "" : pairs.failures[0]);
   EXPECT_EQ(pairs.schedules_skipped, 0)
       << "budget too small to execute every contested crash pair";
+  EXPECT_EQ(pairs.sync_timeouts, 0);
   EXPECT_GT(pairs.schedules_planned, singles.schedules_planned)
       << "crash_pairs added no schedules";
   EXPECT_GT(pairs.crashes_injected, singles.crashes_injected);
