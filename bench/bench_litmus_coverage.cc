@@ -21,7 +21,6 @@ litmus::HarnessConfig ExploreConfig() {
   litmus::HarnessConfig config;
   config.schedule = litmus::SchedulePolicy::kExhaustive;
   config.iterations = FastMode() ? 60 : 400;
-  config.net.one_way_ns = 1500;
   return config;
 }
 

@@ -20,7 +20,6 @@ namespace {
 litmus::HarnessConfig BaseConfig() {
   litmus::HarnessConfig config;
   config.iterations = FastMode() ? 40 : 80;
-  config.net.one_way_ns = 1500;
   return config;
 }
 

@@ -20,7 +20,6 @@ litmus::HarnessConfig DemoConfig() {
   // transaction; the budget covers every spec's enumeration.
   config.runs_per_txn = 1;
   config.iterations = 400;
-  config.net.one_way_ns = 1500;
   return config;
 }
 

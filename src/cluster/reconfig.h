@@ -194,7 +194,10 @@ class ReconfigManager {
 
   Cluster* cluster_;
   ReconfigOptions options_;
-  std::mutex mu_;  // One migration at a time.
+  /// One migration at a time. Held across the migration's waits (and, in
+  /// the litmus harness, its turns at the fault injector), so a second
+  /// migration must never start from a fiber on the same thread.
+  std::mutex mu_;
   std::atomic<bool> in_progress_{false};
   std::atomic<ReconfigFaultInjector*> injector_{nullptr};
   std::vector<std::atomic<uint8_t>> range_states_;

@@ -13,6 +13,10 @@ using Clock = std::chrono::steady_clock;
 
 const Clock::time_point kEpoch = Clock::now();
 
+// The logical time NowNanos() reads on this thread, or nullptr for the
+// wall clock.
+thread_local const uint64_t* tl_logical_now = nullptr;
+
 // The scheduler whose fiber is running on this thread, else nullptr.
 FiberScheduler* FiberInFlight() {
   FiberScheduler* scheduler = FiberScheduler::Active();
@@ -22,10 +26,15 @@ FiberScheduler* FiberInFlight() {
 }  // namespace
 
 uint64_t NowNanos() {
+  if (tl_logical_now != nullptr) [[unlikely]] return *tl_logical_now;
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            kEpoch)
           .count());
+}
+
+void SetThreadLogicalClock(const uint64_t* now_ns) {
+  tl_logical_now = now_ns;
 }
 
 uint64_t NowMicros() { return NowNanos() / 1000; }

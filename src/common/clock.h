@@ -6,8 +6,14 @@
 namespace pandora {
 
 /// Monotonic wall-clock nanoseconds. All latency accounting in the simulated
-/// fabric and the benchmarks uses this clock.
+/// fabric and the benchmarks uses this clock. On a thread running a
+/// logical-clock FiberScheduler (common/fiber.h) it is that scheduler's
+/// logical time instead.
 uint64_t NowNanos();
+
+/// Makes NowNanos() on the calling thread return *now_ns until called
+/// again with nullptr. FiberScheduler::Run installs its logical time here.
+void SetThreadLogicalClock(const uint64_t* now_ns);
 
 /// Monotonic microseconds, for coarse-grained reporting.
 uint64_t NowMicros();

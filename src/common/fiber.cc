@@ -305,14 +305,18 @@ void FiberScheduler::Run() {
   main_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
   now_ns_ = NowNanos();
+  if (options_.logical_clock) SetThreadLogicalClock(&now_ns_);
   while (Fiber* next = PickNext()) {
     if (next->ready_at_ns > now_ns_) {
       // Not due by the reading the scheduler holds: look at the clock.
       now_ns_ = NowNanos();
       if (next->ready_at_ns > now_ns_) {
-        // Nothing runnable: this is the only wall time a wait still costs.
-        stats_.idle_ns += next->ready_at_ns - now_ns_;
-        IdleSpinUntilNanos(next->ready_at_ns);
+        // Nothing runnable: this is the only wall time a wait still
+        // costs. A logical clock jumps to the deadline instead.
+        if (!options_.logical_clock) {
+          stats_.idle_ns += next->ready_at_ns - now_ns_;
+          IdleSpinUntilNanos(next->ready_at_ns);
+        }
         now_ns_ = next->ready_at_ns;
       }
     }
@@ -334,6 +338,7 @@ void FiberScheduler::Run() {
       now_ns_ = NowNanos();
     }
   }
+  if (options_.logical_clock) SetThreadLogicalClock(nullptr);
   tl_active_scheduler = nullptr;
 }
 

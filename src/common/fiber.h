@@ -52,9 +52,19 @@ namespace pandora {
 /// backlog instead of starting new work whenever the oldest runnable
 /// fiber is overdue past a configurable lag budget.
 ///
-/// Threads that never install a scheduler (unit tests, the litmus
-/// harness's lockstep slots, recovery and heartbeat threads) are
-/// untouched: the wait hook is inert without a thread-local scheduler.
+/// Logical clock (Options::logical_clock): while such a scheduler's Run()
+/// is active, NowNanos() on its thread returns the scheduler's logical
+/// time, which moves only when no fiber is due: it then jumps to the
+/// earliest deadline instead of idling. A fiber never observes time pass
+/// while it runs, and fibers with equal deadlines dispatch FIFO, so a run
+/// is a pure function of what its fibers do. The litmus harness runs
+/// every slot of an iteration, and the migration racing them, as fibers
+/// of one logical-clock scheduler on its own thread; a zero-time wait
+/// (WaitForNanos(0)) is a turn handed to the next due fiber.
+///
+/// Threads that never install a scheduler (unit tests, recovery and
+/// heartbeat threads) are untouched: the wait hook is inert without a
+/// thread-local scheduler.
 class FiberScheduler {
  public:
   struct Stats {
@@ -96,6 +106,9 @@ class FiberScheduler {
     /// an oversubscribed core is not stalled for a full OS quantum (the
     /// dominant fiber tail-latency term when threads > cores). 0 = never.
     uint64_t os_yield_every_ns = 0;
+    /// Run on a logical clock (see the class comment) instead of the wall
+    /// clock: no wait costs wall time, and idle_ns stays 0.
+    bool logical_clock = false;
   };
 
   explicit FiberScheduler(size_t stack_bytes = kDefaultStackBytes);
@@ -173,7 +186,8 @@ class FiberScheduler {
   /// The scheduler context's saved stack pointer while a fiber runs.
   void* main_sp_ = nullptr;
   uint64_t next_seq_ = 0;
-  /// The latest clock reading the scheduler holds (see the clock rule).
+  /// The latest clock reading the scheduler holds (see the clock rule);
+  /// with a logical clock, the time itself.
   uint64_t now_ns_ = 0;
   uint64_t last_os_yield_ns_ = 0;
   Stats stats_;

@@ -1,15 +1,15 @@
 #include "litmus/harness.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "cluster/cluster.h"
 #include "common/checksum.h"
+#include "common/clock.h"
 #include "common/coding.h"
+#include "common/fiber.h"
 #include "common/logging.h"
 #include "recovery/recovery_manager.h"
 #include "txn/coordinator.h"
@@ -26,15 +26,18 @@ store::Key VarKey(int iteration, Var var) {
   return static_cast<store::Key>(iteration) * kVarStride + var;
 }
 
+// A lockstep turn: a zero-time wait, so every other fiber already due runs
+// before this one resumes (equal deadlines dispatch FIFO).
+void PassTurn() { SpinForNanos(0); }
+
 // Executes one litmus program on a coordinator; fills the observation.
 void ExecuteProgram(txn::Coordinator* coord, const LitmusTxn& program,
                     int iteration, store::TableId table,
                     TxnObservation* out) {
   // Outcome is keyed off the client acks (Cor3), not local return codes.
-  std::atomic<int> ack{-1};  // -1 none, 0 abort-ack, 1 commit-ack
-  coord->set_ack_callback([&ack](uint64_t, bool committed) {
-    ack.store(committed ? 1 : 0, std::memory_order_release);
-  });
+  int ack = -1;  // -1 none, 0 abort-ack, 1 commit-ack
+  coord->set_ack_callback(
+      [&ack](uint64_t, bool committed) { ack = committed ? 1 : 0; });
 
   out->reads.clear();
   Status status = coord->Begin();
@@ -97,7 +100,7 @@ void ExecuteProgram(txn::Coordinator* coord, const LitmusTxn& program,
     coord->Abort();
   }
 
-  switch (ack.load(std::memory_order_acquire)) {
+  switch (ack) {
     case 1:
       out->outcome = TxnObservation::Outcome::kCommitted;
       break;
@@ -196,10 +199,11 @@ bool AuditReplicas(cluster::Cluster* cluster, store::TableId table,
 }
 
 // Schedule-armed migration fault injector: counts every consulted
-// ReconfigCrashPoint (coverage), optionally abandons the migration at one
-// scheduled point, and optionally halts the join target at the first
-// kMidRangeCopy visit (the bulk-copy window), forcing the rollback path.
-// Driven solely from the migration thread; read after that thread joins.
+// ReconfigCrashPoint (coverage), hands the turn to the slots there, so the
+// migration's steps interleave with theirs at fixed points, optionally
+// abandons the migration at one scheduled point, and optionally halts the
+// join target at the first kMidRangeCopy visit (the bulk-copy window),
+// forcing the rollback path.
 class ScheduledReconfigInjector : public cluster::ReconfigFaultInjector {
  public:
   ScheduledReconfigInjector(int crash_point, bool kill_target,
@@ -213,6 +217,7 @@ class ScheduledReconfigInjector : public cluster::ReconfigFaultInjector {
   bool MaybeCrash(cluster::ReconfigCrashPoint point) override {
     const int p = static_cast<int>(point);
     visits_[p]++;
+    PassTurn();
     if (kill_target_ && !killed_ &&
         point == cluster::ReconfigCrashPoint::kMidRangeCopy) {
       killed_ = true;
@@ -250,7 +255,6 @@ struct IterationResult {
   // An armed crash directive never fired: the execution diverged from the
   // profiled path and the schedule proved nothing.
   bool noop = false;
-  int sync_timeouts = 0;
   // Crash points visited, per [slot][run], from the recorder hooks.
   std::vector<std::vector<std::vector<txn::CrashPoint>>> visits;
   // Verb-controller harvest (iterations that installed one): the applied
@@ -301,7 +305,10 @@ struct SpecRun {
             : 0;
     cluster_config.compute_nodes = compute_nodes;
     cluster_config.replication = config.replication;
-    cluster_config.net = config.net;
+    // Zero latency: a verb never waits, so only the schedule decides
+    // which fiber runs next.
+    cluster_config.net.one_way_ns = 0;
+    cluster_config.net.per_byte_ns = 0;
     cluster_config.log.slot_bytes = 512;
     cluster_config.log.slots_per_coordinator = 8;
     cluster_config.log.max_coordinators = static_cast<uint32_t>(
@@ -431,13 +438,6 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   // the protocol posts, so the iteration runs the benches' commit path,
   // and the crash points between a doorbell group's verbs make every
   // partial group a reachable schedule.
-  // Reconfig schedules shorten the lockstep fallback: during the cutover
-  // quiesce the turn holder blocks at the gate, and its peers would
-  // otherwise wait out the full 250ms timeout.
-  const bool lockstep_on = schedule.sync == SyncMode::kLockstep;
-  LockstepController lockstep(
-      static_cast<int>(num_txns),
-      schedule.reconfig != ReconfigKind::kNone ? 20'000 : 250'000);
   std::vector<std::unique_ptr<txn::Coordinator>> coords;
   std::vector<std::unique_ptr<txn::ScheduleRecorderHook>> hooks;
   for (uint32_t t = 0; t < num_txns; ++t) {
@@ -445,11 +445,9 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
         &cluster, cluster.compute(t), NewCoordinatorId(t), txn_config,
         &gate));
     hooks.push_back(std::make_unique<txn::ScheduleRecorderHook>());
-    if (lockstep_on) {
+    if (schedule.sync == SyncMode::kLockstep) {
       hooks.back()->set_point_observer(
-          [&lockstep, t](txn::CrashPoint, int, int) {
-            lockstep.Arrive(static_cast<int>(t));
-          });
+          [](txn::CrashPoint, int, int) { PassTurn(); });
     }
     coords.back()->set_crash_hook(hooks.back().get());
   }
@@ -501,8 +499,8 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
 
   // Online reconfiguration racing this iteration's transactions: a join
   // (or, after a quiet pre-join, a drain) of the standby memory server,
-  // driven from its own thread off the same start barrier, with a
-  // schedule-armed fault injector counting migration-point coverage.
+  // driven from its own fiber, with a schedule-armed fault injector
+  // counting migration-point coverage.
   const ReconfigKind reconfig_kind =
       migrator != nullptr ? schedule.reconfig : ReconfigKind::kNone;
   cluster::ReconfigManager* migration_mgr = nullptr;
@@ -534,58 +532,43 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
 
   // Compound: a one-shot recovery-coordinator death; DeclareComputeFailure
   // restarts the RC and re-runs recovery (idempotent, §3.2.3).
-  std::atomic<int> rc_deaths{0};
+  int rc_deaths = 0;
   if (schedule.rc_fault) {
     manager->rc().set_step_fault_hook(
-        [&rc_deaths] { return rc_deaths.fetch_add(1) == 0; });
+        [&rc_deaths] { return rc_deaths++ == 0; });
   }
 
-  // Run the spec's transactions concurrently; each thread repeats its
-  // program `runs` times.
+  // Run the spec's transactions as fibers of one logical-clock scheduler
+  // on this thread, in slot order, with the migration spawned last; each
+  // slot repeats its program `runs` times. A slot's fiber ends with its
+  // program, which takes it out of the lockstep rotation.
   std::vector<TxnObservation> observations(
       static_cast<size_t>(runs) * num_txns);
-  std::vector<std::thread> threads;
-  std::atomic<bool> go{false};
+  FiberScheduler::Options fiber_options;
+  fiber_options.logical_clock = true;
+  FiberScheduler scheduler(fiber_options);
   for (uint32_t t = 0; t < num_txns; ++t) {
-    threads.emplace_back([&, t] {
-      // Start barrier: release every transaction at once so short
-      // free-running programs actually overlap (racy interleavings are
-      // the whole point of a litmus test); lockstep slots then take
-      // turns from their first verb on.
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      const int slot = static_cast<int>(t);
-      if (lockstep_on) lockstep.WaitTurn(slot);
+    scheduler.Spawn([&, t] {
       for (int r = 0; r < runs; ++r) {
         hooks[t]->BeginRun(r);
-        if (verb_ctl != nullptr) verb_ctl->BeginRun(slot, r);
+        if (verb_ctl != nullptr) verb_ctl->BeginRun(static_cast<int>(t), r);
         ExecuteProgram(coords[t].get(), spec.txns[t], iteration, table,
                        &observations[static_cast<size_t>(r) * num_txns +
                                      t]);
-        // Crashed: leave the rotation so live peers stop waiting.
-        if (hooks[t]->fired()) lockstep.Retire(slot);
       }
-      lockstep.Retire(slot);
+      if (verb_ctl != nullptr) verb_ctl->Retire(static_cast<int>(t));
     });
   }
-  std::thread migration_thread;
   Status migration_status;
   if (migration_mgr != nullptr) {
-    migration_thread = std::thread([&] {
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
+    scheduler.Spawn([&] {
       migration_status =
           reconfig_kind == ReconfigKind::kJoin
               ? migration_mgr->JoinMemoryNode(standby_node)
               : migration_mgr->DrainMemoryNode(standby_node);
     });
   }
-  go.store(true, std::memory_order_release);
-  for (auto& thread : threads) thread.join();
-  if (migration_thread.joinable()) migration_thread.join();
-  out->sync_timeouts = lockstep.timeouts();
+  scheduler.Run();
 
   // Migration harvest: record the executed reconfiguration (resolved
   // crash / kill), coverage counters, and injection no-ops.
@@ -628,12 +611,11 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     }
   }
 
-  // Verb-controller harvest. Release any verb still parked (recovery
-  // traffic is never held, but an unrealizable order may leave the slots'
-  // last verbs waiting), then uninstall — set_verb_hook(nullptr) drains
-  // in-flight callbacks, after which the controller is safe to read and
-  // destroy. The applied stream becomes the executed trace's verb order,
-  // so a violating iteration replays with its full window enforced.
+  // Verb-controller harvest: an order that has not fully landed now that
+  // the slots stopped is unrealizable; uninstall the hook before recovery
+  // traffic runs. The applied stream becomes the executed trace's verb
+  // order, so a violating iteration replays with its full window
+  // enforced.
   if (verb_ctl != nullptr) {
     verb_ctl->ReleaseAll();
     cluster.fabric().set_verb_hook(nullptr);
@@ -721,7 +703,7 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
   }
   if (schedule.rc_fault) {
     manager->rc().set_step_fault_hook(nullptr);
-    if (rc_deaths.load(std::memory_order_acquire) > 0) {
+    if (rc_deaths > 0) {
       out->executed.rc_fault = true;
       if (record) report->rc_faults_injected++;
     }
@@ -932,15 +914,13 @@ LitmusReport LitmusHarness::Run(const LitmusSpec& spec) {
     return " | minimal repro: spec=" + spec.name +
            " seed=" + std::to_string(config_.seed) + " schedule={" +
            best.ToString() + "}" +
-           (confirmed ? " (replay-confirmed)"
-                      : " (not re-confirmed; may be timing-dependent)");
+           (confirmed ? " (replay-confirmed)" : " (not re-confirmed)");
   };
 
   auto execute = [&](SpecRun& run, const CrashSchedule& schedule) {
     IterationResult result;
     run.RunIteration(schedule, &report, /*record=*/true, &result);
     if (result.noop) report.schedule_noops++;
-    report.sync_timeouts += result.sync_timeouts;
     if (result.violation) {
       report.violations++;
       report.violation_traces.push_back(result.executed.ToString());
@@ -1101,8 +1081,8 @@ LitmusReport LitmusHarness::Run(const LitmusSpec& spec) {
 
     // Seed: a lockstep recording iteration captures the applied
     // mutating-verb stream. Lockstep maximizes contention, so the window
-    // it records is the richest one; enforced iterations then free-run
-    // (the holds replace the barrier, which would deadlock against them).
+    // it records is the richest one; enforced iterations then run free:
+    // a slot runs until a hold parks it.
     CrashSchedule seed_schedule;
     seed_schedule.sync = SyncMode::kLockstep;
     seed_schedule.record_verbs = true;

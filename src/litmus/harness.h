@@ -10,7 +10,6 @@
 #include "litmus/checker.h"
 #include "litmus/litmus_spec.h"
 #include "litmus/schedule.h"
-#include "rdma/network_model.h"
 #include "txn/txn_config.h"
 
 namespace pandora {
@@ -37,8 +36,6 @@ struct HarnessConfig {
   int runs_per_txn = 2;
   uint32_t memory_nodes = 3;
   uint32_t replication = 2;
-  rdma::NetworkConfig net;  // Zero-latency by default: litmus tests
-                            // exercise semantics, not timing.
 
   /// How crash schedules are chosen (see SchedulePolicy).
   SchedulePolicy schedule = SchedulePolicy::kExhaustive;
@@ -89,9 +86,6 @@ struct LitmusReport {
   /// Iterations where an armed crash directive never fired (the profiled
   /// execution diverged); the schedule proved nothing.
   int schedule_noops = 0;
-  /// Lockstep iterations that fell back to free running (a turn wait
-  /// timed out).
-  int sync_timeouts = 0;
   /// Recovery-coordinator deaths injected by compound schedules.
   int rc_faults_injected = 0;
   /// Memory-node failures injected by compound schedules.
@@ -127,8 +121,8 @@ struct LitmusReport {
   /// Verb-level kills (node death between posting a verb and the verb
   /// landing) that fired.
   int verb_kills_injected = 0;
-  /// Enforced orders that turned out unrealizable (a hold timed out and
-  /// the iteration degraded to free-running).
+  /// Enforced orders that turned out unrealizable (every live slot held
+  /// a verb, or the slots stopped before the order landed).
   int verb_schedules_diverged = 0;
 
   /// --- Online reconfiguration (schedules with reconfig != kNone) --------
@@ -155,12 +149,16 @@ struct LitmusReport {
   bool passed() const { return violations == 0 && harness_error.empty(); }
 };
 
-/// End-to-end litmus executor: deploys a fresh simulated DKVS per spec,
-/// runs the spec's transactions concurrently under a crash-schedule policy
-/// (exhaustive lockstep enumeration, verb-order exploration, or replay of a
-/// recorded trace), declares every crashed slot failed and recovers it once
-/// the slots have stopped, reads the application-observable final state,
-/// and validates it with the subset-serializability checker. Violating iterations are shrunk to minimal reproducers.
+/// End-to-end litmus executor: deploys a fresh zero-latency simulated DKVS
+/// per spec, runs the spec's transactions (and any migration racing them)
+/// as fibers on a logical clock under a crash-schedule policy (exhaustive
+/// lockstep enumeration, verb-order exploration, or replay of a recorded
+/// trace), declares every crashed slot failed and recovers it once the
+/// slots have stopped, reads the application-observable final state, and
+/// validates it with the subset-serializability checker. No decision
+/// inside an iteration reads the wall clock, so an iteration is a pure
+/// function of (spec, seed, schedule). Violating iterations are shrunk to
+/// minimal reproducers.
 class LitmusHarness {
  public:
   explicit LitmusHarness(const HarnessConfig& config) : config_(config) {}

@@ -1,6 +1,7 @@
 #include "litmus/schedule.h"
 
-#include <chrono>
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -164,84 +165,40 @@ bool CrashSchedule::Parse(const std::string& text, CrashSchedule* out) {
   return true;
 }
 
-void LockstepController::PassTurnLocked() {
-  const int slots = static_cast<int>(live_.size());
-  const int from = turn_;
-  turn_ = -1;
-  for (int step = 1; step <= slots; ++step) {
-    const int next = (from + step) % slots;
-    if (live_[static_cast<size_t>(next)]) {
-      turn_ = next;
-      break;
-    }
-  }
-  cv_.notify_all();
-}
-
-void LockstepController::WaitTurnLocked(std::unique_lock<std::mutex>& lock,
-                                        int slot) {
-  if (cv_.wait_for(lock, std::chrono::microseconds(timeout_us_),
-                   [&] { return free_ || turn_ == slot; })) {
-    return;
-  }
-  // The turn holder is blocked outside a crash point: run free from here.
-  free_ = true;
-  cv_.notify_all();
-}
-
-void LockstepController::WaitTurn(int slot) {
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitTurnLocked(lock, slot);
-}
-
-void LockstepController::Arrive(int slot) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (free_ || !live_[static_cast<size_t>(slot)]) return;
-  if (turn_ == slot) PassTurnLocked();
-  WaitTurnLocked(lock, slot);
-}
-
-void LockstepController::Retire(int slot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  live_[static_cast<size_t>(slot)] = false;
-  if (turn_ == slot) PassTurnLocked();
-}
-
-int LockstepController::timeouts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return free_ ? 1 : 0;
-}
-
 namespace {
 // Applied-stream capture bound: litmus windows are tiny (a handful of
 // contested words, a few accesses each); 64 tokens is several times the
 // largest window any spec produces.
 constexpr size_t kAppliedTokenCap = 64;
+// How often a held verb's fiber re-checks the order, in logical time.
+constexpr uint64_t kHoldPollUs = 20;
 }  // namespace
 
 VerbOrderController::VerbOrderController(Options options)
     : opts_(std::move(options)),
       current_run_(opts_.slot_nodes.size(), 0),
-      pending_(opts_.slot_nodes.size(), {false, VerbToken{}}) {}
+      pending_(opts_.slot_nodes.size(), {false, VerbToken{}}),
+      waits_for_(opts_.slot_nodes.size(), 0) {}
 
 void VerbOrderController::BeginRun(int slot, int run) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (slot >= 0 && static_cast<size_t>(slot) < current_run_.size()) {
-    current_run_[static_cast<size_t>(slot)] = run;
+  current_run_[static_cast<size_t>(slot)] = run;
+}
+
+void VerbOrderController::Retire(int slot) {
+  waits_for_[static_cast<size_t>(slot)] = SIZE_MAX;
+}
+
+int VerbOrderController::SlotOf(rdma::NodeId node) const {
+  for (size_t i = 0; i < opts_.slot_nodes.size(); ++i) {
+    if (opts_.slot_nodes[i] == node) return static_cast<int>(i);
   }
+  return -1;
 }
 
 bool VerbOrderController::MapToken(const rdma::VerbDesc& desc, int* slot,
                                    VerbToken* token) {
-  // Caller holds mu_.
   if (!rdma::VerbMutates(desc.kind)) return false;
-  int s = -1;
-  for (size_t i = 0; i < opts_.slot_nodes.size(); ++i) {
-    if (opts_.slot_nodes[i] == desc.src) {
-      s = static_cast<int>(i);
-      break;
-    }
-  }
+  const int s = SlotOf(desc.src);
   if (s < 0) return false;
   int unit = -1;
   for (const Options::UnitRange& range : opts_.unit_ranges) {
@@ -265,54 +222,34 @@ bool VerbOrderController::MapToken(const rdma::VerbDesc& desc, int* slot,
 bool VerbOrderController::OnVerbIssue(const rdma::VerbDesc& desc) {
   VerbToken token;
   int slot = -1;
-  bool is_kill = false;
-  bool in_order = false;
-  size_t position = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!MapToken(desc, &slot, &token)) return true;
-    pending_[static_cast<size_t>(slot)] = {true, token};
-    is_kill = opts_.has_kill && token == opts_.kill;
-    if (!is_kill) {
-      for (size_t i = 0; i < opts_.order.size(); ++i) {
-        if (opts_.order[i] == token) {
-          in_order = true;
-          position = i;
-          break;
-        }
-      }
+  if (!MapToken(desc, &slot, &token)) return true;
+  pending_[static_cast<size_t>(slot)] = {true, token};
+  // The kill fires only once the whole enforced window has landed; an
+  // ordered verb waits for its predecessors.
+  const bool is_kill = opts_.has_kill && token == opts_.kill;
+  size_t wait_until = is_kill ? opts_.order.size() : 0;
+  for (size_t i = 0; !is_kill && i < opts_.order.size(); ++i) {
+    if (opts_.order[i] == token) {
+      wait_until = i;
+      break;
     }
   }
-  if (in_order || is_kill) {
-    // The kill fires only once the whole enforced window has landed; an
-    // ordered verb waits for its predecessors. The park is fiber-aware:
-    // sibling fibers on the same worker keep running while we hold.
-    const size_t wait_until = is_kill ? opts_.order.size() : position;
-    const uint64_t deadline = NowNanos() + opts_.hold_timeout_us * 1000;
-    bool counted_hold = false;
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (diverged_ || cursor_ >= wait_until) break;
-        if (!counted_hold) {
-          counted_hold = true;
-          ++holds_;
-        }
-      }
-      if (NowNanos() > deadline) {
-        // Unrealizable order (a predecessor verb is never issued):
-        // degrade to free-running rather than wedge the iteration.
-        ReleaseAll();
-        break;
-      }
-      SleepForMicros(20);
+  waits_for_[static_cast<size_t>(slot)] = wait_until;
+  while (cursor_ < wait_until) {
+    if (std::all_of(waits_for_.begin(), waits_for_.end(),
+                    [this](size_t waits_for) { return cursor_ < waits_for; })) {
+      // Every slot is blocked: none is left to issue the verb they wait
+      // for, so the order is unrealizable.
+      ReleaseAll();
+    } else {
+      SleepForMicros(kHoldPollUs);
     }
   }
+  waits_for_[static_cast<size_t>(slot)] = 0;
   if (is_kill) {
     // Halt first so the drop is indistinguishable from the node dying
     // mid-verb (the QP re-checks liveness and fails with "halted").
     if (opts_.fabric != nullptr) opts_.fabric->HaltNode(desc.src);
-    std::lock_guard<std::mutex> lock(mu_);
     killed_slot_ = slot;
     pending_[static_cast<size_t>(slot)].first = false;
     return false;
@@ -321,14 +258,7 @@ bool VerbOrderController::OnVerbIssue(const rdma::VerbDesc& desc) {
 }
 
 void VerbOrderController::OnVerbApplied(const rdma::VerbDesc& desc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int slot = -1;
-  for (size_t i = 0; i < opts_.slot_nodes.size(); ++i) {
-    if (opts_.slot_nodes[i] == desc.src) {
-      slot = static_cast<int>(i);
-      break;
-    }
-  }
+  const int slot = SlotOf(desc.src);
   if (slot < 0 || !pending_[static_cast<size_t>(slot)].first) return;
   const VerbToken token = pending_[static_cast<size_t>(slot)].second;
   pending_[static_cast<size_t>(slot)].first = false;
@@ -339,31 +269,8 @@ void VerbOrderController::OnVerbApplied(const rdma::VerbDesc& desc) {
 }
 
 void VerbOrderController::ReleaseAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!opts_.order.empty() && cursor_ < opts_.order.size()) {
-    diverged_ = true;
-  }
+  if (cursor_ < opts_.order.size()) diverged_ = true;
   cursor_ = opts_.order.size();
-}
-
-bool VerbOrderController::diverged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return diverged_;
-}
-
-int VerbOrderController::killed_slot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return killed_slot_;
-}
-
-int VerbOrderController::holds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return holds_;
-}
-
-std::vector<VerbToken> VerbOrderController::applied() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return applied_;
 }
 
 }  // namespace litmus

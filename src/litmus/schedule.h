@@ -1,10 +1,8 @@
 #ifndef PANDORA_LITMUS_SCHEDULE_H_
 #define PANDORA_LITMUS_SCHEDULE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -39,20 +37,24 @@ enum class SchedulePolicy {
 };
 
 /// How concurrent transaction slots are interleaved within an iteration.
+/// Every slot is a fiber of one logical-clock FiberScheduler on the
+/// harness thread, so either mode gives the same interleaving on every
+/// run.
 enum class SyncMode {
-  /// Threads free-run (timing-dependent interleavings).
+  /// A slot runs until it waits (a held verb, a stall, the gate), then
+  /// the next due fiber runs.
   kFree,
-  /// Slots take turns, one protocol step each: a slot runs from one crash
-  /// point to its next while every other slot waits, in slot order
-  /// (LockstepController). The slots' protocol steps interleave one by
-  /// one, and the interleaving is the same on every run, so an iteration
-  /// replays exactly.
+  /// Slots take turns, one protocol step each: at every crash point a
+  /// slot hands the turn on (a zero-time wait), so FIFO dispatch runs the
+  /// live slots from one crash point to their next in slot order. A slot
+  /// that waits passes its turn early; a finished or crashed slot leaves
+  /// the rotation.
   kLockstep,
 };
 
 /// One planned coordinator crash.
 struct CrashDirective {
-  int slot = 0;  // transaction slot (thread) to kill
+  int slot = 0;  // transaction slot (fiber) to kill
   int run = 0;   // which repeat of the slot's program
   txn::CrashPoint point = txn::CrashPoint::kBeforeLock;
   int occurrence = 1;  // 1-based visit count of `point` within `run`
@@ -143,45 +145,6 @@ struct CrashSchedule {
   static bool Parse(const std::string& text, CrashSchedule* out);
 };
 
-/// Turn scheduler for SyncMode::kLockstep. Exactly one slot runs between
-/// two crash points, in slot order: a slot waits for its turn before its
-/// first verb (WaitTurn) and again at every crash point it visits
-/// (Arrive), which first hands the turn to the next live slot. Retired
-/// slots drop out of the rotation. A timed fallback covers a turn holder
-/// blocked outside a crash point (the reconfiguration cutover quiesce
-/// holds it at the gate): on timeout every wait is released and the rest
-/// of the iteration runs free, counted once in timeouts().
-class LockstepController {
- public:
-  explicit LockstepController(int slots, uint64_t timeout_us = 250'000)
-      : live_(static_cast<size_t>(slots), true), timeout_us_(timeout_us) {}
-
-  /// Blocks until it is `slot`'s turn.
-  void WaitTurn(int slot);
-
-  /// `slot` reached a crash point: hands the turn on, then waits for it
-  /// to come back.
-  void Arrive(int slot);
-
-  /// `slot` will hit no more crash points (program finished or
-  /// coordinator crashed); a held turn passes on.
-  void Retire(int slot);
-
-  /// 1 once a turn wait timed out (the iteration then ran free), else 0.
-  int timeouts() const;
-
- private:
-  void PassTurnLocked();
-  void WaitTurnLocked(std::unique_lock<std::mutex>& lock, int slot);
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<bool> live_;
-  int turn_ = 0;  // -1 once every slot retired
-  bool free_ = false;  // a turn wait timed out
-  const uint64_t timeout_us_;
-};
-
 /// Fabric verb-schedule hook that records and/or enforces VerbToken
 /// orders for one litmus iteration.
 ///
@@ -191,15 +154,18 @@ class LockstepController {
 /// pass). Access indices count per (slot, run, unit), so the mapping is
 /// deterministic across executions of the same spec.
 ///
-/// Enforcement: a verb whose token appears in `order` is held — its
-/// issuing thread parks in a fiber-aware sleep loop, so sibling fibers on
-/// the same worker keep running — until every earlier token has landed.
-/// The kill token (if any) additionally waits for the whole order, then
-/// halts its source node and drops the verb. If an enforced order turns
-/// out unrealizable (the program never issues a held-for verb), a hold
-/// timeout marks the controller diverged and releases everything, so a
-/// bad candidate order degrades to a free-run instead of wedging the
-/// harness.
+/// Enforcement: a verb whose token appears in `order` is held — its slot's
+/// fiber polls on the logical clock while sibling fibers run — until every
+/// earlier token has landed. The kill token (if any) additionally waits
+/// for the whole order, then halts its source node and drops the verb.
+/// An enforced order is unrealizable when every slot is blocked — held, or
+/// finished — so no slot is left to issue the verb a hold waits for, or
+/// when the slots stop with the order unfinished; either way the
+/// controller is marked diverged and releases every hold, at the same
+/// point of every run.
+///
+/// Single-threaded: the slot fibers and the harness drive it from one
+/// thread.
 class VerbOrderController : public rdma::VerbScheduleHook {
  public:
   struct Options {
@@ -221,45 +187,47 @@ class VerbOrderController : public rdma::VerbScheduleHook {
     std::vector<VerbToken> order;
     bool has_kill = false;
     VerbToken kill;
-    uint64_t hold_timeout_us = 50'000;
   };
 
   explicit VerbOrderController(Options options);
 
-  /// Slot threads announce each program repeat before executing it.
+  /// Slot fibers announce each program repeat before executing it...
   void BeginRun(int slot, int run);
+  /// ...and the end of their program: the slot issues no more verbs.
+  void Retire(int slot);
 
   bool OnVerbIssue(const rdma::VerbDesc& desc) override;
   void OnVerbApplied(const rdma::VerbDesc& desc) override;
 
-  /// Marks the controller diverged, releasing every held verb. Call
-  /// before uninstalling the hook so no verb stays parked.
+  /// Releases every hold, marking the controller diverged if the order
+  /// has not fully landed. The harness calls it once the slots stop.
   void ReleaseAll();
 
-  /// True when a hold timed out (the enforced order was unrealizable).
-  bool diverged() const;
+  /// True when the enforced order proved unrealizable.
+  bool diverged() const { return diverged_; }
   /// Slot whose verb-kill fired, or -1.
-  int killed_slot() const;
-  /// Number of verbs that were held at least once.
-  int holds() const;
+  int killed_slot() const { return killed_slot_; }
   /// Applied mutating-token stream, in land order (capped).
-  std::vector<VerbToken> applied() const;
+  const std::vector<VerbToken>& applied() const { return applied_; }
 
  private:
+  /// The slot whose coordinator runs on `node`, or -1.
+  int SlotOf(rdma::NodeId node) const;
   /// Maps a verb to its token, assigning the access index. Returns false
   /// when the verb is unconstrained (wrong source/region/offset or a
   /// read).
   bool MapToken(const rdma::VerbDesc& desc, int* slot, VerbToken* token);
 
   const Options opts_;
-  mutable std::mutex mu_;
   std::vector<int> current_run_;  // slot -> active run
   std::map<std::tuple<int, int, int>, int> access_counts_;
   std::vector<std::pair<bool, VerbToken>> pending_;  // slot -> issued token
+  /// slot -> order position its held verb waits for (0: none; SIZE_MAX:
+  /// program ended). A slot is blocked while cursor_ is below it.
+  std::vector<size_t> waits_for_;
   size_t cursor_ = 0;  // next order_ entry allowed to land
   bool diverged_ = false;
   int killed_slot_ = -1;
-  int holds_ = 0;
   std::vector<VerbToken> applied_;
 };
 

@@ -79,14 +79,15 @@ void ScheduleRecorderHook::ArmCrashAt(int run, CrashPoint point,
 
 bool ScheduleRecorderHook::MaybeCrash(CrashPoint point) {
   if (run_ < 0) BeginRun(0);
-  // Tag the issuing thread: every verb until the next crash point carries
-  // this phase in its VerbDesc (verb-level schedule hooks key off it).
-  rdma::SetVerbPhase(static_cast<int>(point));
   auto& trace = visited_[static_cast<size_t>(run_)];
   trace.push_back(point);
   const int occurrence = static_cast<int>(
       std::count(trace.begin(), trace.end(), point));
   if (observer_) observer_(point, run_, occurrence);
+  // Tag the issuing thread: every verb until the next crash point carries
+  // this phase in its VerbDesc (verb-level schedule hooks key off it). Set
+  // after the observer, which may have run other fibers on this thread.
+  rdma::SetVerbPhase(static_cast<int>(point));
   if (fired_) return false;
 
   const bool fire = armed_ && run_ == arm_run_ && point == arm_point_ &&

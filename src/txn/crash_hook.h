@@ -67,11 +67,11 @@ class CrashHook {
 /// exploration / replay).
 ///
 /// The optional point observer runs at *every* visited point before the
-/// crash decision; the litmus lockstep scheduler uses it as a rendezvous
-/// barrier to force racy interleavings deterministically.
+/// crash decision; the litmus harness hands the lockstep turn to the next
+/// slot's fiber there.
 ///
-/// Not thread-safe: one hook per coordinator, driven from its thread;
-/// results are read after the thread joins.
+/// Not thread-safe: one hook per coordinator, driven from its fiber;
+/// results are read after the fibers finish.
 class ScheduleRecorderHook : public CrashHook {
  public:
   using PointObserver =

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cfenv>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -457,9 +458,8 @@ TEST(FiberTest, ActiveOnlyDuringRunAndOnlyOnThisThread) {
   EXPECT_EQ(FiberScheduler::Active(), nullptr);
   scheduler.Run();
   EXPECT_EQ(seen_inside, &scheduler);
-  // The scheduler is thread-local: other threads (the litmus harness's
-  // slots, recovery threads) never see it, so the wait hook is inert
-  // there.
+  // The scheduler is thread-local: other threads (recovery threads)
+  // never see it, so the wait hook is inert there.
   EXPECT_EQ(seen_on_other_thread, nullptr);
   EXPECT_EQ(FiberScheduler::Active(), nullptr);
 }
@@ -877,6 +877,68 @@ TEST(FiberTest, PeriodicOsYieldCountsUnderLongScheduling) {
   });
   scheduler.Run();
   EXPECT_GE(scheduler.stats().os_yields, 1u);
+}
+
+FiberScheduler::Options LogicalClock() {
+  FiberScheduler::Options options;
+  options.logical_clock = true;
+  return options;
+}
+
+TEST(FiberTest, LogicalClockJumpsToTheDeadline) {
+  // A logical-clock sleep costs no wall time: with no other fiber due,
+  // time jumps to the deadline, and the fiber reads exactly start + 1 s.
+  FiberScheduler scheduler(LogicalClock());
+  uint64_t start = 0;
+  uint64_t woke = 0;
+  scheduler.Spawn([&] {
+    start = NowNanos();
+    SleepForMicros(1'000'000);
+    woke = NowNanos();
+  });
+  const auto wall_start = std::chrono::steady_clock::now();
+  scheduler.Run();
+  const auto wall = std::chrono::steady_clock::now() - wall_start;
+  EXPECT_EQ(woke, start + 1'000'000'000u);
+  EXPECT_LT(wall, std::chrono::milliseconds(10));
+  EXPECT_EQ(scheduler.stats().wait_ns, 1'000'000'000u);
+  EXPECT_EQ(scheduler.stats().idle_ns, 0u);
+}
+
+TEST(FiberTest, LogicalClockZeroTimeYieldsTakeTurns) {
+  // Zero-time waits on a logical clock are turns: equal deadlines
+  // dispatch FIFO, so three fibers alternate in spawn order.
+  FiberScheduler scheduler(LogicalClock());
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    scheduler.Spawn([&, i] {
+      for (int turn = 0; turn < 2; ++turn) {
+        order.push_back(i);
+        SpinForNanos(0);
+      }
+    });
+  }
+  scheduler.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
+}
+
+TEST(FiberTest, WallClockReturnsAfterLogicalRun) {
+  // Once Run() returns, NowNanos() reads the wall clock again: it is
+  // behind the 10 s the fiber slept and moves with real time.
+  FiberScheduler scheduler(LogicalClock());
+  uint64_t logical_end = 0;
+  scheduler.Spawn([&] {
+    SleepForMicros(10'000'000);
+    logical_end = NowNanos();
+  });
+  scheduler.Run();
+  const uint64_t after = NowNanos();
+  EXPECT_LT(after, logical_end);
+  const auto spin_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  while (std::chrono::steady_clock::now() < spin_until) {
+  }
+  EXPECT_GE(NowNanos() - after, 1'000'000u);
 }
 
 }  // namespace
