@@ -4,10 +4,10 @@
 // recoverability costs nothing in failure-free steady state (0.919 vs
 // 0.912 MTps on their testbed).
 //
-// Each protocol runs twice: the blocking baseline (1 fiber per worker
-// thread) and the fiber-scheduled configuration (8 fibers per thread),
-// which overlaps simulated RDMA waits across in-flight transactions the
-// way the paper's 128-coordinators-on-few-cores testbed does. The run
+// Each protocol runs twice: one fiber per worker thread, which runs one
+// transaction at a time, and 8 fibers per thread, which overlaps
+// simulated RDMA waits across in-flight transactions the way the paper's
+// 128-coordinators-on-few-cores testbed does. The run
 // emits the canonical BENCH_steady_state.json artifact (throughput,
 // percentiles, config, git SHA) used to track the repo's perf trajectory.
 
@@ -110,7 +110,7 @@ int main() {
 
   workloads::DriverResult ford = RunSteadyState(false, 1);
   workloads::DriverResult pandora = RunSteadyState(true, 1);
-  // The blocking pair feeds the PILL-overhead gate, and its measurement
+  // The one-fiber pair feeds the PILL-overhead gate, and its measurement
   // windows run seconds apart — long enough for host-load drift to swamp
   // a low-single-digit throughput gap. Interleave repeats in Thue-Morse
   // order (F P P F P F F P), which balances both linear and quadratic

@@ -74,8 +74,7 @@ Status ReconfigManager::JoinMemoryNode(rdma::NodeId node) {
   }
   std::vector<rdma::NodeId> nodes = cluster_->ring().nodes();
   nodes.push_back(node);
-  return Migrate(Kind::kJoin, node, std::move(nodes),
-                 cluster_->ring().replication());
+  return Migrate(Kind::kJoin, node, std::move(nodes));
 }
 
 Status ReconfigManager::DrainMemoryNode(rdma::NodeId node) {
@@ -91,18 +90,7 @@ Status ReconfigManager::DrainMemoryNode(rdma::NodeId node) {
   for (const rdma::NodeId n : current) {
     if (n != node) nodes.push_back(n);
   }
-  return Migrate(Kind::kDrain, node, std::move(nodes),
-                 cluster_->ring().replication());
-}
-
-Status ReconfigManager::SetReplication(uint32_t replication) {
-  if (replication < 1 || replication > kMaxReplication ||
-      replication > cluster_->ring().nodes().size()) {
-    return Status::InvalidArgument("replication factor out of range");
-  }
-  if (replication == cluster_->ring().replication()) return Status::OK();
-  return Migrate(Kind::kReplication, rdma::kInvalidNodeId,
-                 cluster_->ring().nodes(), replication);
+  return Migrate(Kind::kDrain, node, std::move(nodes));
 }
 
 Status ReconfigManager::EnumerateMoves(
@@ -274,8 +262,7 @@ Status ReconfigManager::CopyObject(const HashRing& old_ring,
 }
 
 Status ReconfigManager::Migrate(Kind kind, rdma::NodeId subject,
-                                std::vector<rdma::NodeId> new_nodes,
-                                uint32_t new_replication) {
+                                std::vector<rdma::NodeId> new_nodes) {
   std::lock_guard<std::mutex> migration_lock(mu_);
   in_progress_.store(true, std::memory_order_release);
   struct InProgressGuard {
@@ -298,14 +285,15 @@ Status ReconfigManager::Migrate(Kind kind, rdma::NodeId subject,
   slot_buf_.resize(max_slot);
 
   const HashRing& old_ring = cluster_->ring();
-  auto target = std::make_unique<HashRing>(new_nodes, new_replication);
+  auto target =
+      std::make_unique<HashRing>(new_nodes, old_ring.replication());
 
   const auto rollback = [&](Status why) {
     // Strictly before the cutover publish the old ring is still the
     // truth: wipe the join target's partial regions (and their address
     // entries) so a later attempt starts clean. Orphan copies left on
-    // surviving nodes by a drain/replication rollback are unreachable
-    // under the old ring and get overwritten by the next migration.
+    // surviving nodes by a drain rollback are unreachable under the old
+    // ring and get overwritten by the next migration.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.rollbacks;
@@ -451,7 +439,6 @@ Status ReconfigManager::Migrate(Kind kind, rdma::NodeId subject,
     switch (kind) {
       case Kind::kJoin: ++stats_.joins; break;
       case Kind::kDrain: ++stats_.drains; break;
-      case Kind::kReplication: ++stats_.replication_changes; break;
     }
     stats_.last_cutover_ns = NowNanos() - cutover_start_ns;
   }

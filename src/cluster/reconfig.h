@@ -81,7 +81,6 @@ struct ReconfigOptions {
 struct ReconfigStats {
   uint64_t joins = 0;
   uint64_t drains = 0;
-  uint64_t replication_changes = 0;
   uint64_t objects_copied = 0;
   /// Objects re-copied by the quiesced delta pass (mutated or locked
   /// during the bulk copy).
@@ -96,8 +95,8 @@ struct ReconfigStats {
   uint64_t last_cutover_ns = 0;
 };
 
-/// Online reconfiguration: live memory-server join, planned drain, and
-/// replication-factor change under traffic.
+/// Online reconfiguration: live memory-server join and planned drain under
+/// traffic.
 ///
 /// The design is epoch-fenced range migration (ROADMAP item 3 /
 /// "Reconfigurable Atomic Transaction Commit"): plan a target HashRing,
@@ -134,9 +133,6 @@ class ReconfigManager {
   /// and wipes it. At least `replication` servers must remain.
   Status DrainMemoryNode(rdma::NodeId node);
 
-  /// Replication-factor change on the current node set.
-  Status SetReplication(uint32_t replication);
-
   void set_fault_injector(ReconfigFaultInjector* injector) {
     injector_.store(injector, std::memory_order_release);
   }
@@ -157,7 +153,7 @@ class ReconfigManager {
   }
 
  private:
-  enum class Kind { kJoin, kDrain, kReplication };
+  enum class Kind { kJoin, kDrain };
 
   /// One moved object discovered by the enumeration scan.
   struct MoveItem {
@@ -174,8 +170,7 @@ class ReconfigManager {
   }
 
   Status Migrate(Kind kind, rdma::NodeId subject,
-                 std::vector<rdma::NodeId> new_nodes,
-                 uint32_t new_replication);
+                 std::vector<rdma::NodeId> new_nodes);
 
   /// Scans the old ring's primaries and collects every object whose
   /// replica set changes under `target`, grouped by hash range.

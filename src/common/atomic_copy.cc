@@ -38,14 +38,6 @@ void AtomicCopyToRegion(void* region_dst, const void* src, size_t size) {
   }
 }
 
-uint64_t AtomicLoad64(const void* region_addr) {
-  return AsAtomic(region_addr)->load(std::memory_order_acquire);
-}
-
-void AtomicStore64(void* region_addr, uint64_t value) {
-  AsAtomic(region_addr)->store(value, std::memory_order_release);
-}
-
 bool AtomicCas64(void* region_addr, uint64_t expected, uint64_t desired,
                  uint64_t* observed) {
   uint64_t exp = expected;
@@ -54,10 +46,6 @@ bool AtomicCas64(void* region_addr, uint64_t expected, uint64_t desired,
                                                 std::memory_order_acq_rel);
   if (observed != nullptr) *observed = ok ? expected : exp;
   return ok;
-}
-
-uint64_t AtomicFetchAdd64(void* region_addr, uint64_t delta) {
-  return AsAtomic(region_addr)->fetch_add(delta, std::memory_order_acq_rel);
 }
 
 }  // namespace pandora

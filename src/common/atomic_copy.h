@@ -22,12 +22,9 @@ namespace pandora {
 void AtomicCopyFromRegion(void* dst, const void* region_src, size_t size);
 void AtomicCopyToRegion(void* region_dst, const void* src, size_t size);
 
-/// 64-bit atomic accessors on a region word (8-byte aligned).
-uint64_t AtomicLoad64(const void* region_addr);
-void AtomicStore64(void* region_addr, uint64_t value);
+/// 64-bit atomic compare-and-swap on a region word (8-byte aligned).
 bool AtomicCas64(void* region_addr, uint64_t expected, uint64_t desired,
                  uint64_t* observed);
-uint64_t AtomicFetchAdd64(void* region_addr, uint64_t delta);
 
 }  // namespace pandora
 

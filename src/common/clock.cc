@@ -48,13 +48,24 @@ void SpinUntilNanos(uint64_t deadline_ns) {
     scheduler->WaitUntilNanos(deadline_ns);
     return;
   }
-  // Spin for short waits; yield for longer ones. With only a couple of
-  // physical cores, pure spinning across many coordinator threads would
-  // serialize the whole simulation.
-  constexpr uint64_t kSpinThresholdNs = 20'000;
+  BlockUntilNanos(deadline_ns);
+}
+
+void BlockUntilNanos(uint64_t deadline_ns) {
+  // Spinning keeps a simulated round trip exact, but with only a couple
+  // of cores pure spinning across many threads would serialize the
+  // simulation, so a longer wait yields. A wait longer still (pacing, a
+  // dead slot, an idle scheduler) sleeps, but only until kSleepNs remain:
+  // an OS sleep can wake up to the timer slack (50 µs by default) late,
+  // and the yield and spin phases then land the wake-up on the deadline.
+  constexpr uint64_t kSpinNs = 20'000;
+  constexpr uint64_t kSleepNs = 50'000;
   uint64_t now = NowNanos();
   while (now < deadline_ns) {
-    if (deadline_ns - now > kSpinThresholdNs) {
+    const uint64_t left = deadline_ns - now;
+    if (left > kSleepNs) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(left - kSleepNs));
+    } else if (left > kSpinNs) {
       std::this_thread::yield();
     }
     now = NowNanos();

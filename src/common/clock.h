@@ -20,12 +20,17 @@ uint64_t NowMicros();
 
 /// Waits until NowNanos() >= deadline_ns. Inside a fiber (see
 /// common/fiber.h) the wait suspends the fiber so another in-flight
-/// transaction can use the core; otherwise, for short waits (< ~50 us,
-/// i.e. simulated RDMA round trips) this spins, and for longer waits it
-/// yields to the OS scheduler so multiplexed logical coordinators don't
-/// starve each other on a small core count. Either way the caller
-/// observes at least the requested wall-time delay.
+/// transaction can use the core; otherwise it is BlockUntilNanos. Either
+/// way the caller observes at least the requested wall-time delay.
 void SpinUntilNanos(uint64_t deadline_ns);
+
+/// Blocks the calling OS thread until NowNanos() >= deadline_ns, bypassing
+/// the fiber wait hook: the one wait rule of common/, shared by
+/// SpinUntilNanos outside a fiber and by an idle FiberScheduler. It spins
+/// while at most 20 µs are left (a simulated round trip), yields the core
+/// while at most 50 µs are left, and sleeps the OS thread through the rest
+/// of a longer wait. It never returns before the deadline.
+void BlockUntilNanos(uint64_t deadline_ns);
 
 /// Waits for `delay_ns` nanoseconds from now. Inside a fiber this is
 /// FiberScheduler::WaitForNanos, which reads the clock once.

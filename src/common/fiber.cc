@@ -187,20 +187,6 @@ void* SeedStack(char* top, void (*entry)(void*), void* fiber) {
   return frame;
 }
 
-// Raw spin used by the scheduler itself when no fiber is runnable. Must
-// bypass the fiber wait hook in clock.cc (the scheduler is not a fiber);
-// same spin/yield policy as the blocking SpinUntilNanos.
-void IdleSpinUntilNanos(uint64_t deadline_ns) {
-  constexpr uint64_t kSpinThresholdNs = 20'000;
-  uint64_t now = NowNanos();
-  while (now < deadline_ns) {
-    if (deadline_ns - now > kSpinThresholdNs) {
-      std::this_thread::yield();
-    }
-    now = NowNanos();
-  }
-}
-
 }  // namespace
 
 struct FiberScheduler::Fiber {
@@ -315,7 +301,7 @@ void FiberScheduler::Run() {
         // costs. A logical clock jumps to the deadline instead.
         if (!options_.logical_clock) {
           stats_.idle_ns += next->ready_at_ns - now_ns_;
-          IdleSpinUntilNanos(next->ready_at_ns);
+          BlockUntilNanos(next->ready_at_ns);
         }
         now_ns_ = next->ready_at_ns;
       }

@@ -24,10 +24,11 @@ namespace pandora {
 /// and the system gate) consult the thread's active scheduler: inside a
 /// fiber they suspend it with a ready-at deadline instead of burning the
 /// core, and the scheduler resumes the earliest-ready runnable fiber. A
-/// fiber is never resumed before its deadline — the scheduler spins only
+/// fiber is never resumed before its deadline — the scheduler waits
+/// (BlockUntilNanos, the same rule as a thread without a scheduler) only
 /// when *nothing* is runnable — so simulated-RTT accounting is identical
-/// to the blocking implementation; only the real CPU time of the wait is
-/// reclaimed for other fibers.
+/// to a blocking wait; only the real CPU time of the wait is reclaimed for
+/// other fibers.
 ///
 /// Clock rule: the scheduler dispatches on the latest clock reading it
 /// holds, which is the suspending fiber's own (WaitForNanos reads the
@@ -71,7 +72,7 @@ class FiberScheduler {
     /// Fiber suspensions through the wait hook.
     uint64_t yields = 0;
     /// Simulated wait nanoseconds suspended through the scheduler — the
-    /// time the blocking implementation would have burned spinning.
+    /// time a thread without a scheduler would have blocked.
     uint64_t wait_ns = 0;
     /// Wall nanoseconds the scheduler truly idled because no fiber was
     /// runnable yet.

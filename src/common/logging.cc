@@ -43,9 +43,4 @@ void Emit(LogLevel level, const char* file, int line,
 
 }  // namespace log_internal
 
-void SetLogLevel(LogLevel level) {
-  log_internal::MinLevel().store(static_cast<int>(level),
-                                 std::memory_order_relaxed);
-}
-
 }  // namespace pandora

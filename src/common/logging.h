@@ -42,9 +42,6 @@ class LogMessage {
 
 }  // namespace log_internal
 
-/// Sets the global minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-
 }  // namespace pandora
 
 #define PANDORA_LOG_ENABLED(level)                                      \

@@ -673,34 +673,38 @@ void SpecRun::RunIteration(const CrashSchedule& schedule,
     }
   }
 
-  // Compound: fail a memory node right after the coordinator crash, so
-  // recovery must run against a degraded replica set (§3.2.5).
+  // Recovery is one more fiber of the iteration's scheduler, running
+  // alone now that the slots and the migration have stopped, so it starts
+  // at the same point of every replay and its waits (a memory kill's
+  // reconfiguration pause) cost logical time, not wall time.
   rdma::NodeId killed_memory_node = rdma::kInvalidNodeId;
-  if (schedule.kill_memory_node >= 0 && any_fired) {
-    const uint32_t index = static_cast<uint32_t>(schedule.kill_memory_node) %
-                           config.memory_nodes;
-    killed_memory_node = cluster.memory_node_id(index);
-    cluster.CrashMemoryNode(killed_memory_node);
-    manager->RecoverMemoryFailure(killed_memory_node);
-    out->executed.kill_memory_node = static_cast<int>(index);
-    if (record) report->memory_kills_injected++;
-  }
-
-  // The failure decision: every crashed slot is declared failed and
-  // recovered now that the slots and the migration have stopped (and
-  // after any compound memory kill), so recovery starts at the same point
-  // of every replay.
-  for (uint32_t t = 0; t < num_txns && !out->violation; ++t) {
-    const bool crashed = hooks[t]->fired() ||
-                         out->verb_killed_slot == static_cast<int>(t);
-    if (!crashed) continue;
-    const Status status = manager->DeclareComputeFailure(
-        cluster.compute_node_id(t), {coords[t]->coord_id()});
-    if (!status.ok()) {
-      out->violation = true;
-      out->explanation = "recovery failed: " + status.ToString();
+  scheduler.Spawn([&] {
+    // Compound: fail a memory node right after the coordinator crash, so
+    // recovery must run against a degraded replica set (§3.2.5).
+    if (schedule.kill_memory_node >= 0 && any_fired) {
+      const uint32_t index =
+          static_cast<uint32_t>(schedule.kill_memory_node) %
+          config.memory_nodes;
+      killed_memory_node = cluster.memory_node_id(index);
+      cluster.CrashMemoryNode(killed_memory_node);
+      manager->RecoverMemoryFailure(killed_memory_node);
+      out->executed.kill_memory_node = static_cast<int>(index);
+      if (record) report->memory_kills_injected++;
     }
-  }
+    // The failure decision: every crashed slot is declared failed.
+    for (uint32_t t = 0; t < num_txns && !out->violation; ++t) {
+      const bool crashed = hooks[t]->fired() ||
+                           out->verb_killed_slot == static_cast<int>(t);
+      if (!crashed) continue;
+      const Status status = manager->DeclareComputeFailure(
+          cluster.compute_node_id(t), {coords[t]->coord_id()});
+      if (!status.ok()) {
+        out->violation = true;
+        out->explanation = "recovery failed: " + status.ToString();
+      }
+    }
+  });
+  scheduler.Run();
   if (schedule.rc_fault) {
     manager->rc().set_step_fault_hook(nullptr);
     if (rc_deaths > 0) {
@@ -1250,14 +1254,6 @@ LitmusReport LitmusHarness::Run(const LitmusSpec& spec) {
   }
 
   return report;
-}
-
-std::vector<LitmusReport> LitmusHarness::RunAll() {
-  std::vector<LitmusReport> reports;
-  for (const LitmusSpec& spec : AllLitmusSpecs()) {
-    reports.push_back(Run(spec));
-  }
-  return reports;
 }
 
 }  // namespace litmus

@@ -165,10 +165,6 @@ class LitmusHarness {
 
   LitmusReport Run(const LitmusSpec& spec);
 
-  /// Runs every spec in AllLitmusSpecs(); stops early per spec only on
-  /// unrecoverable harness errors, never on violations (they are counted).
-  std::vector<LitmusReport> RunAll();
-
  private:
   HarnessConfig config_;
 };

@@ -61,7 +61,7 @@ struct CrashDirective {
 };
 
 /// Names one one-sided verb in a litmus iteration, independent of wall
-/// time: the `access`-th mutating verb (WRITE/CAS/FAA — reads are never
+/// time: the `access`-th mutating verb (WRITE/CAS — reads are never
 /// constrained) that transaction slot `slot`, during its `run`-th program
 /// repeat, issues against litmus variable `unit`'s word cluster. The
 /// harness maps each variable to its remote offset range per iteration,

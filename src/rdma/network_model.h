@@ -42,7 +42,7 @@ class NetworkModel {
   uint64_t BaseRttNanos() const { return 2 * config_.one_way_ns; }
 
   /// Round-trip time for a verb carrying `request_bytes` to the memory
-  /// server and `response_bytes` back. CAS/FAA carry 8 bytes each way;
+  /// server and `response_bytes` back. A CAS carries 8 bytes each way;
   /// reads carry the payload back; writes carry it out.
   uint64_t RttNanos(size_t request_bytes, size_t response_bytes) const {
     return BaseRttNanos() +

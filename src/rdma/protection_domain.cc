@@ -92,17 +92,5 @@ Status ProtectionDomain::ExecuteCompareSwap(NodeId src, RKey rkey,
   return Status::OK();
 }
 
-Status ProtectionDomain::ExecuteFetchAdd(NodeId src, RKey rkey,
-                                         uint64_t offset, uint64_t delta,
-                                         uint64_t* old_value) {
-  const MemoryRegion* region;
-  PANDORA_RETURN_NOT_OK(Check(src, rkey, offset, sizeof(uint64_t),
-                              /*alignment=*/8, &region));
-  const uint64_t old =
-      AtomicFetchAdd64(const_cast<char*>(region->base()) + offset, delta);
-  if (old_value != nullptr) *old_value = old;
-  return Status::OK();
-}
-
 }  // namespace rdma
 }  // namespace pandora

@@ -68,9 +68,6 @@ class ProtectionDomain {
   Status ExecuteCompareSwap(NodeId src, RKey rkey, uint64_t offset,
                             uint64_t expected, uint64_t desired,
                             uint64_t* observed);
-  Status ExecuteFetchAdd(NodeId src, RKey rkey, uint64_t offset,
-                         uint64_t delta, uint64_t* old_value);
-
  private:
   Status Check(NodeId src, RKey rkey, uint64_t offset, size_t len,
                size_t alignment, const MemoryRegion** region) const;

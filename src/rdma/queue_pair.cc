@@ -105,20 +105,6 @@ Status QueuePair::CompareSwap(RKey rkey, uint64_t offset, uint64_t expected,
   return Status::OK();
 }
 
-Status QueuePair::FetchAdd(RKey rkey, uint64_t offset, uint64_t delta,
-                           uint64_t* old_value) {
-  PANDORA_RETURN_NOT_OK(CheckHalted());
-  HookedVerb hook(hook_slot_, src_, remote_->owner(), VerbKind::kFetchAdd,
-                  rkey, offset, sizeof(uint64_t), &seq_);
-  if (hook.dropped()) return DroppedVerbStatus();
-  PANDORA_RETURN_NOT_OK(CheckHalted());  // The hook may have killed src.
-  PANDORA_RETURN_NOT_OK(
-      remote_->ExecuteFetchAdd(src_, rkey, offset, delta, old_value));
-  hook.Applied();
-  Wait(net_->RttNanos(sizeof(uint64_t), sizeof(uint64_t)));
-  return Status::OK();
-}
-
 Status QueuePair::PostRead(RKey rkey, uint64_t offset, void* dst, size_t len,
                            uint64_t* rtt_ns) {
   PANDORA_RETURN_NOT_OK(CheckHalted());

@@ -54,10 +54,6 @@ class QueuePair {
   Status CompareSwap(RKey rkey, uint64_t offset, uint64_t expected,
                      uint64_t desired, uint64_t* observed);
 
-  /// One-sided RDMA Fetch-And-Add on the 64-bit word at (rkey, offset).
-  Status FetchAdd(RKey rkey, uint64_t offset, uint64_t delta,
-                  uint64_t* old_value);
-
   /// --- Deferred-completion variants (doorbell batching) ---------------
   /// Apply the operation immediately and report the verb's RTT without
   /// waiting. DoorbellGroup posts through these: the verbs rung with one

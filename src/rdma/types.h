@@ -20,16 +20,6 @@ constexpr RKey kInvalidRKey = 0xffffffff;
 /// the revocation bitset in each protection domain.
 constexpr uint32_t kMaxNodes = 4096;
 
-/// Verb opcodes, mirroring the one-sided subset of ibverbs that a DKVS can
-/// use (§2.1): Send/Receive exist on real NICs but are RPC machinery and are
-/// deliberately absent from the data-path API.
-enum class Opcode : uint8_t {
-  kRead = 0,
-  kWrite = 1,
-  kCompareSwap = 2,
-  kFetchAdd = 3,
-};
-
 }  // namespace rdma
 }  // namespace pandora
 

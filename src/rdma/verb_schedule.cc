@@ -7,20 +7,6 @@ namespace {
 thread_local int g_verb_phase = -1;
 }  // namespace
 
-const char* VerbKindName(VerbKind kind) {
-  switch (kind) {
-    case VerbKind::kRead:
-      return "READ";
-    case VerbKind::kWrite:
-      return "WRITE";
-    case VerbKind::kCompareSwap:
-      return "CAS";
-    case VerbKind::kFetchAdd:
-      return "FAA";
-  }
-  return "?";
-}
-
 void SetVerbPhase(int phase) { g_verb_phase = phase; }
 
 int CurrentVerbPhase() { return g_verb_phase; }

@@ -10,10 +10,8 @@
 namespace pandora {
 namespace rdma {
 
-/// The four one-sided verb kinds the simulated fabric carries.
-enum class VerbKind { kRead, kWrite, kCompareSwap, kFetchAdd };
-
-const char* VerbKindName(VerbKind kind);
+/// The three one-sided verb kinds the simulated fabric carries.
+enum class VerbKind { kRead, kWrite, kCompareSwap };
 
 /// True for verbs that mutate remote memory (everything but a read).
 inline bool VerbMutates(VerbKind kind) { return kind != VerbKind::kRead; }

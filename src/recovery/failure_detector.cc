@@ -88,13 +88,6 @@ void FailureDetector::Heartbeat(rdma::NodeId node) {
   }
 }
 
-void FailureDetector::DeregisterComputeNode(rdma::NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (NodeRecord& record : records_) {
-    if (record.node == node) record.failed = true;
-  }
-}
-
 double FailureDetector::IdSpaceUsed() const {
   const uint32_t allocated = next_coord_id_.load(std::memory_order_acquire);
   const uint32_t recycled = recycled_count_.load(std::memory_order_acquire);

@@ -90,9 +90,6 @@ class FailureDetector {
   /// goes stale) once the node's fabric link is halted.
   void Heartbeat(rdma::NodeId node);
 
-  /// Deregisters a node (clean shutdown — not a failure).
-  void DeregisterComputeNode(rdma::NodeId node);
-
   /// --- Failed-id bookkeeping --------------------------------------------
 
   const FailedIdBitset& failed_ids() const { return failed_ids_; }

@@ -141,7 +141,10 @@ class RecoveryManager {
   std::atomic<uint64_t> started_{0};
   std::atomic<uint64_t> completed_{0};
   // Serializes compute-failure recovery against memory reconfiguration
-  // (joint failures run both protocols, but not interleaved).
+  // (joint failures run both protocols, but not interleaved). Held across
+  // the recovery's waits, which suspend a fiber (the litmus harness's
+  // recovery fiber), so recovery must never run from two fibers of one
+  // thread.
   std::mutex recovery_mu_;
 };
 

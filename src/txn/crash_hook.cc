@@ -107,10 +107,5 @@ const std::vector<CrashPoint>& ScheduleRecorderHook::visited(int run) const {
   return visited_[static_cast<size_t>(run)];
 }
 
-int ScheduleRecorderHook::VisitCount(int run, CrashPoint point) const {
-  const std::vector<CrashPoint>& trace = visited(run);
-  return static_cast<int>(std::count(trace.begin(), trace.end(), point));
-}
-
 }  // namespace txn
 }  // namespace pandora

@@ -99,8 +99,6 @@ class ScheduleRecorderHook : public CrashHook {
   int runs_recorded() const { return static_cast<int>(visited_.size()); }
   /// Points visited during `run`, in visit order.
   const std::vector<CrashPoint>& visited(int run) const;
-  /// Number of times `point` was visited during `run`.
-  int VisitCount(int run, CrashPoint point) const;
 
  private:
   PointObserver observer_;

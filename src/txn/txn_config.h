@@ -151,8 +151,8 @@ struct TxnStats {
   /// placement-epoch advance after a failover, wipe or ring swap).
   uint64_t placement_misses = 0;
   /// Transactions aborted by the reconfiguration epoch fence: the ring
-  /// was swapped (live join/drain/replication change) after this
-  /// transaction took locks or validated against the old placement.
+  /// was swapped (live join/drain) after this transaction took locks or
+  /// validated against the old placement.
   uint64_t reconfig_aborts = 0;
   /// Cheap pre-lock retries against a fresh placement: the fence caught
   /// the epoch change before any lock was taken (plus the backoff sleeps

@@ -37,12 +37,13 @@ struct DriverConfig {
   /// cores it would otherwise be thread-bound and fail-over would not
   /// show the per-coordinator capacity loss the figures report. 0 = off.
   uint64_t pace_us = 0;
-  /// Stackful fibers per worker thread (common/fiber.h). At 1 (default)
-  /// the worker blocks through every simulated RDMA wait, exactly as
-  /// before fibers existed. Above 1 the worker runs its slots as N
-  /// cooperative fibers, so one transaction's network stall is hidden by
-  /// progress on another — the paper's coordinators-per-core scaling
-  /// lever. Simulated RTT accounting is unchanged either way.
+  /// Stackful fibers per worker thread (common/fiber.h): each worker runs
+  /// its slots as max(1, min(fibers_per_thread, slots)) cooperative
+  /// fibers of one FiberScheduler. At 1 (default) one fiber runs the
+  /// worker's transactions one at a time and the scheduler waits out each
+  /// simulated RDMA wait; above 1 one transaction's network stall is
+  /// hidden by progress on another — the paper's coordinators-per-core
+  /// scaling lever. Simulated RTT accounting is the same at every value.
   uint32_t fibers_per_thread = 1;
   txn::TxnConfig txn;
   uint64_t seed = 42;
@@ -80,9 +81,9 @@ struct DriverResult {
   uint64_t latency_p50_ns = 0;
   uint64_t latency_p95_ns = 0;
   uint64_t latency_p99_ns = 0;
-  /// Fiber-scheduler accounting, summed over workers (all zero when
-  /// fibers_per_thread <= 1). wait_ns is the simulated wait suspended
-  /// through the schedulers; idle_ns the wall time no fiber was runnable.
+  /// Fiber-scheduler accounting, summed over workers. wait_ns is the
+  /// simulated wait suspended through the schedulers; idle_ns the wall
+  /// time no fiber was runnable.
   uint64_t fiber_yields = 0;
   uint64_t fiber_wait_ns = 0;
   uint64_t fiber_idle_ns = 0;
@@ -92,9 +93,9 @@ struct DriverResult {
   /// Admissions deferred by lag-budget pacing, summed over workers.
   uint64_t fiber_paced_admissions = 0;
   /// fiber_wait_ns / (threads × run wall ns): the mean number of simulated
-  /// waits in flight per worker. At most fibers_per_thread; ~1 = no
-  /// overlap, ~N = N waits hidden behind each other. 0 for the blocking
-  /// loop, whose waits do not go through a scheduler.
+  /// waits in flight per worker. At most the fibers a worker runs; ~N = N
+  /// waits hidden behind each other. One fiber reads at most 1: the share
+  /// of the run its worker spent waiting.
   double overlap_factor = 0.0;
 };
 
@@ -121,13 +122,11 @@ class Driver {
     uint64_t next_allowed_ns = 0;  // Pacing deadline (owner thread only).
   };
 
-  void WorkerLoop(uint32_t worker_index, uint64_t start_ns,
-                  uint64_t deadline_ns, LatencyHistogram* latency);
-  void FiberWorkerLoop(uint32_t worker_index, uint64_t start_ns,
-                       uint64_t deadline_ns, LatencyHistogram* latency,
-                       FiberScheduler::Stats* fiber_stats);
+  void RunWorker(uint32_t worker_index, uint64_t start_ns,
+                 uint64_t deadline_ns, LatencyHistogram* latency,
+                 FiberScheduler::Stats* fiber_stats);
   /// Runs one transaction on the slot's coordinator and accounts the
-  /// outcome (shared by the blocking and fiber worker loops).
+  /// outcome.
   void RunSlotTxn(Slot* slot, Random* rng, uint64_t start_ns,
                   LatencyHistogram* latency);
   void FaultLoop(uint64_t start_ns);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <cfenv>
@@ -333,12 +334,6 @@ TEST(AtomicCopyTest, Cas64) {
   EXPECT_EQ(word, 20u);
 }
 
-TEST(AtomicCopyTest, FetchAdd64) {
-  alignas(8) uint64_t word = 5;
-  EXPECT_EQ(AtomicFetchAdd64(&word, 3), 5u);
-  EXPECT_EQ(word, 8u);
-}
-
 
 // ------------------------------------------------------------- Histogram --
 
@@ -552,6 +547,33 @@ TEST(FiberTest, NoRunnableFiberFallsBackToIdleSpin) {
   EXPECT_TRUE(near_ran);
   EXPECT_GE(far_resumed_at, far_deadline);
   EXPECT_GT(scheduler.stats().idle_ns, 0u);
+}
+
+uint64_t ThreadCpuNanos() {
+  timespec ts{};
+  PANDORA_CHECK(clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
+
+TEST(FiberTest, LongIdleWaitSleeps) {
+  // A scheduler with nothing runnable for 20 ms sleeps its thread through
+  // most of the gap instead of spinning or yielding all of it, and still
+  // never resumes the fiber before its deadline.
+  constexpr uint64_t kWaitNs = 20'000'000;
+  FiberScheduler scheduler;
+  uint64_t deadline = 0;
+  uint64_t resumed_at = 0;
+  scheduler.Spawn([&] {
+    deadline = NowNanos() + kWaitNs;
+    SpinUntilNanos(deadline);
+    resumed_at = NowNanos();
+  });
+  const uint64_t cpu_start = ThreadCpuNanos();
+  scheduler.Run();
+  const uint64_t cpu_ns = ThreadCpuNanos() - cpu_start;
+  EXPECT_GE(resumed_at, deadline);
+  EXPECT_LT(cpu_ns, kWaitNs / 4) << "thread CPU over a 20 ms idle wait";
 }
 
 // Keeps eight seed-derived values live across a call `depth` frames deep

@@ -81,17 +81,6 @@ TEST_F(FabricTest, CompareSwapSemantics) {
   EXPECT_EQ(value, 42u);
 }
 
-TEST_F(FabricTest, FetchAddSemantics) {
-  uint64_t old_value = 99;
-  ASSERT_TRUE(qp_->FetchAdd(rkey_, 8, 5, &old_value).ok());
-  EXPECT_EQ(old_value, 0u);
-  ASSERT_TRUE(qp_->FetchAdd(rkey_, 8, 5, &old_value).ok());
-  EXPECT_EQ(old_value, 5u);
-  uint64_t value = 0;
-  ASSERT_TRUE(qp_->Read(rkey_, 8, &value, 8).ok());
-  EXPECT_EQ(value, 10u);
-}
-
 TEST_F(FabricTest, OutOfBoundsAccessRejected) {
   alignas(8) char buf[16];
   EXPECT_TRUE(qp_->Read(rkey_, 4096, buf, 16).IsInvalidArgument());
@@ -624,17 +613,15 @@ TEST_F(FabricTest, VerbHookSeesEveryVerbKindWithDescFields) {
   ASSERT_TRUE(qp_->Read(rkey_, 16, &word, 8).ok());
   uint64_t observed = 0;
   ASSERT_TRUE(qp_->CompareSwap(rkey_, 16, 5, 6, &observed).ok());
-  ASSERT_TRUE(qp_->FetchAdd(rkey_, 16, 1, &observed).ok());
   fabric_->set_verb_hook(nullptr);
   // Verbs after uninstall are invisible to the hook.
   ASSERT_TRUE(qp_->Read(rkey_, 16, &word, 8).ok());
 
   const std::vector<VerbDesc> issued = hook.issued();
-  ASSERT_EQ(issued.size(), 4u);
+  ASSERT_EQ(issued.size(), 3u);
   EXPECT_EQ(issued[0].kind, VerbKind::kWrite);
   EXPECT_EQ(issued[1].kind, VerbKind::kRead);
   EXPECT_EQ(issued[2].kind, VerbKind::kCompareSwap);
-  EXPECT_EQ(issued[3].kind, VerbKind::kFetchAdd);
   for (size_t i = 0; i < issued.size(); ++i) {
     EXPECT_EQ(issued[i].src, kComputeNode);
     EXPECT_EQ(issued[i].dst, kMemNode);
@@ -644,9 +631,9 @@ TEST_F(FabricTest, VerbHookSeesEveryVerbKindWithDescFields) {
     EXPECT_EQ(issued[i].phase, -1);  // No crash-hooked protocol here.
   }
   // Every issued verb applied, in issue order.
-  ASSERT_EQ(hook.applied().size(), 4u);
-  EXPECT_EQ(hook.applied()[3].kind, VerbKind::kFetchAdd);
-  EXPECT_EQ(word, 7u);  // CAS then FAA landed.
+  ASSERT_EQ(hook.applied().size(), 3u);
+  EXPECT_EQ(hook.applied()[2].kind, VerbKind::kCompareSwap);
+  EXPECT_EQ(word, 6u);  // The CAS landed.
 }
 
 TEST_F(FabricTest, DroppedVerbReportsUnavailableAndNeverApplies) {

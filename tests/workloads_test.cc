@@ -376,12 +376,14 @@ TEST_F(WorkloadsTest, DriverFibersOverlapSimulatedLatency) {
               per_committed(fibered, fibered.totals.commit_rtts),
               0.1 * per_committed(base, base.totals.commit_rtts));
 
-  // The blocking run never yields; the fiber run overlaps its waits.
-  EXPECT_EQ(base.fiber_yields, 0u);
-  EXPECT_EQ(base.totals.fiber_yields, 0u);
+  // Both runs wait through their schedulers. One fiber per worker has at
+  // most one wait in flight; the fiber run overlaps its waits.
+  EXPECT_GT(base.fiber_yields, 0u);
+  EXPECT_EQ(base.totals.fiber_yields, base.fiber_yields);
   EXPECT_GT(fibered.fiber_yields, 0u);
   EXPECT_EQ(fibered.totals.fiber_yields, fibered.fiber_yields);
-  EXPECT_EQ(base.overlap_factor, 0.0);
+  EXPECT_GT(base.overlap_factor, 0.0);
+  EXPECT_LE(base.overlap_factor, 1.0);
   // Waits in flight per worker: real overlap, and never more than the
   // fibers a worker runs.
   EXPECT_GT(fibered.overlap_factor, 1.5);
@@ -549,20 +551,20 @@ TEST_F(WorkloadsTest, HeldVerbSuspendsOnlyItsFiber) {
       << "sibling fibers made no progress while a verb was held";
   EXPECT_GT(fibered.committed, 20u);
 
-  // Per-committed round-trip accounting is invariant vs the blocking
-  // loop: a held verb costs wall-clock time, never simulated RTTs.
-  const DriverResult blocking = run(1);
-  ASSERT_GT(blocking.committed, 20u);
+  // Per-committed round-trip accounting is the same with one fiber per
+  // worker: a held verb costs wall-clock time, never simulated RTTs.
+  const DriverResult one_fiber = run(1);
+  ASSERT_GT(one_fiber.committed, 20u);
   const auto per_committed = [](const DriverResult& r, uint64_t rtts) {
     return static_cast<double>(rtts) /
            static_cast<double>(std::max<uint64_t>(r.totals.committed, 1));
   };
-  EXPECT_NEAR(per_committed(blocking, blocking.totals.execution_rtts),
+  EXPECT_NEAR(per_committed(one_fiber, one_fiber.totals.execution_rtts),
               per_committed(fibered, fibered.totals.execution_rtts),
-              0.15 * per_committed(blocking, blocking.totals.execution_rtts));
-  EXPECT_NEAR(per_committed(blocking, blocking.totals.commit_rtts),
+              0.15 * per_committed(one_fiber, one_fiber.totals.execution_rtts));
+  EXPECT_NEAR(per_committed(one_fiber, one_fiber.totals.commit_rtts),
               per_committed(fibered, fibered.totals.commit_rtts),
-              0.15 * per_committed(blocking, blocking.totals.commit_rtts));
+              0.15 * per_committed(one_fiber, one_fiber.totals.commit_rtts));
 }
 
 TEST_F(WorkloadsTest, DriverSurvivesMemoryCrash) {
